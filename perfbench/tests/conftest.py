@@ -1,0 +1,14 @@
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+import run  # noqa: E402
+
+
+@pytest.fixture(scope="session")
+def program():
+    """(package, {layer: module}) imported from the checkout's src."""
+    return run.load_program()
