@@ -9,7 +9,6 @@ from .fock import (
     TwoModeState,
     coherent_state,
     extract_moments,
-    ladder_matrix,
     mode_moments,
     squeezed_coherent_state,
     tensor_product,

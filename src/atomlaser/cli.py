@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import SqueezedInput, Truncation, TruncationError
+from .fock import (
+    DEFAULT_DEFICIT_THRESHOLD,
+    SqueezedInput,
+    Truncation,
+    TruncationError,
+    squeezed_amplitudes,
+    truncation_tails,
+)
 from .observables import (
     CSV_COLUMNS,
     SOURCE_LITERAL,
@@ -38,7 +45,9 @@ from .oracle import build_hamiltonian, convergence_sweep, evolve, scenario_initi
 from .propagator import ModelParams, ResonanceError
 from .verify import discrepancy_report
 
+# bounds of the auto cutoff; the ceiling caps the oracle's steps * n_max^2 memory
 DEFAULT_N_MAX_FLOOR = 64
+DEFAULT_N_MAX_CEILING = 512
 
 SWEEP_AXES = ("r", "phi", "m_re", "m_im", "theta", "omega0", "omega_a", "omega_r")
 
@@ -53,7 +62,7 @@ _DEFAULTS = {
     "omega_r": 1.0,
     "t_max": 2.0 * math.pi,
     "steps": 200,
-    "n_max": None,  # auto: max(heuristic, DEFAULT_N_MAX_FLOOR)
+    "n_max": None,  # auto: see auto_n_max
     "sources": ",".join(SOURCES),
     "out": None,
     "tol_algebraic": 1e-8,
@@ -146,7 +155,23 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
+def auto_n_max(inp: SqueezedInput) -> int:
+    """Smallest cutoff >= DEFAULT_N_MAX_FLOOR whose exact tail passes the deficit
+    check; it sums the same amplitudes the same way, so the check accepts it."""
+    tails = truncation_tails(squeezed_amplitudes(inp, Truncation(DEFAULT_N_MAX_CEILING)))
+    fits = np.flatnonzero(tails[DEFAULT_N_MAX_FLOOR:] <= DEFAULT_DEFICIT_THRESHOLD)
+    if len(fits) == 0:
+        raise TruncationError(
+            f"the input needs more than {DEFAULT_N_MAX_CEILING} Fock levels for a "
+            f"norm deficit <= {DEFAULT_DEFICIT_THRESHOLD:.0e}; pass --n-max"
+        )
+    return DEFAULT_N_MAX_FLOOR + int(fits[0])
+
+
 def build_run_config(settings: dict) -> RunConfig:
+    for key in _FLOAT_KEYS:
+        if not math.isfinite(settings[key]):
+            raise UsageError(f"{key} must be finite, got {settings[key]}")
     try:
         inp = SqueezedInput(
             r=settings["r"],
@@ -163,7 +188,7 @@ def build_run_config(settings: dict) -> RunConfig:
         raise UsageError(str(exc)) from exc
     n_max = settings["n_max"]
     if n_max is None:
-        n_max = max(Truncation.suggest(inp).n_max, DEFAULT_N_MAX_FLOOR)
+        n_max = auto_n_max(inp)
     try:
         truncation = Truncation(int(n_max))
     except ValueError as exc:
@@ -226,7 +251,7 @@ def simulate_records(run: RunConfig) -> list[ObservableRecord]:
             literal_record(scenario, t, tail_mass) for t in grid
         ]
     if SOURCE_MOMENT_MAP in run.sources:
-        a0 = input_moments(scenario.input, scenario.truncation)
+        a0 = input_moments(scenario.input)
         by_source[SOURCE_MOMENT_MAP] = [
             moment_map_record(scenario, t, a0, tail_mass) for t in grid
         ]
@@ -402,7 +427,9 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
         "--n-max",
         type=int,
         dest="n_max",
-        help="Fock cutoff per mode (default: max of the input heuristic and 64)",
+        help=f"Fock cutoff per mode (default: the smallest n_max from {DEFAULT_N_MAX_FLOOR} "
+        f"to {DEFAULT_N_MAX_CEILING} that holds the input to a norm deficit of "
+        f"{DEFAULT_DEFICIT_THRESHOLD:.0e})",
     )
     parser.add_argument(
         "--sources",

@@ -3,18 +3,18 @@
 States are plain complex amplitude vectors over number states.  The two-mode
 index convention is ``flat = n_b * (n_max + 1) + n_a`` with the light
 occupation ``n_a`` fastest-varying.  Every constructor returns a unit-norm
-state and carries truncation diagnostics (top-decile tail mass, projection
+state and carries truncation diagnostics (top-decile tail mass, exact
 norm deficit) so that downstream consumers can scale tolerances by the
 truncation quality instead of guessing.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 DEFAULT_TAIL_THRESHOLD = 1e-10
 DEFAULT_DEFICIT_THRESHOLD = 1e-8
@@ -41,19 +41,6 @@ class Truncation:
     @property
     def two_mode_dim(self) -> int:
         return self.dim * self.dim
-
-    @classmethod
-    def suggest(cls, inp: "SqueezedInput") -> "Truncation":
-        """Heuristic cutoff ceil(4 (|m| e^r + e^r)^2 + 20) for a squeezed-coherent input.
-
-        Squeezing inflates the occupation scale by e^(2r).  This is a starting
-        point only; the tail-mass and norm-deficit checks in the constructors
-        are the authoritative acceptance of a truncation.  Squeezed states have
-        heavy (geometric) number tails, so high-accuracy work typically needs
-        more than this estimate suggests.
-        """
-        amp = (abs(inp.m) + 1.0) * math.exp(inp.r)
-        return cls(int(math.ceil(4.0 * amp * amp + 20.0)))
 
 
 @dataclass(frozen=True)
@@ -85,7 +72,7 @@ class ModeVector:
     amplitudes: np.ndarray
     truncation: Truncation
     tail_mass: float = 0.0      # probability in the top 10% of retained indices
-    norm_deficit: float = 0.0   # probability lost projecting into this basis
+    norm_deficit: float = 0.0   # exact probability above n_max, before renormalising
 
     @property
     def norm(self) -> float:
@@ -134,16 +121,6 @@ def top_decile_mass(amplitudes: np.ndarray) -> float:
     return float(np.sum(np.abs(amplitudes[-k:]) ** 2))
 
 
-def ladder_matrix(truncation: Truncation) -> np.ndarray:
-    """Annihilation operator: entries sqrt(n) at the (n-1, n) positions.
-
-    The creation operator is the conjugate transpose.  In the truncated basis
-    a adag - adag a equals the identity except for the bottom-right corner
-    entry, which is -n_max.
-    """
-    return np.diag(np.sqrt(np.arange(1.0, truncation.dim)), k=1).astype(complex)
-
-
 def coherent_state(
     m: complex,
     truncation: Truncation,
@@ -170,42 +147,56 @@ def coherent_state(
     return ModeVector(amps, truncation, tail_mass=tail)
 
 
+def squeezed_amplitudes(inp: SqueezedInput, truncation: Truncation) -> np.ndarray:
+    """Exact Fock amplitudes c_0 .. c_{n_max} of S D(m)|0>, not renormalised.
+
+    The state is the eigenvector of S a S† = a cosh r - adag e^{-2i phi} sinh r
+    with eigenvalue m, so sqrt(n+1) cosh r c[n+1] = m c[n] + e^{-2i phi}
+    sinh r sqrt(n) c[n-1] (Yuen, PRA 13, 2226 (1976)), run divided by cosh r
+    so that large r underflows instead of overflowing.  c_0 is the vacuum
+    overlap |exp(-|m|^2/2 - e^{2i phi} tanh r m^2/2)| / sqrt(cosh r), taken
+    real; a huge m gives a zero or NaN state, which the deficit check rejects.
+    """
+    m = complex(inp.m)
+    sech_r = 2.0 * math.exp(-inp.r) / (1.0 + math.exp(-2.0 * inp.r))
+    pair = cmath.exp(-2j * inp.phi) * math.tanh(inp.r)
+    amps = np.zeros(truncation.dim, dtype=complex)
+    amps[0] = math.sqrt(sech_r) * math.exp(
+        -0.5 * abs(m) * abs(m) - 0.5 * (pair.conjugate() * m * m).real
+    )
+    prev, curr = 0j, complex(amps[0])
+    for n in range(1, truncation.dim):
+        prev, curr = curr, (m * sech_r * curr + pair * math.sqrt(n - 1) * prev) / math.sqrt(n)
+        amps[n] = curr
+    return amps
+
+
+def truncation_tails(amplitudes: np.ndarray) -> np.ndarray:
+    """tails[N] = 1 - sum_{n <= N} |c_n|^2: the probability a cutoff N discards."""
+    return 1.0 - np.cumsum(np.abs(amplitudes) ** 2)
+
+
 def squeezed_coherent_state(
     inp: SqueezedInput,
     truncation: Truncation,
     deficit_threshold: float = DEFAULT_DEFICIT_THRESHOLD,
-    tail_threshold: float = DEFAULT_TAIL_THRESHOLD,
 ) -> ModeVector:
-    """Numerically squeeze the coherent state |m> and project to ``truncation``.
+    """The squeezed-coherent input truncated at ``truncation`` and renormalised.
 
-    The generator kappa adag^2 - kappa* a^2, kappa = (r/2) e^{-2i phi},
-    couples n to n +/- 2 and leaks population past any fixed cutoff, so it is
-    exponentiated at the working cutoff 2 n_max and the result projected back
-    and renormalised.  The projection loss is the accuracy contract: a norm
-    deficit above ``deficit_threshold`` raises TruncationError.
+    The norm deficit is the exact probability above n_max; a deficit above
+    ``deficit_threshold`` (or a NaN one) raises TruncationError.
     """
-    working = Truncation(2 * truncation.n_max)
-    coh = coherent_state(inp.m, working, tail_threshold=tail_threshold)
-    if inp.r == 0.0:
-        full = coh.amplitudes
-    else:
-        a = ladder_matrix(working)
-        adag = a.conj().T
-        kappa = 0.5 * inp.r * np.exp(-2j * inp.phi)
-        generator = kappa * (adag @ adag) - np.conj(kappa) * (a @ a)
-        full = expm(generator) @ coh.amplitudes
-    proj = full[: truncation.dim]
-    kept = float(np.sum(np.abs(proj) ** 2))
-    deficit = max(0.0, 1.0 - kept)
-    if deficit > deficit_threshold:
+    amps = squeezed_amplitudes(inp, truncation)
+    deficit = float(truncation_tails(amps)[-1])
+    if not deficit <= deficit_threshold:
         raise TruncationError(
             f"squeezed state (r={inp.r:.4g}, |m|={abs(inp.m):.4g}) does not fit "
             f"n_max={truncation.n_max}: norm deficit {deficit:.3e} exceeds "
             f"{deficit_threshold:.1e}"
         )
-    amps = proj / math.sqrt(kept)
+    amps /= math.sqrt(1.0 - deficit)
     return ModeVector(
-        amps, truncation, tail_mass=top_decile_mass(amps), norm_deficit=deficit
+        amps, truncation, tail_mass=top_decile_mass(amps), norm_deficit=max(0.0, deficit)
     )
 
 

@@ -15,18 +15,13 @@ only the quadrature phases of the atom mode.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    MomentSet,
-    SqueezedInput,
-    Truncation,
-    mode_moments,
-    squeezed_coherent_state,
-)
+from .fock import MomentSet, SqueezedInput, Truncation
 from .propagator import ModelParams, ResonanceError, heisenberg_moment_map, propagator_at
 
 SOURCE_LITERAL = "literal-paper"
@@ -115,13 +110,6 @@ def mandel_q(moments: MomentSet, mean_floor: float = Q_MEAN_FLOOR) -> float:
             f"Mandel Q undefined for mean occupation {moments.number_mean:.3e}"
         )
     return moments.number_var / moments.number_mean - 1.0
-
-
-def classify_q(q: float, dead_band: float = 1e-9) -> str:
-    """Statistics verdict from Q with a dead band around the Poisson point."""
-    if abs(q) <= dead_band:
-        return "Poisson"
-    return "sub-Poisson" if q < 0 else "super-Poisson"
 
 
 def squeeze_coeffs(moments: MomentSet) -> tuple[float, float]:
@@ -345,15 +333,23 @@ def literal_atom_number_mean_as_stated(scn: ScenarioConfig, t: float) -> float:
 # ----------------------------------------------------------------------------
 
 
-def input_moments(inp: SqueezedInput, truncation: Truncation) -> MomentSet:
-    """Input-mode moments extracted at an enlarged cutoff (effectively exact).
+def input_moments(inp: SqueezedInput) -> MomentSet:
+    """Closed-form moments of the Gaussian input S D(m)|0>, with no truncation.
 
-    The moment map needs only four numbers; extracting them from a state
-    built well past the scenario cutoff removes the truncation bias from the
-    closed-form route, so literal-vs-map comparisons stay at rounding level.
+    With A = <a> = m cosh r + conj(m) e^{-2i phi} sinh r, M = e^{-2i phi}
+    sinh r cosh r and N = sinh^2 r:  <a^2> = A^2 + M,  <n> = |A|^2 + N  and
+    <n^2> = <n>^2 + N (N + 1) + |M|^2 + |A|^2 (2N + 1) + 2 Re(conj(A)^2 M).
     """
-    big = max(2 * truncation.n_max, 2 * Truncation.suggest(inp).n_max)
-    return mode_moments(squeezed_coherent_state(inp, Truncation(big)))
+    c, s = math.cosh(inp.r), math.sinh(inp.r)
+    rot = cmath.exp(-2j * inp.phi)
+    mean = complex(inp.m) * c + complex(inp.m).conjugate() * rot * s
+    pair, thermal = rot * s * c, s * s
+    number_mean = abs(mean) ** 2 + thermal
+    number_var = (
+        thermal * (thermal + 1.0) + abs(pair) ** 2
+        + abs(mean) ** 2 * (2.0 * thermal + 1.0) + 2.0 * (mean.conjugate() ** 2 * pair).real
+    )
+    return MomentSet(mean, mean * mean + pair, number_mean, number_mean**2 + number_var)
 
 
 def _q_or_nan(moments: MomentSet, mean_floor: float = Q_MEAN_FLOOR) -> float:
@@ -414,22 +410,9 @@ def literal_record(
     """
     n_max = scn.truncation.n_max
     if not scn.params.resonant:
+        physics = dict.fromkeys(CSV_COLUMNS[2:13], NA)  # na_mean .. ntotal
         return ObservableRecord(
-            t=float(t),
-            source=SOURCE_LITERAL,
-            na_mean=NA,
-            na_var=NA,
-            nb_mean=NA,
-            nb_var=NA,
-            q_a=NA,
-            q_b=NA,
-            s1a=NA,
-            s2a=NA,
-            s1b=NA,
-            s2b=NA,
-            ntotal=NA,
-            n_max=n_max,
-            tail_mass=tail_mass,
+            t=float(t), source=SOURCE_LITERAL, n_max=n_max, tail_mass=tail_mass, **physics
         )
     na_mean = literal_na_mean(scn, t)
     nb_mean = literal_nb_mean(scn, t)

@@ -208,15 +208,6 @@ def scenario_initial_state(
     return tensor_product(vacuum, light)
 
 
-def oracle_records(
-    cfg: ScenarioConfig, times, deficit_threshold: float = DEFAULT_DEFICIT_THRESHOLD
-) -> EvolutionResult:
-    """Convenience wrapper: build the scenario state and evolve it."""
-    state0 = scenario_initial_state(cfg, deficit_threshold=deficit_threshold)
-    h = build_hamiltonian(cfg.params, cfg.truncation)
-    return evolve(state0, h, times)
-
-
 @dataclass(frozen=True)
 class ConvergenceEntry:
     """One cutoff of a convergence sweep."""

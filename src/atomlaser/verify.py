@@ -219,7 +219,8 @@ def discrepancy_report(
         raise ResonanceError("the adjudication report needs a resonant scenario")
     params = scn.params
     inp = scn.input
-    vacuum_input = inp.m == 0 and inp.phi == 0.0
+    # the squeezed-vacuum forms divide by sinh^2 r; r = 0 is outside their domain
+    vacuum_input = inp.m == 0 and inp.phi == 0.0 and inp.r > 0.0
     real_input = complex(inp.m).imag == 0.0 and inp.phi == 0.0
 
     grid = sorted({float(t) for t in np.asarray(time_grid, dtype=float)})
@@ -238,7 +239,7 @@ def discrepancy_report(
     oracle_a = [extract_moments(s, "a") for s in result.states]
     oracle_b = [extract_moments(s, "b") for s in result.states]
 
-    a0 = input_moments(inp, scn.truncation)
+    a0 = input_moments(inp)
     map_moms = [
         heisenberg_moment_map(propagator_at(params, t), a0, MomentSet.vacuum())
         for t in all_times

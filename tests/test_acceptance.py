@@ -24,8 +24,8 @@ so the error below is what the oracle shows, not an estimate of it.
   that run as the gate's negative case.  Over {96, 128, 160} (Q errors 2.1e-9
   and below) the deltas are 3.1e-9 and 8.2e-13 and converge exits 0.
 
-The companion ``test_supporting_*`` checks show the same quantities at
-larger cutoffs and the uncertainty-bound identity behind criterion 3.
+The companion ``test_supporting_*`` checks show the Q pair at a larger
+cutoff and the uncertainty-bound identity behind criterion 3.
 """
 
 import math
@@ -48,7 +48,7 @@ from atomlaser.observables import (
     moment_map_record,
     squeeze_coeffs,
 )
-from atomlaser.oracle import build_hamiltonian, convergence_sweep, evolve, scenario_initial_state
+from atomlaser.oracle import build_hamiltonian, evolve, scenario_initial_state
 from atomlaser.propagator import ModelParams, detuning_geometry, propagator_at
 from atomlaser.verify import CONFIRMED, TYPO_SUSPECT
 
@@ -101,7 +101,7 @@ def test_criterion_2_q_oscillation():
         if rec.nb_mean > 1e-6:
             dev_oracle = max(dev_oracle, abs(rec.q_b - COSH2 * math.sin(t) ** 2))
 
-    a0 = input_moments(cfg.input, cfg.truncation)
+    a0 = input_moments(cfg.input)
     dev_map = 0.0
     for t in grid:
         rec = moment_map_record(cfg, float(t), a0)
@@ -325,8 +325,8 @@ def test_criterion_7_truncation_convergence(tmp_path):
 
 
 # ----------------------------------------------------------------------------
-# Supporting evidence: the quantities behind criteria 2, 3 and 7 at cutoffs
-# well past those the criteria use, and the bound that fixes S2b.
+# Supporting evidence: the Q pair behind criterion 2 at a cutoff past the one
+# the criterion uses, and the bound that fixes S2b in criterion 3.
 # ----------------------------------------------------------------------------
 
 
@@ -355,15 +355,3 @@ def test_supporting_partner_quadrature_is_uncertainty_bound():
     forced_partner = 1.0 / (1.0 + s1b) - 1.0  # = e^2 - 1 for s1b = e^{-2} - 1
     assert abs(s2b - forced_partner) < 1e-5
     assert abs(s2b - (math.exp(2.0) - 1.0)) < 1e-5
-
-
-def test_supporting_convergence_at_larger_cutoffs():
-    cfg = default_scenario(n_max=160)
-    times = np.arange(8) * (2 * math.pi / 8)
-    table = convergence_sweep(cfg, times, [96, 128, 160])
-    report(
-        "supporting convergence at {96,128,160}",
-        table.converged,
-        f"(deltas={['%.2e' % d for d in table.deltas]})",
-    )
-    assert table.converged

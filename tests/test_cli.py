@@ -1,8 +1,12 @@
 """CLI contract: commands, exit codes, CSV schema and determinism."""
 
 import math
+import time
 
-from atomlaser.cli import main
+import pytest
+
+from atomlaser.cli import DEFAULT_N_MAX_FLOOR, auto_n_max, main
+from atomlaser.fock import SqueezedInput, Truncation, TruncationError, squeezed_coherent_state
 from atomlaser.observables import CSV_COLUMNS
 
 
@@ -95,6 +99,16 @@ def test_verify_default_scenario(tmp_path):
     assert "unresolved: 0" in text
     assert "TYPO-SUSPECT" in text
     assert "CONFIRMED" in text
+
+
+def test_verify_r_zero_skips_the_squeezed_vacuum_forms(tmp_path):
+    # the vacuum-input forms divide by sinh^2 r, so r = 0 is a domain gap
+    out = tmp_path / "verify.txt"
+    assert run("verify", "--r", "0", "--out", str(out)) == 0
+    text = out.read_text()
+    assert "unresolved: 0" in text
+    assert text.count("CONFIRMED") == 3
+    assert "q-pair-vacuum" not in text
 
 
 def test_verify_requires_all_sources(tmp_path):
@@ -208,3 +222,57 @@ def test_float_formatting_is_17_significant_digits(tmp_path):
     value = rows[0]["na_mean"]  # sinh^2(0.5) at full precision
     assert value == format(float(value), ".17g")
     assert abs(float(value) - math.sinh(0.5) ** 2) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "r, m, expected",
+    [(0.0, 0.0, 64), (1.0, 0.0, 64), (1.0, 0.5, 80), (1.25, 0.0, 100),
+     (1.5, 0.0, 164), (2.0, 0.0, 448)],
+)
+def test_auto_n_max_is_the_smallest_cutoff_the_deficit_check_accepts(r, m, expected):
+    inp = SqueezedInput(r, m=m)
+    n_max = auto_n_max(inp)
+    assert n_max == expected
+    squeezed_coherent_state(inp, Truncation(n_max))
+    if n_max > DEFAULT_N_MAX_FLOOR:
+        with pytest.raises(TruncationError):
+            squeezed_coherent_state(inp, Truncation(n_max - 1))
+
+
+@pytest.mark.parametrize("r, n_max", [("1.25", "100"), ("1.5", "164")])
+def test_simulate_deep_squeeze_runs_with_the_auto_cutoff(tmp_path, r, n_max):
+    out = tmp_path / "deep.csv"
+    assert run("simulate", "--r", r, "--steps", "8", "--out", str(out)) == 0
+    _, rows = read_rows(out)
+    assert {row["n_max"] for row in rows} == {n_max}
+
+
+def test_auto_n_max_stops_at_the_ceiling(tmp_path, capsys):
+    out = tmp_path / "r10.csv"
+    start = time.perf_counter()
+    assert run("simulate", "--r", "10", "--out", str(out)) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "--n-max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--r", "nan"),
+        ("simulate", "--m-im=-inf"),
+        ("simulate", "--omega0", "inf"),
+        ("simulate", "--t-max", "nan"),
+        ("simulate", "--theta", "nan"),
+        ("simulate", "--tol-oracle", "nan"),
+        ("verify", "--phi", "inf"),
+        ("sweep", "--axis", "r", "--values", "0.5,nan"),
+        ("converge", "--values", "16,24", "--omega-r", "nan"),
+    ],
+)
+def test_non_finite_settings_are_config_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    assert run(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()

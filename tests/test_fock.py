@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from atomlaser.fock import (
     ModeVector,
@@ -12,11 +13,38 @@ from atomlaser.fock import (
     TruncationError,
     coherent_state,
     extract_moments,
-    ladder_matrix,
     mode_moments,
+    squeezed_amplitudes,
     squeezed_coherent_state,
     tensor_product,
 )
+from atomlaser.observables import input_moments
+
+
+def ladder_matrix(truncation):
+    """Reference annihilation operator: sqrt(n) at the (n-1, n) positions.
+
+    The creation operator is the conjugate transpose.  In the truncated basis
+    a adag - adag a equals the identity except for the bottom-right corner
+    entry, which is -n_max.
+    """
+    return np.diag(np.sqrt(np.arange(1.0, truncation.dim)), k=1).astype(complex)
+
+
+def expm_reference(inp, truncation):
+    """S D(m)|0> by dense matrix exponentials at twice the cutoff, projected
+    back to ``truncation`` and renormalised (the squeeze generator couples n
+    to n +/- 2, so it leaks population past any fixed cutoff)."""
+    working = Truncation(2 * truncation.n_max)
+    a = ladder_matrix(working)
+    adag = a.conj().T
+    vacuum = np.zeros(working.dim, dtype=complex)
+    vacuum[0] = 1.0
+    kappa = 0.5 * inp.r * np.exp(-2j * inp.phi)
+    squeeze = expm(kappa * (adag @ adag) - np.conj(kappa) * (a @ a))
+    displace = expm(inp.m * adag - np.conj(inp.m) * a)
+    proj = (squeeze @ displace @ vacuum)[: truncation.dim]
+    return proj / np.linalg.norm(proj)
 
 
 def test_truncation_dimensions():
@@ -255,7 +283,57 @@ def test_truncation_monotonicity():
     assert abs(small.sq_amp - large.sq_amp) < 1e-6
 
 
-def test_suggest_scales_with_squeezing():
-    assert Truncation.suggest(SqueezedInput(0.0)).n_max == 24
-    assert Truncation.suggest(SqueezedInput(1.0)).n_max == 50
-    assert Truncation.suggest(SqueezedInput(1.0, m=1.0)).n_max > 100
+@pytest.mark.parametrize(
+    "r, phi, m, n_max",
+    [
+        (0.0, 0.7, 0.8 - 0.3j, 24),
+        (0.4, 0.0, 0.0, 24),
+        (0.3, 1.1, -0.4 + 0.9j, 32),
+        (0.6, -0.5, 0.5 + 0.2j, 40),
+        (0.8, 2.0, 0.6j, 64),
+    ],
+)
+def test_recurrence_matches_expm_reference(r, phi, m, n_max):
+    # the two agree up to the global phase the recurrence fixes by a real c_0
+    inp = SqueezedInput(r, phi, m)
+    tr = Truncation(n_max)
+    state = squeezed_coherent_state(inp, tr).amplitudes
+    ref = expm_reference(inp, tr)
+    phase = ref[0] / abs(ref[0])
+    assert state[0].imag == 0.0 and state[0].real > 0.0
+    assert np.max(np.abs(state - ref / phase)) < 1e-14
+
+
+def test_norm_deficit_is_the_exact_tail():
+    inp = SqueezedInput(1.0, 0.3, 0.2 + 0.1j)
+    exact = squeezed_amplitudes(inp, Truncation(400))
+    for n_max in (64, 80, 96):
+        vec = squeezed_coherent_state(inp, Truncation(n_max), deficit_threshold=1e-4)
+        tail = float(np.sum(np.abs(exact[n_max + 1 :]) ** 2))
+        assert abs(vec.norm_deficit - tail) < 1e-14
+        np.testing.assert_allclose(
+            vec.amplitudes, exact[: n_max + 1] / math.sqrt(1.0 - tail), atol=1e-15
+        )
+
+
+def test_squeezed_state_rejects_unrepresentable_inputs():
+    # deep squeezing leaves the state far outside the basis; a huge complex
+    # amplitude makes the amplitudes NaN, which must fail the deficit check
+    for inp in (SqueezedInput(800.0), SqueezedInput(0.5, m=1e200 + 1e200j)):
+        with pytest.raises(TruncationError):
+            squeezed_coherent_state(inp, Truncation(64))
+
+
+@pytest.mark.parametrize(
+    "r, phi, m",
+    [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.5), (0.7, 0.3, 0.5 + 0.2j),
+     (1.3, -0.4, 1.2 - 0.7j)],
+)
+def test_closed_input_moments_match_recurrence_state(r, phi, m):
+    inp = SqueezedInput(r, phi, m)
+    closed = input_moments(inp)
+    fock = mode_moments(squeezed_coherent_state(inp, Truncation(400)))
+    assert abs(closed.mean_amp - fock.mean_amp) < 1e-14 * max(1.0, abs(closed.mean_amp))
+    assert abs(closed.sq_amp - fock.sq_amp) < 1e-14 * max(1.0, abs(closed.sq_amp))
+    assert abs(closed.number_mean - fock.number_mean) < 1e-14 * max(1.0, closed.number_mean)
+    assert abs(closed.number_sq - fock.number_sq) < 1e-14 * max(1.0, closed.number_sq)

@@ -194,7 +194,7 @@ def test_oracle_matches_enlarged_map_at_converged_truncation():
     # with effectively exact map inputs the two sources agree within the
     # oracle's truncation tolerance
     cfg = ScenarioConfig(RESONANT, SqueezedInput(0.5, 0.0, 0.2), Truncation(64))
-    a0 = input_moments(cfg.input, cfg.truncation)
+    a0 = input_moments(cfg.input)
     state0 = scenario_initial_state(cfg)
     times = np.linspace(0.0, 2 * math.pi, 12)
     result = evolve(state0, build_hamiltonian(cfg.params, cfg.truncation), times)
