@@ -6,12 +6,9 @@ from .fock import (
     SqueezedInput,
     Truncation,
     TruncationError,
-    TwoModeState,
     coherent_state,
-    extract_moments,
     mode_moments,
     squeezed_coherent_state,
-    tensor_product,
 )
 from .observables import (
     AlphaPair,
@@ -26,11 +23,8 @@ from .observables import (
 )
 from .oracle import (
     EvolutionResult,
-    HamiltonianMatrix,
-    build_hamiltonian,
     convergence_sweep,
     evolve,
-    scenario_initial_state,
 )
 from .propagator import (
     DetuningGeometry,

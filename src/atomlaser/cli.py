@@ -25,10 +25,12 @@ from .fock import (
     Truncation,
     TruncationError,
     squeezed_amplitudes,
+    squeezed_coherent_state,
     truncation_tails,
 )
 from .observables import (
     CSV_COLUMNS,
+    PHYSICS_COLUMNS,
     SOURCE_LITERAL,
     SOURCE_MOMENT_MAP,
     SOURCE_ORACLE,
@@ -41,11 +43,12 @@ from .observables import (
     literal_record,
     moment_map_record,
 )
-from .oracle import build_hamiltonian, convergence_sweep, evolve, scenario_initial_state
+from .oracle import convergence_sweep, evolve
 from .propagator import ModelParams, ResonanceError
 from .verify import discrepancy_report
 
-# bounds of the auto cutoff; the ceiling caps the oracle's steps * n_max^2 memory
+# bounds of the auto cutoff; the ceiling bounds the search and the oracle's
+# per-block eigensolve time, which grows as n_max^3
 DEFAULT_N_MAX_FLOOR = 64
 DEFAULT_N_MAX_CEILING = 512
 
@@ -243,8 +246,8 @@ def simulate_records(run: RunConfig) -> list[ObservableRecord]:
 
     # building the input up front surfaces truncation-insufficient
     # configurations early and supplies the per-row tail diagnostic
-    state0 = scenario_initial_state(scenario)
-    tail_mass = state0.tail_mass
+    light = squeezed_coherent_state(scenario.input, scenario.truncation)
+    tail_mass = light.tail_mass
 
     if SOURCE_LITERAL in run.sources:
         by_source[SOURCE_LITERAL] = [
@@ -256,7 +259,7 @@ def simulate_records(run: RunConfig) -> list[ObservableRecord]:
             moment_map_record(scenario, t, a0, tail_mass) for t in grid
         ]
     if SOURCE_ORACLE in run.sources:
-        result = evolve(state0, build_hamiltonian(scenario.params, scenario.truncation), grid)
+        result = evolve(scenario.params, light, grid)
         if result.norm_drift > 1e-9:
             raise InvariantViolationError(
                 f"oracle norm drift {result.norm_drift:.3e} exceeds 1e-9"
@@ -332,12 +335,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = _parse_values(args.values, float)
     settings = _resolve_settings(args)
     out = settings["out"] or "sweep.csv"
+    # every value is validated before any scenario runs
+    runs = [build_run_config({**settings, args.axis: value}) for value in values]
     lines = [",".join(("axis", "value") + CSV_COLUMNS)]
     total = 0
-    for value in values:
-        per_value = dict(settings)
-        per_value[args.axis] = value
-        run = build_run_config(per_value)
+    for value, run in zip(values, runs):
         for rec in simulate_records(run):
             lines.append(",".join([args.axis, _fmt(value)] + _record_row(rec)))
             total += 1
@@ -355,57 +357,24 @@ def cmd_converge(args: argparse.Namespace) -> int:
     run = build_run_config(settings)
     table = convergence_sweep(run.scenario, run.time_grid(), n_max_list)
     out = settings["out"] or "converge.csv"
-    lines = [
-        ",".join(
-            ("kind", "n_max", "status", "t")
-            + CSV_COLUMNS[2:13]
-            + ("max_delta",)
-        )
-    ]
+
+    no_physics = ["NA"] * len(PHYSICS_COLUMNS)
+
+    def row(kind, n_max, status, t="NA", physics=no_physics, last="NA") -> str:
+        return ",".join([kind, str(n_max), status, t, *physics, last])
+
+    lines = [row("kind", "n_max", "status", "t", PHYSICS_COLUMNS, "max_delta")]
     for entry in table.entries:
         if entry.records is None:
-            lines.append(
-                ",".join(
-                    ["value", str(entry.n_max), entry.status, "NA"]
-                    + ["NA"] * 11
-                    + ["NA"]
-                )
-            )
-            continue
-        for rec in entry.records:
-            values = [
-                _fmt(getattr(rec, column)) for column in CSV_COLUMNS[2:13]
-            ]
-            lines.append(
-                ",".join(
-                    ["value", str(entry.n_max), entry.status, _fmt(rec.t)]
-                    + values
-                    + ["NA"]
-                )
-            )
-    for (prev, curr), delta in zip(
-        zip(table.entries, table.entries[1:]), table.deltas
-    ):
+            lines.append(row("value", entry.n_max, entry.status))
+        for rec in entry.records or ():
+            physics = [_fmt(getattr(rec, column)) for column in PHYSICS_COLUMNS]
+            lines.append(row("value", entry.n_max, entry.status, _fmt(rec.t), physics))
+    for (prev, curr), delta in zip(zip(table.entries, table.entries[1:]), table.deltas):
         delta_txt = "inf" if math.isinf(delta) else _fmt(delta)
-        lines.append(
-            ",".join(
-                ["delta", f"{prev.n_max}->{curr.n_max}", "", "NA"]
-                + ["NA"] * 11
-                + [delta_txt]
-            )
-        )
-    lines.append(
-        ",".join(
-            [
-                "result",
-                str(table.entries[-1].n_max),
-                "converged" if table.converged else "not-converged",
-                "NA",
-            ]
-            + ["NA"] * 11
-            + [_fmt(table.delta_tol)]
-        )
-    )
+        lines.append(row("delta", f"{prev.n_max}->{curr.n_max}", "", last=delta_txt))
+    status = "converged" if table.converged else "not-converged"
+    lines.append(row("result", table.entries[-1].n_max, status, last=_fmt(table.delta_tol)))
     _write_lines(out, lines)
     print(f"wrote convergence table to {out}")
     return 0 if table.converged else 2

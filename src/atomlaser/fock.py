@@ -1,11 +1,9 @@
-"""Truncated Fock-space machinery for the two coupled bosonic modes.
+"""Truncated Fock-space machinery for one bosonic mode.
 
-States are plain complex amplitude vectors over number states.  The two-mode
-index convention is ``flat = n_b * (n_max + 1) + n_a`` with the light
-occupation ``n_a`` fastest-varying.  Every constructor returns a unit-norm
-state and carries truncation diagnostics (top-decile tail mass, exact
-norm deficit) so that downstream consumers can scale tolerances by the
-truncation quality instead of guessing.
+States are plain complex amplitude vectors over number states.  Every
+constructor returns a unit-norm state and carries truncation diagnostics
+(top-decile tail mass, exact norm deficit) so that downstream consumers can
+scale tolerances by the truncation quality instead of guessing.
 """
 
 from __future__ import annotations
@@ -77,24 +75,6 @@ class ModeVector:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True)
-class TwoModeState:
-    """Unit-norm two-mode state over the flat (n_b, n_a) grid."""
-
-    amplitudes: np.ndarray
-    truncation: Truncation
-    tail_mass: float = 0.0
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def grid(self) -> np.ndarray:
-        """Amplitudes reshaped to [n_b, n_a]."""
-        d = self.truncation.dim
-        return self.amplitudes.reshape(d, d)
 
 
 @dataclass(frozen=True)
@@ -200,44 +180,11 @@ def squeezed_coherent_state(
     )
 
 
-def tensor_product(b_state: ModeVector, a_state: ModeVector) -> TwoModeState:
-    """Product state with amplitudes[(n_b, n_a)] = b[n_b] * a[n_a]."""
-    if b_state.truncation != a_state.truncation:
-        raise ValueError(
-            f"truncation mismatch: {b_state.truncation.n_max} != "
-            f"{a_state.truncation.n_max}"
-        )
-    amps = np.outer(b_state.amplitudes, a_state.amplitudes).ravel()
-    tail = 1.0 - (1.0 - b_state.tail_mass) * (1.0 - a_state.tail_mass)
-    return TwoModeState(amps, b_state.truncation, tail_mass=tail)
-
-
-def _moments_last_axis(psi: np.ndarray) -> MomentSet:
-    # psi[..., n] with n the occupation of the target mode; number moments are
-    # plain probability sums, amplitude moments single shifted contractions.
-    d = psi.shape[-1]
-    n = np.arange(d)
-    prob = np.abs(psi) ** 2
-    number_mean = float(np.sum(prob * n))
-    number_sq = float(np.sum(prob * n * n))
-    mean_amp = complex(np.sum(np.conj(psi[..., :-1]) * np.sqrt(n[1:]) * psi[..., 1:]))
-    sq_amp = complex(
-        np.sum(np.conj(psi[..., :-2]) * np.sqrt(n[2:] * (n[2:] - 1.0)) * psi[..., 2:])
-    )
-    return MomentSet(mean_amp, sq_amp, number_mean, number_sq)
-
-
-def extract_moments(state: TwoModeState, mode: str) -> MomentSet:
-    """Moments of one mode of a two-mode state by direct summation over amplitudes."""
-    if mode == "a":
-        psi = state.grid()
-    elif mode == "b":
-        psi = state.grid().T
-    else:
-        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    return _moments_last_axis(psi)
-
-
 def mode_moments(vec: ModeVector) -> MomentSet:
-    """Moments of a single-mode state."""
-    return _moments_last_axis(vec.amplitudes)
+    """Moments of a single-mode state by direct summation over its amplitudes."""
+    psi = vec.amplitudes
+    n = np.arange(len(psi))
+    prob = np.abs(psi) ** 2
+    mean_amp = complex(np.sum(np.conj(psi[:-1]) * np.sqrt(n[1:]) * psi[1:]))
+    sq_amp = complex(np.sum(np.conj(psi[:-2]) * np.sqrt(n[2:] * (n[2:] - 1.0)) * psi[2:]))
+    return MomentSet(mean_amp, sq_amp, float(np.sum(prob * n)), float(np.sum(prob * n * n)))

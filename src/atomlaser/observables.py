@@ -46,6 +46,7 @@ CSV_COLUMNS = (
     "n_max",
     "tail_mass",
 )
+PHYSICS_COLUMNS = CSV_COLUMNS[2:13]  # na_mean .. ntotal
 
 Q_MEAN_FLOOR = 1e-12
 
@@ -410,7 +411,7 @@ def literal_record(
     """
     n_max = scn.truncation.n_max
     if not scn.params.resonant:
-        physics = dict.fromkeys(CSV_COLUMNS[2:13], NA)  # na_mean .. ntotal
+        physics = dict.fromkeys(PHYSICS_COLUMNS, NA)
         return ObservableRecord(
             t=float(t), source=SOURCE_LITERAL, n_max=n_max, tail_mass=tail_mass, **physics
         )

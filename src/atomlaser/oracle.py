@@ -7,9 +7,15 @@ The coupling Hamiltonian
 conserves n_a + n_b, so it splits into tridiagonal blocks of dimension
 n_tot + 1.  After gauging the condensate phase out of the light mode the
 blocks are real symmetric, and one eigendecomposition per block gives the
-exact evolution (within the truncated space) at every requested time.  Block
-diagonalizations are mutually independent; the sequential loop below could be
-parallelized without changing results.
+exact evolution (within the truncated space) at every requested time.
+
+The preparation is always the atom vacuum times a light state with
+amplitudes c_0 .. c_{n_max}.  It populates only the complete blocks
+n_tot <= n_max, and block n_tot starts on the single basis vector
+(n_b = 0, n_a = n_tot) with amplitude c_{n_tot}.  The blocks are evolved one
+at a time and folded into per-time moment sums, so no two-mode state is ever
+held: memory is O(times * n_max).  The oracle uses neither the transfer
+matrix nor any closed form.
 """
 
 from __future__ import annotations
@@ -19,20 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse import coo_matrix, csr_matrix
 
 from .fock import (
     DEFAULT_DEFICIT_THRESHOLD,
-    DEFAULT_TAIL_THRESHOLD,
+    ModeVector,
+    MomentSet,
     Truncation,
     TruncationError,
-    TwoModeState,
-    coherent_state,
-    extract_moments,
+    mode_moments,
     squeezed_coherent_state,
-    tensor_product,
 )
 from .observables import (
+    PHYSICS_COLUMNS,
     SOURCE_ORACLE,
     ObservableRecord,
     ScenarioConfig,
@@ -43,169 +47,84 @@ from .propagator import ModelParams
 # a state is still reportable (with an insufficiency flag) up to this loss
 PERMISSIVE_DEFICIT = 0.5
 
-_DELTA_FIELDS = (
-    "na_mean",
-    "na_var",
-    "nb_mean",
-    "nb_var",
-    "q_a",
-    "q_b",
-    "s1a",
-    "s2a",
-    "s1b",
-    "s2b",
-    "ntotal",
-)
-
-
-@dataclass(frozen=True)
-class HamiltonianMatrix:
-    """Sparse Hermitian coupling Hamiltonian over the flat (n_b, n_a) grid."""
-
-    matrix: csr_matrix
-    params: ModelParams
-    truncation: Truncation
-
-    @property
-    def dimension(self) -> int:
-        return self.truncation.two_mode_dim
-
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """States and observable records at the requested times, plus drift diagnostics."""
+    """Per-time (light, atom) mode moments and records, plus drift diagnostics."""
 
     times: np.ndarray
-    states: list[TwoModeState]
+    moments: list[tuple[MomentSet, MomentSet]]
     records: list[ObservableRecord]
     norm_drift: float
     ntotal_drift: float
 
 
-def build_hamiltonian(params: ModelParams, truncation: Truncation) -> HamiltonianMatrix:
-    """Assemble H explicitly: diagonal omega0 n_b + omega_a n_a, hopping
-    omega_r e^{-i theta} sqrt(n_a (n_b + 1)) between (n_b, n_a) and
-    (n_b+1, n_a-1), plus the conjugate.  Built symmetrically, so H = H†
-    holds exactly and each row has at most three nonzero entries.
+def _block_amplitudes(params: ModelParams, n_tot: int, coeff: complex, times) -> np.ndarray:
+    """Gauged amplitudes psi[t, n_b] of block n_tot, started as coeff on (0, n_tot)."""
+    nb = np.arange(n_tot + 1)
+    na = n_tot - nb
+    diag = params.omega0 * nb + params.omega_a * na
+    if n_tot == 0:
+        energies, modes = diag, np.ones((1, 1))
+    else:
+        off = params.omega_r * np.sqrt(na[:-1] * (nb[:-1] + 1.0))
+        energies, modes = eigh_tridiagonal(diag, off)
+    phases = np.exp(-1j * np.outer(times, energies))
+    return (phases * (coeff * modes[0])) @ modes.T
+
+
+def evolve(params: ModelParams, light: ModeVector, times) -> EvolutionResult:
+    """Evolve exp(-iHt)(|0>_b x light) and return both modes' moments at each time.
+
+    <c†c> and <(c†c)^2> are sums over one block.  <c> pairs block n_tot with
+    n_tot - 1 and <c^2> pairs it with n_tot - 2, so only the last two blocks
+    are kept.
     """
-    d = truncation.dim
-    n_b, n_a = np.divmod(np.arange(d * d), d)
-    rows = [np.arange(d * d)]
-    cols = [np.arange(d * d)]
-    vals = [(params.omega0 * n_b + params.omega_a * n_a).astype(complex)]
-
-    hop_ok = (n_b < truncation.n_max) & (n_a >= 1)
-    src = np.arange(d * d)[hop_ok]
-    dst = src + d - 1  # (n_b+1, n_a-1)
-    amp = params.omega_r * np.sqrt(n_a[hop_ok] * (n_b[hop_ok] + 1.0))
-    up = amp * np.exp(-1j * params.theta)
-    rows += [dst, src]
-    cols += [src, dst]
-    vals += [up, np.conj(up)]
-
-    matrix = coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(d * d, d * d),
-    ).tocsr()
-    return HamiltonianMatrix(matrix, params, truncation)
-
-
-def evolve(
-    state0: TwoModeState,
-    h: HamiltonianMatrix,
-    times,
-    boundary_threshold: float = DEFAULT_TAIL_THRESHOLD,
-) -> EvolutionResult:
-    """Evolve exp(-iHt)|state0> at all requested times via per-block eigensolves.
-
-    Blocks with n_tot > n_max are incomplete (states with an occupation above
-    n_max are missing), so initial probability there evolves against an
-    artificial wall; if that probability exceeds ``boundary_threshold`` the
-    truncation is rejected.
-    """
-    if state0.truncation != h.truncation:
-        raise ValueError("state and Hamiltonian truncations differ")
-    params = h.params
-    d = state0.truncation.dim
-    n_max = state0.truncation.n_max
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a non-empty 1-d sequence")
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("times must be sorted and nonnegative")
+    n_max = light.truncation.n_max
 
     # gauge a -> e^{i theta} a: makes every block real symmetric tridiagonal
-    gauge = np.exp(-1j * params.theta * np.arange(d))
-    work = state0.grid() * gauge[None, :]
+    coeffs = light.amplitudes * np.exp(-1j * params.theta * np.arange(n_max + 1))
+    numbers = np.zeros((len(times), 5))  # norm^2, <n_a>, <n_a^2>, <n_b>, <n_b^2>
+    ladders = np.zeros((len(times), 4), dtype=complex)  # <a>, <a^2>, <b>, <b^2>
+    older, old = None, None  # blocks n_tot - 2 and n_tot - 1; None when empty
+    for n_tot in range(n_max + 1):
+        psi = None
+        if coeffs[n_tot]:
+            psi = _block_amplitudes(params, n_tot, coeffs[n_tot], times)
+            nb = np.arange(n_tot + 1.0)  # index j of the block is n_b
+            na = n_tot - nb
+            weights = np.stack((np.ones_like(nb), na, na * na, nb, nb * nb), axis=1)
+            numbers += (np.abs(psi) ** 2) @ weights
+            if old is not None:
+                # a: (n_b, n_a - 1) sits at j; b: (n_b - 1, n_a) sits at j - 1
+                ladders[:, 0] += (np.conj(old) * psi[:, :-1]) @ np.sqrt(na[:-1])
+                ladders[:, 2] += (np.conj(old) * psi[:, 1:]) @ np.sqrt(nb[1:])
+            if older is not None:
+                ladders[:, 1] += (np.conj(older) * psi[:, :-2]) @ np.sqrt(na * (na - 1.0))[:-2]
+                ladders[:, 3] += (np.conj(older) * psi[:, 2:]) @ np.sqrt(nb * (nb - 1.0))[2:]
+        older, old = old, psi
+    ladders[:, 0] *= np.exp(1j * params.theta)
+    ladders[:, 1] *= np.exp(2j * params.theta)
 
-    occupations = np.arange(d)
-    n_tot_grid = occupations[:, None] + occupations[None, :]
-    boundary_mass = float(np.sum(np.abs(work[n_tot_grid > n_max]) ** 2))
-    if boundary_mass > boundary_threshold:
-        raise TruncationError(
-            f"initial probability {boundary_mass:.3e} sits in incomplete blocks "
-            f"(n_tot > {n_max}); increase n_max"
+    moments = [
+        (MomentSet(a, a2, na1, na2), MomentSet(b, b2, nb1, nb2))
+        for (a, a2, b, b2), (_, na1, na2, nb1, nb2) in zip(
+            ladders.tolist(), numbers.tolist()
         )
-
-    out = np.zeros((len(times), d, d), dtype=complex)
-    for n_tot in range(0, 2 * n_max + 1):
-        lo = max(0, n_tot - n_max)
-        hi = min(n_tot, n_max)
-        nb = np.arange(lo, hi + 1)
-        na = n_tot - nb
-        vec = work[nb, na]
-        if not np.any(vec):
-            continue
-        diag = params.omega0 * nb + params.omega_a * na
-        if len(nb) == 1:
-            out[:, nb, na] = vec[None, :] * np.exp(-1j * diag[0] * times)[:, None]
-            continue
-        off = params.omega_r * np.sqrt(na[:-1] * (nb[:-1] + 1.0))
-        energies, modes = eigh_tridiagonal(diag, off)
-        coef = modes.T @ vec
-        phases = np.exp(-1j * np.outer(times, energies))
-        out[:, nb, na] = (phases * coef[None, :]) @ modes.T
-
-    ungauge = np.conj(gauge)
-    states: list[TwoModeState] = []
-    records: list[ObservableRecord] = []
-    for k, t in enumerate(times):
-        amps = (out[k] * ungauge[None, :]).ravel()
-        state = TwoModeState(amps, state0.truncation, tail_mass=state0.tail_mass)
-        states.append(state)
-        records.append(
-            record_from_moments(
-                t,
-                SOURCE_ORACLE,
-                extract_moments(state, "a"),
-                extract_moments(state, "b"),
-                n_max,
-                state0.tail_mass,
-            )
-        )
-    norm_drift = max(abs(s.norm - 1.0) for s in states)
-    ntotal0 = records[0].ntotal if times[0] == 0.0 else _ntotal(state0)
-    ntotal_drift = max(abs(r.ntotal - ntotal0) for r in records)
-    return EvolutionResult(times, states, records, norm_drift, ntotal_drift)
-
-
-def _ntotal(state: TwoModeState) -> float:
-    return (
-        extract_moments(state, "a").number_mean
-        + extract_moments(state, "b").number_mean
-    )
-
-
-def scenario_initial_state(
-    cfg: ScenarioConfig,
-    deficit_threshold: float = DEFAULT_DEFICIT_THRESHOLD,
-) -> TwoModeState:
-    """Atom vacuum tensored with the configured squeezed-coherent light state."""
-    light = squeezed_coherent_state(
-        cfg.input, cfg.truncation, deficit_threshold=deficit_threshold
-    )
-    vacuum = coherent_state(0j, cfg.truncation)
-    return tensor_product(vacuum, light)
+    ]
+    records = [
+        record_from_moments(t, SOURCE_ORACLE, a, b, n_max, light.tail_mass)
+        for t, (a, b) in zip(times, moments)
+    ]
+    norm_drift = float(np.max(np.abs(np.sqrt(numbers[:, 0]) - 1.0)))
+    ntotal0 = mode_moments(light).number_mean
+    ntotal_drift = max(abs(rec.ntotal - ntotal0) for rec in records)
+    return EvolutionResult(times, moments, records, norm_drift, ntotal_drift)
 
 
 @dataclass(frozen=True)
@@ -233,7 +152,7 @@ def _records_delta(
 ) -> float:
     worst = 0.0
     for rec_p, rec_c in zip(previous, current):
-        for name in _DELTA_FIELDS:
+        for name in PHYSICS_COLUMNS:
             p = getattr(rec_p, name)
             c = getattr(rec_c, name)
             if math.isnan(p) and math.isnan(c):
@@ -279,9 +198,7 @@ def convergence_sweep(
         status = (
             "ok" if light.norm_deficit <= deficit_threshold else "truncation-insufficient"
         )
-        state0 = tensor_product(coherent_state(0j, truncation), light)
-        h = build_hamiltonian(cfg.params, truncation)
-        result = evolve(state0, h, times)
+        result = evolve(cfg.params, light, times)
         entries.append(
             ConvergenceEntry(n_max, status, light.norm_deficit, result.records)
         )

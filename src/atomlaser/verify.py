@@ -20,16 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    MomentSet,
-    coherent_state,
-    extract_moments,
-    squeezed_coherent_state,
-    tensor_product,
-)
+from .fock import MomentSet, squeezed_coherent_state
 from .observables import (
     AlphaPair,
     ScenarioConfig,
+    _q_or_nan,
     corrected_q_pair,
     input_moments,
     literal_atom_number_mean_as_stated,
@@ -38,10 +33,9 @@ from .observables import (
     literal_input_number_mean,
     literal_na_mean,
     literal_q_pair,
-    mandel_q,
     squeeze_coeffs,
 )
-from .oracle import build_hamiltonian, evolve
+from .oracle import evolve
 from .propagator import (
     ResonanceError,
     conversion_times,
@@ -201,11 +195,8 @@ def _verdict(dev_literal: float, dev_corrected: float, tol: float) -> str:
     return UNRESOLVED
 
 
-def _q_or_nan(mom: MomentSet) -> float:
-    try:
-        return mandel_q(mom, _Q_FLOOR)
-    except ValueError:
-        return NAN
+def _q_pair(a: MomentSet, b: MomentSet) -> tuple[float, float]:
+    return _q_or_nan(a, _Q_FLOOR), _q_or_nan(b, _Q_FLOOR)
 
 
 def discrepancy_report(
@@ -234,10 +225,7 @@ def discrepancy_report(
     all_times = np.unique(np.asarray(grid + conv + aligned + crossed))
 
     light = squeezed_coherent_state(inp, scn.truncation)
-    state0 = tensor_product(coherent_state(0j, scn.truncation), light)
-    result = evolve(state0, build_hamiltonian(params, scn.truncation), all_times)
-    oracle_a = [extract_moments(s, "a") for s in result.states]
-    oracle_b = [extract_moments(s, "b") for s in result.states]
+    oracle_a, oracle_b = zip(*evolve(params, light, all_times).moments)
 
     a0 = input_moments(inp)
     map_moms = [
@@ -321,11 +309,8 @@ def discrepancy_report(
                 al.alpha1 * math.cos(wrt(t)) ** 2,
                 al.alpha1 * math.sin(wrt(t)) ** 2,
             ),
-            lambda i: (_q_or_nan(oracle_a[i]), _q_or_nan(oracle_b[i])),
-            map_vals=lambda i: (
-                _q_or_nan(map_moms[i][0]),
-                _q_or_nan(map_moms[i][1]),
-            ),
+            lambda i: _q_pair(oracle_a[i], oracle_b[i]),
+            map_vals=lambda i: _q_pair(*map_moms[i]),
         )
 
         add(
@@ -456,7 +441,7 @@ def discrepancy_report(
                 ratio_stated * math.cos(wrt(t)) ** 2,
                 ratio_stated * math.sin(wrt(t)) ** 2,
             ),
-            lambda i: (_q_or_nan(oracle_a[i]), _q_or_nan(oracle_b[i])),
+            lambda i: _q_pair(oracle_a[i], oracle_b[i]),
             corrected=lambda t: (
                 ratio_fixed * math.cos(wrt(t)) ** 2,
                 ratio_fixed * math.sin(wrt(t)) ** 2,
@@ -468,7 +453,7 @@ def discrepancy_report(
             "as stated the q prefactor numerator carries 2 a2; corrected 2 a2^2",
             grid,
             lambda t: literal_q_pair(scn, t),
-            lambda i: (_q_or_nan(oracle_a[i]), _q_or_nan(oracle_b[i])),
+            lambda i: _q_pair(oracle_a[i], oracle_b[i]),
             corrected=lambda t: corrected_q_pair(scn, t),
         )
 

@@ -38,8 +38,7 @@ from atomlaser.fock import (
     SqueezedInput,
     Truncation,
     coherent_state,
-    extract_moments,
-    tensor_product,
+    squeezed_coherent_state,
 )
 from atomlaser.observables import (
     ScenarioConfig,
@@ -48,7 +47,7 @@ from atomlaser.observables import (
     moment_map_record,
     squeeze_coeffs,
 )
-from atomlaser.oracle import build_hamiltonian, evolve, scenario_initial_state
+from atomlaser.oracle import evolve
 from atomlaser.propagator import ModelParams, detuning_geometry, propagator_at
 from atomlaser.verify import CONFIRMED, TYPO_SUSPECT
 
@@ -68,12 +67,15 @@ def default_scenario(n_max=64):
     return ScenarioConfig(RESONANT, SqueezedInput(1.0), Truncation(n_max))
 
 
+def run_oracle(cfg, times):
+    return evolve(cfg.params, squeezed_coherent_state(cfg.input, cfg.truncation), times)
+
+
 def test_criterion_1_complete_quantum_conversion():
     """Oracle at n_max=64, t=pi/2: <Nb> = sinh^2(1) within 1e-6, <Na> <= 1e-8."""
     start = time.perf_counter()
     cfg = default_scenario()
-    state0 = scenario_initial_state(cfg)
-    result = evolve(state0, build_hamiltonian(cfg.params, cfg.truncation), [math.pi / 2])
+    result = run_oracle(cfg, [math.pi / 2])
     elapsed = time.perf_counter() - start
     rec = result.records[0]
     dev_b = abs(rec.nb_mean - SINH1_SQ)
@@ -91,8 +93,7 @@ def test_criterion_2_q_oscillation():
     there, against 7.06e-6 at n_max = 64 (see the module docstring)."""
     cfg = default_scenario(n_max=80)
     grid = np.linspace(0.0, math.pi, 50)
-    state0 = scenario_initial_state(cfg)
-    result = evolve(state0, build_hamiltonian(cfg.params, cfg.truncation), grid)
+    result = run_oracle(cfg, grid)
 
     dev_oracle = 0.0
     for rec, t in zip(result.records, grid):
@@ -127,13 +128,10 @@ def test_criterion_3_squeezing_transfer():
     maximal sin^2(omega_r t) the signs swap.  The truncation errors at
     n_max = 64 are 9.7e-8 and 7.2e-7 (see the module docstring)."""
     cfg = default_scenario()
-    state0 = scenario_initial_state(cfg)
     t_swap = 5 * math.pi / 8  # w t = pi/2 + 2 pi, the largest sin^2 among such times
-    result = evolve(
-        state0, build_hamiltonian(cfg.params, cfg.truncation), [math.pi / 2, t_swap]
-    )
-    s1b, s2b = squeeze_coeffs(extract_moments(result.states[0], "b"))
-    s1b_swap, s2b_swap = squeeze_coeffs(extract_moments(result.states[1], "b"))
+    (_, b), (_, b_swap) = run_oracle(cfg, [math.pi / 2, t_swap]).moments
+    s1b, s2b = squeeze_coeffs(b)
+    s1b_swap, s2b_swap = squeeze_coeffs(b_swap)
 
     dev1 = abs(s1b + SQUEEZE_DIP)
     dev2 = abs(s2b - SQUEEZE_RISE)
@@ -163,17 +161,14 @@ def test_criterion_4_detuned_propagator_validation():
             omega0, omega_a, float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.0, 2 * math.pi))
         )
         m = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-        state0 = tensor_product(
-            coherent_state(0j, truncation), coherent_state(m, truncation)
-        )
         times = np.sort(rng.uniform(0.0, 10.0, size=10))
-        result = evolve(state0, build_hamiltonian(params, truncation), times)
-        for state, t in zip(result.states, times):
+        result = evolve(params, coherent_state(m, truncation), times)
+        for (a, b), t in zip(result.moments, times):
             u = propagator_at(params, float(t)).matrix
             worst = max(
                 worst,
-                abs(extract_moments(state, "b").mean_amp - u[0, 1] * m),
-                abs(extract_moments(state, "a").mean_amp - u[1, 1] * m),
+                abs(b.mean_amp - u[0, 1] * m),
+                abs(a.mean_amp - u[1, 1] * m),
             )
     ok = worst <= 1e-8
     detail = f"(worst first-moment deviation {worst:.3e} vs 1e-8)"
@@ -217,10 +212,7 @@ def test_criterion_5_invariant_suite():
     worst_pair = math.inf
     for params, inp in scenarios:
         cfg = ScenarioConfig(params, inp, Truncation(72))
-        state0 = scenario_initial_state(cfg)
-        result = evolve(
-            state0, build_hamiltonian(params, cfg.truncation), np.linspace(0.0, 8.0, 9)
-        )
+        result = run_oracle(cfg, np.linspace(0.0, 8.0, 9))
         worst_norm = max(worst_norm, result.norm_drift)
         worst_ntotal = max(worst_ntotal, result.ntotal_drift)
         for rec in result.records:
@@ -333,8 +325,7 @@ def test_criterion_7_truncation_convergence(tmp_path):
 def test_supporting_q_oscillation_converges_at_larger_cutoff():
     cfg = default_scenario(n_max=96)
     grid = np.linspace(0.0, math.pi, 50)
-    state0 = scenario_initial_state(cfg)
-    result = evolve(state0, build_hamiltonian(cfg.params, cfg.truncation), grid)
+    result = run_oracle(cfg, grid)
     dev = 0.0
     for rec, t in zip(result.records, grid):
         if rec.na_mean > 1e-6:
@@ -349,9 +340,8 @@ def test_supporting_partner_quadrature_is_uncertainty_bound():
     # at the conversion time the atom mode is a pure squeezed state, so the
     # anti-squeezed partner sits exactly on the minimum-uncertainty hyperbola
     cfg = default_scenario()
-    state0 = scenario_initial_state(cfg)
-    result = evolve(state0, build_hamiltonian(cfg.params, cfg.truncation), [math.pi / 2])
-    s1b, s2b = squeeze_coeffs(extract_moments(result.states[0], "b"))
+    _, b = run_oracle(cfg, [math.pi / 2]).moments[0]
+    s1b, s2b = squeeze_coeffs(b)
     forced_partner = 1.0 / (1.0 + s1b) - 1.0  # = e^2 - 1 for s1b = e^{-2} - 1
     assert abs(s2b - forced_partner) < 1e-5
     assert abs(s2b - (math.exp(2.0) - 1.0)) < 1e-5

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from atomlaser import cli
 from atomlaser.cli import DEFAULT_N_MAX_FLOOR, auto_n_max, main
 from atomlaser.fock import SqueezedInput, Truncation, TruncationError, squeezed_coherent_state
 from atomlaser.observables import CSV_COLUMNS
@@ -169,6 +170,19 @@ def test_sweep_detuned_value_routes_literal_to_na(tmp_path):
         r for r in rows if r["value"] == "5" and r["source"] == "moment-map"
     ]
     assert all(r["na_mean"] != "NA" for r in detuned_map)
+
+
+@pytest.mark.parametrize("values", ["0.5,nan", "0.5,0.6,0.7,-1"])
+def test_sweep_validates_every_value_before_running_any(tmp_path, capsys, monkeypatch, values):
+    def must_not_run(run_config):
+        raise AssertionError("a scenario ran before every value was validated")
+
+    monkeypatch.setattr(cli, "simulate_records", must_not_run)
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--axis", "r", "--values", values, "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
 
 
 def test_sweep_unknown_axis_exit_code(tmp_path):

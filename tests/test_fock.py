@@ -1,4 +1,4 @@
-"""Basis bookkeeping, state construction, and moment extraction."""
+"""Basis bookkeeping, state construction, and single-mode moments."""
 
 import math
 
@@ -12,11 +12,9 @@ from atomlaser.fock import (
     Truncation,
     TruncationError,
     coherent_state,
-    extract_moments,
     mode_moments,
     squeezed_amplitudes,
     squeezed_coherent_state,
-    tensor_product,
 )
 from atomlaser.observables import input_moments
 
@@ -190,62 +188,11 @@ def test_squeezed_displaced_moments_match_mode_transform():
     assert abs(moments.number_var - n_var) < 1e-9
 
 
-def test_tensor_vacuum_vacuum():
-    tr = Truncation(4)
-    state = tensor_product(coherent_state(0j, tr), coherent_state(0j, tr))
-    assert state.amplitudes[0] == 1.0
-    assert np.all(state.amplitudes[1:] == 0.0)
-
-
-def test_tensor_vacuum_with_coherent_mode_means():
-    tr = Truncation(32)
-    state = tensor_product(coherent_state(0j, tr), coherent_state(1.2, tr))
-    assert abs(extract_moments(state, "a").number_mean - 1.44) < 1e-10
-    assert extract_moments(state, "b").number_mean == 0.0
-
-
-def test_tensor_norm_is_product_of_norms():
-    tr = Truncation(24)
-    state = tensor_product(
-        coherent_state(0.5j, tr), coherent_state(0.8 - 0.1j, tr)
-    )
-    assert abs(state.norm - 1.0) < 1e-12
-
-
-def test_tensor_truncation_mismatch():
-    with pytest.raises(ValueError):
-        tensor_product(
-            coherent_state(0j, Truncation(4)), coherent_state(0j, Truncation(5))
-        )
-
-
-def test_extract_moments_vacuum_all_zero():
-    tr = Truncation(6)
-    state = tensor_product(coherent_state(0j, tr), coherent_state(0j, tr))
-    for mode in "ab":
-        moments = extract_moments(state, mode)
-        assert moments.mean_amp == 0.0
-        assert moments.sq_amp == 0.0
-        assert moments.number_mean == 0.0
-        assert moments.number_sq == 0.0
-
-
-def test_extract_moments_squeezed_vacuum_sq_amp_sign():
+def test_mode_moments_squeezed_vacuum_sq_amp_sign():
     # anchors the generator sign: <a^2> = +sinh(1) cosh(1) for phi = 0
-    tr = Truncation(96)
-    state = tensor_product(
-        coherent_state(0j, tr),
-        squeezed_coherent_state(SqueezedInput(1.0), tr),
-    )
+    light = squeezed_coherent_state(SqueezedInput(1.0), Truncation(96))
     expected = math.sinh(1.0) * math.cosh(1.0)
-    assert abs(extract_moments(state, "a").sq_amp - expected) < 1e-6
-
-
-def test_extract_moments_rejects_unknown_mode():
-    tr = Truncation(4)
-    state = tensor_product(coherent_state(0j, tr), coherent_state(0j, tr))
-    with pytest.raises(ValueError):
-        extract_moments(state, "c")
+    assert abs(mode_moments(light).sq_amp - expected) < 1e-6
 
 
 def test_number_state_moments():
