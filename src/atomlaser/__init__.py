@@ -6,19 +6,18 @@ from .fock import (
     SqueezedInput,
     Truncation,
     TruncationError,
-    coherent_state,
     mode_moments,
     squeezed_coherent_state,
 )
 from .observables import (
     AlphaPair,
     InvariantViolationError,
-    ObservableRecord,
     ScenarioConfig,
     input_moments,
-    literal_record,
+    literal_table,
     mandel_q,
-    moment_map_record,
+    moment_map_table,
+    physics_table,
     squeeze_coeffs,
 )
 from .oracle import (
@@ -27,7 +26,6 @@ from .oracle import (
     evolve,
 )
 from .propagator import (
-    DetuningGeometry,
     ModelParams,
     PropagatorMatrix,
     ResonanceError,

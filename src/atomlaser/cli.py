@@ -7,7 +7,9 @@ run, 4 unresolved formula verdicts from verify.
 All numeric output is written with 17 significant digits, '.' decimal
 separator and '\n' line endings, so identical configurations produce
 byte-identical files.  Undefined values (vacuum Mandel Q, closed forms
-outside their domain) are written as the token ``NA``.
+outside their domain) are written as the token ``NA``; any other value that
+is not finite is an invariant violation (exit 3).  Every table is computed
+before the output file is opened, so a failed run leaves no file.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ from .observables import (
     SOURCE_ORACLE,
     SOURCES,
     InvariantViolationError,
-    ObservableRecord,
     ScenarioConfig,
-    check_record,
-    input_moments,
-    literal_record,
-    moment_map_record,
+    check_table,
+    literal_gaps,
+    literal_table,
+    moment_map_table,
+    physics_table,
 )
 from .oracle import convergence_sweep, evolve
 from .propagator import ModelParams, ResonanceError
@@ -51,6 +53,9 @@ from .verify import discrepancy_report
 # per-block eigensolve time, which grows as n_max^3
 DEFAULT_N_MAX_FLOOR = 64
 DEFAULT_N_MAX_CEILING = 512
+
+# CSV lines are formatted and written this many grid times at a time
+_CHUNK_ROWS = 1000
 
 SWEEP_AXES = ("r", "phi", "m_re", "m_im", "theta", "omega0", "omega_a", "omega_r")
 
@@ -221,78 +226,69 @@ def build_run_config(settings: dict) -> RunConfig:
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    x = float(value)
-    if math.isnan(x):
-        return "NA"
-    if x == 0.0:
-        x = 0.0  # canonicalize -0.0
-    return format(x, ".17g")
+def _fmt(value: float) -> str:
+    """One float at 17 significant digits; -0.0 is written 0 and NaN NA."""
+    return "NA" if math.isnan(value) else format(value + 0.0, ".17g")
 
 
-def _record_row(rec: ObservableRecord) -> list[str]:
-    return [_fmt(getattr(rec, column)) for column in CSV_COLUMNS]
+def _write_rows(handle, template: str, table: np.ndarray) -> None:
+    """Write ``template % row`` for each row of ``table``, NaN as NA.
+
+    Adding 0.0 turns -0.0 into 0.  The fixed text in the templates (source
+    names, axis names, cutoffs) never contains "nan", so the token swap only
+    touches the formatted floats.
+    """
+    for start in range(0, len(table), _CHUNK_ROWS):
+        rows = (table[start : start + _CHUNK_ROWS] + 0.0).tolist()
+        handle.write("".join(template % tuple(row) for row in rows).replace("nan", "NA"))
 
 
-def simulate_records(run: RunConfig) -> list[ObservableRecord]:
-    """All records for one scenario, ordered by (time, source)."""
+def _open_output(path: str):
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def simulate_rows(run: RunConfig, prefix: str = "") -> tuple[str, np.ndarray]:
+    """One scenario's CSV rows as a %-template and a float table.
+
+    Each selected source's (T, 11) physics table is computed over the time
+    grid and checked.  Row i of the returned table holds every source's line
+    at grid time i, so the output is ordered by (time, source).
+    """
     scenario = run.scenario
     grid = run.time_grid()
-    by_source: dict[str, list[ObservableRecord]] = {}
-
     # building the input up front surfaces truncation-insufficient
     # configurations early and supplies the per-row tail diagnostic
     light = squeezed_coherent_state(scenario.input, scenario.truncation)
-    tail_mass = light.tail_mass
-
+    tables: dict[str, np.ndarray] = {}
     if SOURCE_LITERAL in run.sources:
-        by_source[SOURCE_LITERAL] = [
-            literal_record(scenario, t, tail_mass) for t in grid
-        ]
+        tables[SOURCE_LITERAL] = literal_table(scenario, grid)
     if SOURCE_MOMENT_MAP in run.sources:
-        a0 = input_moments(scenario.input)
-        by_source[SOURCE_MOMENT_MAP] = [
-            moment_map_record(scenario, t, a0, tail_mass) for t in grid
-        ]
+        tables[SOURCE_MOMENT_MAP] = moment_map_table(scenario, grid)
     if SOURCE_ORACLE in run.sources:
         result = evolve(scenario.params, light, grid)
-        if result.norm_drift > 1e-9:
-            raise InvariantViolationError(
-                f"oracle norm drift {result.norm_drift:.3e} exceeds 1e-9"
-            )
-        if result.ntotal_drift > 1e-9:
-            raise InvariantViolationError(
-                f"oracle total-occupation drift {result.ntotal_drift:.3e} exceeds 1e-9"
-            )
-        by_source[SOURCE_ORACLE] = result.records
+        for name, drift in (("norm", result.norm_drift), ("total-occupation", result.ntotal_drift)):
+            if not drift <= 1e-9:
+                raise InvariantViolationError(f"oracle {name} drift {drift:.3e} exceeds 1e-9")
+        tables[SOURCE_ORACLE] = physics_table(*result.moments)
+    for source, table in tables.items():
+        gaps = literal_gaps(scenario) if source == SOURCE_LITERAL else ()
+        check_table(table, grid, source, gaps)
 
-    records: list[ObservableRecord] = []
-    for i, _ in enumerate(grid):
-        for source in run.sources:
-            rec = by_source[source][i]
-            check_record(rec)
-            records.append(rec)
-    return records
-
-
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for line in lines:
-            handle.write(line + "\n")
+    physics = ",%.17g" * len(PHYSICS_COLUMNS)
+    n_max = scenario.truncation.n_max
+    template = "".join(f"{prefix}%.17g,{source}{physics},{n_max},%.17g\n" for source in tables)
+    tail = np.full(len(grid), light.tail_mass)
+    return template, np.hstack([np.column_stack((grid, t, tail)) for t in tables.values()])
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     run = build_run_config(_resolve_settings(args))
-    records = simulate_records(run)
+    template, table = simulate_rows(run)
     out = run.out or "simulate.csv"
-    lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join(_record_row(rec)) for rec in records]
-    _write_lines(out, lines)
-    print(f"wrote {len(records)} rows to {out}")
+    with _open_output(out) as handle:
+        handle.write(",".join(CSV_COLUMNS) + "\n")
+        _write_rows(handle, template, table)
+    print(f"wrote {len(table) * len(run.sources)} rows to {out}")
     return 0
 
 
@@ -309,7 +305,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         tol_oracle=run.tol_oracle,
     )
     out = run.out or "verify.txt"
-    _write_lines(out, report.render().splitlines())
+    with _open_output(out) as handle:
+        handle.write(report.render())
     print(f"wrote verdicts for {len(report.checks)} formulas to {out}")
     if report.unresolved:
         print(f"{report.unresolved} unresolved verdicts", file=sys.stderr)
@@ -337,13 +334,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = settings["out"] or "sweep.csv"
     # every value is validated before any scenario runs
     runs = [build_run_config({**settings, args.axis: value}) for value in values]
-    lines = [",".join(("axis", "value") + CSV_COLUMNS)]
-    total = 0
-    for value, run in zip(values, runs):
-        for rec in simulate_records(run):
-            lines.append(",".join([args.axis, _fmt(value)] + _record_row(rec)))
-            total += 1
-    _write_lines(out, lines)
+    blocks = [simulate_rows(run, f"{args.axis},{_fmt(value)},") for value, run in zip(values, runs)]
+    with _open_output(out) as handle:
+        handle.write(",".join(("axis", "value") + CSV_COLUMNS) + "\n")
+        for template, table in blocks:
+            _write_rows(handle, template, table)
+    total = sum(len(table) * len(run.sources) for (_, table), run in zip(blocks, runs))
     print(f"wrote {total} rows to {out}")
     return 0
 
@@ -355,27 +351,28 @@ def cmd_converge(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
     settings["n_max"] = n_max_list[-1]
     run = build_run_config(settings)
-    table = convergence_sweep(run.scenario, run.time_grid(), n_max_list)
+    grid = run.time_grid()
+    table = convergence_sweep(run.scenario, grid, n_max_list)
     out = settings["out"] or "converge.csv"
 
     no_physics = ["NA"] * len(PHYSICS_COLUMNS)
 
     def row(kind, n_max, status, t="NA", physics=no_physics, last="NA") -> str:
-        return ",".join([kind, str(n_max), status, t, *physics, last])
+        return ",".join([kind, str(n_max), status, t, *physics, last]) + "\n"
 
-    lines = [row("kind", "n_max", "status", "t", PHYSICS_COLUMNS, "max_delta")]
-    for entry in table.entries:
-        if entry.records is None:
-            lines.append(row("value", entry.n_max, entry.status))
-        for rec in entry.records or ():
-            physics = [_fmt(getattr(rec, column)) for column in PHYSICS_COLUMNS]
-            lines.append(row("value", entry.n_max, entry.status, _fmt(rec.t), physics))
-    for (prev, curr), delta in zip(zip(table.entries, table.entries[1:]), table.deltas):
-        delta_txt = "inf" if math.isinf(delta) else _fmt(delta)
-        lines.append(row("delta", f"{prev.n_max}->{curr.n_max}", "", last=delta_txt))
-    status = "converged" if table.converged else "not-converged"
-    lines.append(row("result", table.entries[-1].n_max, status, last=_fmt(table.delta_tol)))
-    _write_lines(out, lines)
+    with _open_output(out) as handle:
+        handle.write(row("kind", "n_max", "status", "t", PHYSICS_COLUMNS, "max_delta"))
+        for entry in table.entries:
+            if entry.physics is None:
+                handle.write(row("value", entry.n_max, entry.status))
+            else:
+                template = row("value", entry.n_max, entry.status, "%.17g",
+                               ["%.17g"] * len(PHYSICS_COLUMNS))
+                _write_rows(handle, template, np.column_stack((grid, entry.physics)))
+        for (prev, curr), delta in zip(zip(table.entries, table.entries[1:]), table.deltas):
+            handle.write(row("delta", f"{prev.n_max}->{curr.n_max}", "", last=_fmt(delta)))
+        status = "converged" if table.converged else "not-converged"
+        handle.write(row("result", table.entries[-1].n_max, status, last=_fmt(table.delta_tol)))
     print(f"wrote convergence table to {out}")
     return 0 if table.converged else 2
 
@@ -406,7 +403,8 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--tol-algebraic", type=float, dest="tol_algebraic",
-                        help="closed-form vs moment-map tolerance (default 1e-8)")
+                        help="largest |closed form - moment map| a CONFIRMED verify "
+                        "verdict allows (default 1e-8)")
     parser.add_argument("--tol-oracle", type=float, dest="tol_oracle",
                         help="base oracle tolerance, scaled by tail mass (default 1e-6)")
 
@@ -445,7 +443,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a value that is not finite is reported by the table checks, not as
+        # a numpy warning
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (UsageError, ResonanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

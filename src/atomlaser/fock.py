@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TAIL_THRESHOLD = 1e-10
 DEFAULT_DEFICIT_THRESHOLD = 1e-8
 
 
@@ -35,10 +34,6 @@ class Truncation:
     @property
     def dim(self) -> int:
         return self.n_max + 1
-
-    @property
-    def two_mode_dim(self) -> int:
-        return self.dim * self.dim
 
 
 @dataclass(frozen=True)
@@ -72,14 +67,13 @@ class ModeVector:
     tail_mass: float = 0.0      # probability in the top 10% of retained indices
     norm_deficit: float = 0.0   # exact probability above n_max, before renormalising
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class MomentSet:
-    """The mode moments <c>, <c^2>, <c†c>, <(c†c)^2> needed by every observable."""
+    """The mode moments <c>, <c^2>, <c†c>, <(c†c)^2> needed by every observable.
+
+    The fields are numbers for one time or arrays with one entry per time.
+    """
 
     mean_amp: complex
     sq_amp: complex
@@ -99,32 +93,6 @@ def top_decile_mass(amplitudes: np.ndarray) -> float:
     """Probability carried by the top 10% of basis indices (tail diagnostic)."""
     k = max(1, math.ceil(0.1 * len(amplitudes)))
     return float(np.sum(np.abs(amplitudes[-k:]) ** 2))
-
-
-def coherent_state(
-    m: complex,
-    truncation: Truncation,
-    tail_threshold: float = DEFAULT_TAIL_THRESHOLD,
-) -> ModeVector:
-    """Coherent state |m> via the stable ratio recursion c_n = c_{n-1} m / sqrt(n).
-
-    The recursion avoids explicit factorials, so large cutoffs do not
-    overflow.  Raises TruncationError when the top-decile tail mass exceeds
-    ``tail_threshold`` (the basis cannot hold the state).
-    """
-    amps = np.empty(truncation.dim, dtype=complex)
-    amps[0] = 1.0
-    for n in range(1, truncation.dim):
-        amps[n] = amps[n - 1] * (m / math.sqrt(n))
-    amps /= np.linalg.norm(amps)
-    tail = top_decile_mass(amps)
-    if tail > tail_threshold:
-        raise TruncationError(
-            f"coherent state with |m|={abs(m):.4g} does not fit n_max="
-            f"{truncation.n_max}: top-decile mass {tail:.3e} exceeds "
-            f"{tail_threshold:.1e}"
-        )
-    return ModeVector(amps, truncation, tail_mass=tail)
 
 
 def squeezed_amplitudes(inp: SqueezedInput, truncation: Truncation) -> np.ndarray:

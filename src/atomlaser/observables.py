@@ -1,6 +1,7 @@
-"""Observable functionals, record schema, and the transcribed closed-form predictions.
+"""Observable functionals, physics tables, and the transcribed closed-form predictions.
 
-Three output sources share one record schema:
+Each of the three output sources evaluates the whole time grid at once and
+returns one (T, 11) float table whose columns are PHYSICS_COLUMNS:
 
 * ``literal-paper``  -- the resonant closed-form predictions transcribed
   as originally stated (including their suspected misprints; the verify
@@ -9,8 +10,10 @@ Three output sources share one record schema:
   the transfer matrix,
 * ``oracle``         -- truncated Fock-space evolution (oracle module).
 
-Number moments are independent of the condensate phase theta; theta enters
-only the quadrature phases of the atom mode.
+A NaN entry marks a domain gap: a closed form outside its scenario, or a
+Mandel Q of a (numerically) vacuum mode.  ``check_table`` rejects any other
+value that is not finite.  Number moments are independent of the condensate
+phase theta; theta enters only the quadrature phases of the atom mode.
 """
 
 from __future__ import annotations
@@ -79,38 +82,17 @@ class AlphaPair:
         return cls(s * s + c * c, s * c)
 
 
-@dataclass(frozen=True)
-class ObservableRecord:
-    """Per-time snapshot of all observables from one source (NaN = undefined)."""
-
-    t: float
-    source: str
-    na_mean: float
-    na_var: float
-    nb_mean: float
-    nb_var: float
-    q_a: float
-    q_b: float
-    s1a: float
-    s2a: float
-    s1b: float
-    s2b: float
-    ntotal: float
-    n_max: int
-    tail_mass: float
-
-
-def mandel_q(moments: MomentSet, mean_floor: float = Q_MEAN_FLOOR) -> float:
+def mandel_q(moments: MomentSet, mean_floor: float = Q_MEAN_FLOOR):
     """Mandel Q = <dN^2>/<N> - 1: negative sub-Poissonian, zero Poissonian.
 
-    Undefined for (numerically) vacuum input: raises ValueError when the mean
-    occupation is at or below ``mean_floor``.
+    Undefined for (numerically) vacuum input: NaN wherever the mean
+    occupation is at or below ``mean_floor``.  Works elementwise on moments
+    that are arrays.
     """
-    if moments.number_mean <= mean_floor:
-        raise ValueError(
-            f"Mandel Q undefined for mean occupation {moments.number_mean:.3e}"
-        )
-    return moments.number_var / moments.number_mean - 1.0
+    mean = np.asarray(moments.number_mean, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = moments.number_var / mean - 1.0
+    return np.where(mean > mean_floor, q, NA)[()]
 
 
 def squeeze_coeffs(moments: MomentSet) -> tuple[float, float]:
@@ -133,6 +115,7 @@ def squeeze_coeffs(moments: MomentSet) -> tuple[float, float]:
 # ----------------------------------------------------------------------------
 # Transcribed closed forms (the literal-paper source).  All are derived at
 # resonance; q and squeeze pairs additionally need phi = 0 and real / zero m.
+# Each takes one time or an array of times.
 # ----------------------------------------------------------------------------
 
 
@@ -148,8 +131,16 @@ def _interference(inp: SqueezedInput) -> float:
     return float(2.0 * ((inp.m * inp.m) * np.exp(2j * inp.phi)).real)
 
 
+def _is_real_input(inp: SqueezedInput) -> bool:
+    return inp.phi == 0.0 and complex(inp.m).imag == 0.0
+
+
+def _is_squeezed_vacuum(inp: SqueezedInput) -> bool:
+    return inp.m == 0 and inp.phi == 0.0
+
+
 def _real_input(inp: SqueezedInput) -> float:
-    if inp.phi != 0.0 or complex(inp.m).imag != 0.0:
+    if not _is_real_input(inp):
         raise ValueError("this closed form needs phi = 0 and real m")
     return complex(inp.m).real
 
@@ -167,13 +158,13 @@ def literal_input_number_mean(scn: ScenarioConfig) -> float:
 def literal_na_mean(scn: ScenarioConfig, t: float) -> float:
     """Light-mode occupation: the initial occupation times cos^2(omega_r t)."""
     _require_resonant(scn.params)
-    return literal_input_number_mean(scn) * math.cos(scn.params.omega_r * t) ** 2
+    return literal_input_number_mean(scn) * np.cos(scn.params.omega_r * t) ** 2
 
 
 def literal_nb_mean(scn: ScenarioConfig, t: float) -> float:
     """Atom-mode occupation as the conserved complement of the light mode."""
     _require_resonant(scn.params)
-    return literal_input_number_mean(scn) * math.sin(scn.params.omega_r * t) ** 2
+    return literal_input_number_mean(scn) * np.sin(scn.params.omega_r * t) ** 2
 
 
 def literal_number_variances(scn: ScenarioConfig, t: float) -> tuple[float, float]:
@@ -188,29 +179,28 @@ def literal_number_variances(scn: ScenarioConfig, t: float) -> tuple[float, floa
         + 2.0 * al.alpha1 * al.alpha2 * bar
     )
     cross = al.alpha1 * mag2 + math.sinh(scn.input.r) ** 2 + bar * al.alpha2
-    cos2 = math.cos(scn.params.omega_r * t) ** 2
-    sin2 = math.sin(scn.params.omega_r * t) ** 2
+    cos2 = np.cos(scn.params.omega_r * t) ** 2
+    sin2 = np.sin(scn.params.omega_r * t) ** 2
     mixed = cross * sin2 * cos2
     return quartic * cos2 * cos2 + mixed, quartic * sin2 * sin2 + mixed
 
 
-def literal_number_variances_real_input(
-    scn: ScenarioConfig, t: float
-) -> tuple[float, float]:
-    """The phi = 0, real-m specialization of the variance pair.
-
-    Algebraically identical to ``literal_number_variances`` on its domain;
-    kept as an independent expression so the overlap can be cross-checked.
-    """
+def _q_pair(scn: ScenarioConfig, t, numerator: float, m0_factor: float | None = None):
+    # factor (cos^2, sin^2)(omega_r t) for phi = 0 and real m, with
+    # factor = (m^2 s^2 + numerator) / (m^2 s + sinh^2 r) - 1 and s = a1 + 2 a2;
+    # m0_factor, if given, replaces the ratio at m = 0
     _require_resonant(scn.params)
     m = _real_input(scn.input)
     al = AlphaPair.from_r(scn.input.r)
-    quartic = m * m * (al.alpha1 + 2.0 * al.alpha2) ** 2 + 2.0 * al.alpha2**2
-    cross = math.sinh(scn.input.r) ** 2 + (al.alpha1 + 2.0 * al.alpha2) * m * m
-    cos2 = math.cos(scn.params.omega_r * t) ** 2
-    sin2 = math.sin(scn.params.omega_r * t) ** 2
-    mixed = cross * sin2 * cos2
-    return quartic * cos2 * cos2 + mixed, quartic * sin2 * sin2 + mixed
+    if m == 0.0 and m0_factor is not None:
+        factor = m0_factor
+    else:
+        shifted = al.alpha1 + 2.0 * al.alpha2
+        factor = (m * m * shifted**2 + numerator) / (
+            m * m * shifted + math.sinh(scn.input.r) ** 2
+        ) - 1.0
+    wt = scn.params.omega_r * t
+    return factor * np.cos(wt) ** 2, factor * np.sin(wt) ** 2
 
 
 def literal_q_pair(scn: ScenarioConfig, t: float) -> tuple[float, float]:
@@ -222,18 +212,8 @@ def literal_q_pair(scn: ScenarioConfig, t: float) -> tuple[float, float]:
     evaluated as written, including its suspected "2 a2" numerator misprint
     (the verify report adjudicates it against the oracle).
     """
-    _require_resonant(scn.params)
-    m = _real_input(scn.input)
     al = AlphaPair.from_r(scn.input.r)
-    cos2 = math.cos(scn.params.omega_r * t) ** 2
-    sin2 = math.sin(scn.params.omega_r * t) ** 2
-    if m == 0.0:
-        return al.alpha1 * cos2, al.alpha1 * sin2
-    shifted = al.alpha1 + 2.0 * al.alpha2
-    factor = (m * m * shifted**2 + 2.0 * al.alpha2) / (
-        m * m * shifted + math.sinh(scn.input.r) ** 2
-    ) - 1.0
-    return factor * cos2, factor * sin2
+    return _q_pair(scn, t, 2.0 * al.alpha2, m0_factor=al.alpha1)
 
 
 def corrected_q_pair(scn: ScenarioConfig, t: float) -> tuple[float, float]:
@@ -242,20 +222,11 @@ def corrected_q_pair(scn: ScenarioConfig, t: float) -> tuple[float, float]:
     This is the form consistent with both the m = 0 limit pair and the moment
     map; used by the verify report as the registered correction.
     """
-    _require_resonant(scn.params)
-    m = _real_input(scn.input)
-    al = AlphaPair.from_r(scn.input.r)
-    cos2 = math.cos(scn.params.omega_r * t) ** 2
-    sin2 = math.sin(scn.params.omega_r * t) ** 2
-    shifted = al.alpha1 + 2.0 * al.alpha2
-    factor = (m * m * shifted**2 + 2.0 * al.alpha2**2) / (
-        m * m * shifted + math.sinh(scn.input.r) ** 2
-    ) - 1.0
-    return factor * cos2, factor * sin2
+    return _q_pair(scn, t, 2.0 * AlphaPair.from_r(scn.input.r).alpha2 ** 2)
 
 
 def _require_vacuum_squeezed(inp: SqueezedInput) -> None:
-    if inp.m != 0 or inp.phi != 0.0:
+    if not _is_squeezed_vacuum(inp):
         raise ValueError("this closed form needs m = 0 and phi = 0")
 
 
@@ -273,8 +244,8 @@ def literal_atom_squeeze_pair(scn: ScenarioConfig, t: float) -> tuple[float, flo
     _require_vacuum_squeezed(scn.input)
     s = math.sinh(scn.input.r)
     c = math.cosh(scn.input.r)
-    rotation = math.cos(2.0 * (scn.params.omega0 * t + scn.params.theta))
-    sin2 = math.sin(scn.params.omega_r * t) ** 2
+    rotation = np.cos(2.0 * (scn.params.omega0 * t + scn.params.theta))
+    sin2 = np.sin(scn.params.omega_r * t) ** 2
     return (
         2.0 * s * (s - c * rotation) * sin2,
         2.0 * s * (s + c * rotation) * sin2,
@@ -291,8 +262,8 @@ def literal_light_squeeze_pair(scn: ScenarioConfig, t: float) -> tuple[float, fl
     _require_vacuum_squeezed(scn.input)
     s = math.sinh(scn.input.r)
     c = math.cosh(scn.input.r)
-    rotation = math.cos(2.0 * scn.params.omega0 * t)
-    cos2 = math.cos(scn.params.omega_r * t) ** 2
+    rotation = np.cos(2.0 * scn.params.omega0 * t)
+    cos2 = np.cos(scn.params.omega_r * t) ** 2
     return (
         2.0 * s * (s + c * rotation) * cos2,
         2.0 * s * (s - c * rotation) * cos2,
@@ -303,14 +274,9 @@ def literal_atom_sq_amp(scn: ScenarioConfig, t: float) -> complex:
     """Transcribed <b^2(t)> = -sinh r cosh r e^{-2i(w t + theta)} sin^2(omega_r t)."""
     _require_resonant(scn.params)
     _require_vacuum_squeezed(scn.input)
-    s = math.sinh(scn.input.r)
-    c = math.cosh(scn.input.r)
-    return complex(
-        -s
-        * c
-        * np.exp(-2j * (scn.params.omega0 * t + scn.params.theta))
-        * math.sin(scn.params.omega_r * t) ** 2
-    )
+    rotation = np.exp(-2j * (scn.params.omega0 * t + scn.params.theta))
+    sin2 = np.sin(scn.params.omega_r * t) ** 2
+    return complex(-math.sinh(scn.input.r) * math.cosh(scn.input.r) * rotation * sin2)
 
 
 def literal_atom_number_mean_as_stated(scn: ScenarioConfig, t: float) -> float:
@@ -322,15 +288,11 @@ def literal_atom_number_mean_as_stated(scn: ScenarioConfig, t: float) -> float:
     _require_resonant(scn.params)
     _require_vacuum_squeezed(scn.input)
     r = scn.input.r
-    return (
-        math.sinh(r) ** 2
-        * math.cosh(r) ** 2
-        * math.sin(scn.params.omega_r * t) ** 2
-    )
+    return math.sinh(r) ** 2 * math.cosh(r) ** 2 * np.sin(scn.params.omega_r * t) ** 2
 
 
 # ----------------------------------------------------------------------------
-# Record builders
+# Physics tables: one row per time, one column per PHYSICS_COLUMNS entry
 # ----------------------------------------------------------------------------
 
 
@@ -353,113 +315,81 @@ def input_moments(inp: SqueezedInput) -> MomentSet:
     return MomentSet(mean, mean * mean + pair, number_mean, number_mean**2 + number_var)
 
 
-def _q_or_nan(moments: MomentSet, mean_floor: float = Q_MEAN_FLOOR) -> float:
-    try:
-        return mandel_q(moments, mean_floor)
-    except ValueError:
-        return NA
-
-
-def record_from_moments(
-    t: float,
-    source: str,
-    a: MomentSet,
-    b: MomentSet,
-    n_max: int,
-    tail_mass: float,
-) -> ObservableRecord:
-    """Assemble the full observable record from one pair of mode moments."""
+def physics_table(a: MomentSet, b: MomentSet) -> np.ndarray:
+    """The (T, 11) PHYSICS_COLUMNS table from (light, atom) moments over T times."""
     s1a, s2a = squeeze_coeffs(a)
     s1b, s2b = squeeze_coeffs(b)
-    return ObservableRecord(
-        t=float(t),
-        source=source,
-        na_mean=a.number_mean,
-        na_var=a.number_var,
-        nb_mean=b.number_mean,
-        nb_var=b.number_var,
-        q_a=_q_or_nan(a),
-        q_b=_q_or_nan(b),
-        s1a=s1a,
-        s2a=s2a,
-        s1b=s1b,
-        s2b=s2b,
-        ntotal=a.number_mean + b.number_mean,
-        n_max=n_max,
-        tail_mass=tail_mass,
-    )
-
-
-def moment_map_record(
-    scn: ScenarioConfig, t: float, a0: MomentSet, tail_mass: float = 0.0
-) -> ObservableRecord:
-    """Record from the closed moment map at time t (any detuning)."""
-    u = propagator_at(scn.params, t)
-    a_t, b_t = heisenberg_moment_map(u, a0, MomentSet.vacuum())
-    return record_from_moments(
-        t, SOURCE_MOMENT_MAP, a_t, b_t, scn.truncation.n_max, tail_mass
-    )
-
-
-def literal_record(
-    scn: ScenarioConfig, t: float, tail_mass: float = 0.0
-) -> ObservableRecord:
-    """Record from the transcribed closed forms.
-
-    Fields whose closed form does not cover the scenario (detuned parameters,
-    complex m or nonzero phi for the q / squeeze entries) are NaN.
-    """
-    n_max = scn.truncation.n_max
-    if not scn.params.resonant:
-        physics = dict.fromkeys(PHYSICS_COLUMNS, NA)
-        return ObservableRecord(
-            t=float(t), source=SOURCE_LITERAL, n_max=n_max, tail_mass=tail_mass, **physics
+    return np.column_stack(
+        (
+            a.number_mean, a.number_var, b.number_mean, b.number_var,
+            mandel_q(a), mandel_q(b), s1a, s2a, s1b, s2b,
+            a.number_mean + b.number_mean,
         )
-    na_mean = literal_na_mean(scn, t)
-    nb_mean = literal_nb_mean(scn, t)
-    na_var, nb_var = literal_number_variances(scn, t)
-    try:
-        q_a, q_b = literal_q_pair(scn, t)
-    except ValueError:
-        q_a, q_b = NA, NA
-    try:
-        s1b, s2b = literal_atom_squeeze_pair(scn, t)
-        s1a, s2a = literal_light_squeeze_pair(scn, t)
-    except ValueError:
-        s1a, s2a, s1b, s2b = NA, NA, NA, NA
-    return ObservableRecord(
-        t=float(t),
-        source=SOURCE_LITERAL,
-        na_mean=na_mean,
-        na_var=na_var,
-        nb_mean=nb_mean,
-        nb_var=nb_var,
-        q_a=q_a,
-        q_b=q_b,
-        s1a=s1a,
-        s2a=s2a,
-        s1b=s1b,
-        s2b=s2b,
-        ntotal=na_mean + nb_mean,
-        n_max=n_max,
-        tail_mass=tail_mass,
     )
 
 
-def check_record(rec: ObservableRecord, tol: float = 1e-9) -> None:
-    """Raise InvariantViolationError on physically impossible record values.
+def moment_map_table(scn: ScenarioConfig, times) -> np.ndarray:
+    """The moment-map source: the closed input moments mapped to each time (any detuning)."""
+    u = propagator_at(scn.params, np.asarray(times, dtype=float))
+    return physics_table(*heisenberg_moment_map(u, input_moments(scn.input)))
 
-    NaN fields mark domain gaps, not violations, and are skipped.
+
+def literal_gaps(scn: ScenarioConfig) -> tuple[str, ...]:
+    """The literal-paper columns outside the closed forms' domain (written NaN).
+
+    Detuned parameters leave out every column, complex m or nonzero phi the
+    q pair, and any input but the squeezed vacuum the four squeeze columns.
     """
-    for name in ("na_var", "nb_var"):
-        value = getattr(rec, name)
-        if not math.isnan(value) and value < -tol:
-            raise InvariantViolationError(
-                f"{name} = {value:.3e} < 0 at t = {rec.t:.6g} ({rec.source})"
-            )
-    for name in ("s1a", "s2a", "s1b", "s2b"):
-        value = getattr(rec, name)
-        if not math.isnan(value) and value < -1.0 - tol:
-            raise InvariantViolationError(
-                f"{name} = {value:.6g} < -1 at t = {rec.t:.6g} ({rec.source})"
-            )
+    if not scn.params.resonant:
+        return PHYSICS_COLUMNS
+    gaps: tuple[str, ...] = ()
+    if not _is_real_input(scn.input):
+        gaps += ("q_a", "q_b")
+    if not _is_squeezed_vacuum(scn.input):
+        gaps += ("s1a", "s2a", "s1b", "s2b")
+    return gaps
+
+
+def literal_table(scn: ScenarioConfig, times) -> np.ndarray:
+    """The literal-paper source: the transcribed closed forms at each time."""
+    times = np.asarray(times, dtype=float)
+    table = np.full((len(times), len(PHYSICS_COLUMNS)), NA)
+    gaps = literal_gaps(scn)
+    if gaps == PHYSICS_COLUMNS:
+        return table
+    values = {"na_mean": literal_na_mean(scn, times), "nb_mean": literal_nb_mean(scn, times)}
+    values["na_var"], values["nb_var"] = literal_number_variances(scn, times)
+    if "q_a" not in gaps:
+        values["q_a"], values["q_b"] = literal_q_pair(scn, times)
+    if "s1a" not in gaps:
+        values["s1a"], values["s2a"] = literal_light_squeeze_pair(scn, times)
+        values["s1b"], values["s2b"] = literal_atom_squeeze_pair(scn, times)
+    values["ntotal"] = values["na_mean"] + values["nb_mean"]
+    for name, column in values.items():
+        table[:, PHYSICS_COLUMNS.index(name)] = column
+    return table
+
+
+def check_table(table: np.ndarray, times, source: str, gaps=(), tol: float = 1e-9) -> None:
+    """Raise InvariantViolationError on a physically impossible table entry.
+
+    That is a negative number variance, a squeeze coefficient below -1, or a
+    value that is not finite outside a domain gap.  The gaps are the ``gaps``
+    columns and a Mandel Q whose mode mean is at or below Q_MEAN_FLOOR.
+    """
+    col = PHYSICS_COLUMNS.index
+    allowed = np.zeros(table.shape, dtype=bool)
+    allowed[:, [col(name) for name in gaps]] = True
+    allowed[:, col("q_a")] |= table[:, col("na_mean")] <= Q_MEAN_FLOOR
+    allowed[:, col("q_b")] |= table[:, col("nb_mean")] <= Q_MEAN_FLOOR
+    bound = np.full(len(PHYSICS_COLUMNS), -np.inf)
+    bound[[col("na_var"), col("nb_var")]] = 0.0
+    bound[[col(name) for name in ("s1a", "s2a", "s1b", "s2b")]] = -1.0
+    bad = ~(np.isfinite(table) | allowed) | (table < bound - tol)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        value = table[i, j]
+        problem = "is not finite" if not np.isfinite(value) else f"< {bound[j]:g}"
+        raise InvariantViolationError(
+            f"{PHYSICS_COLUMNS[j]} = {value:.6g} {problem} at t = {times[i]:.6g} ({source})"
+        )

@@ -14,8 +14,9 @@ amplitudes c_0 .. c_{n_max}.  It populates only the complete blocks
 n_tot <= n_max, and block n_tot starts on the single basis vector
 (n_b = 0, n_a = n_tot) with amplitude c_{n_tot}.  The blocks are evolved one
 at a time and folded into per-time moment sums, so no two-mode state is ever
-held: memory is O(times * n_max).  The oracle uses neither the transfer
-matrix nor any closed form.
+held: memory is O(times * n_max).  The result is one pair of (light, atom)
+moment sets whose fields are arrays over the times.  The oracle uses
+neither the transfer matrix nor any closed form.
 """
 
 from __future__ import annotations
@@ -35,13 +36,7 @@ from .fock import (
     mode_moments,
     squeezed_coherent_state,
 )
-from .observables import (
-    PHYSICS_COLUMNS,
-    SOURCE_ORACLE,
-    ObservableRecord,
-    ScenarioConfig,
-    record_from_moments,
-)
+from .observables import InvariantViolationError, ScenarioConfig, physics_table
 from .propagator import ModelParams
 
 # a state is still reportable (with an insufficiency flag) up to this loss
@@ -50,11 +45,10 @@ PERMISSIVE_DEFICIT = 0.5
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Per-time (light, atom) mode moments and records, plus drift diagnostics."""
+    """(light, atom) mode moments with one array entry per time, plus drift diagnostics."""
 
     times: np.ndarray
-    moments: list[tuple[MomentSet, MomentSet]]
-    records: list[ObservableRecord]
+    moments: tuple[MomentSet, MomentSet]
     norm_drift: float
     ntotal_drift: float
 
@@ -64,10 +58,12 @@ def _block_amplitudes(params: ModelParams, n_tot: int, coeff: complex, times) ->
     nb = np.arange(n_tot + 1)
     na = n_tot - nb
     diag = params.omega0 * nb + params.omega_a * na
+    off = params.omega_r * np.sqrt(na[:-1] * (nb[:-1] + 1.0))
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        raise InvariantViolationError(f"block n_tot = {n_tot} has entries that are not finite")
     if n_tot == 0:
         energies, modes = diag, np.ones((1, 1))
     else:
-        off = params.omega_r * np.sqrt(na[:-1] * (nb[:-1] + 1.0))
         energies, modes = eigh_tridiagonal(diag, off)
     phases = np.exp(-1j * np.outer(times, energies))
     return (phases * (coeff * modes[0])) @ modes.T
@@ -111,20 +107,12 @@ def evolve(params: ModelParams, light: ModeVector, times) -> EvolutionResult:
     ladders[:, 0] *= np.exp(1j * params.theta)
     ladders[:, 1] *= np.exp(2j * params.theta)
 
-    moments = [
-        (MomentSet(a, a2, na1, na2), MomentSet(b, b2, nb1, nb2))
-        for (a, a2, b, b2), (_, na1, na2, nb1, nb2) in zip(
-            ladders.tolist(), numbers.tolist()
-        )
-    ]
-    records = [
-        record_from_moments(t, SOURCE_ORACLE, a, b, n_max, light.tail_mass)
-        for t, (a, b) in zip(times, moments)
-    ]
+    light_t = MomentSet(ladders[:, 0], ladders[:, 1], numbers[:, 1], numbers[:, 2])
+    atoms_t = MomentSet(ladders[:, 2], ladders[:, 3], numbers[:, 3], numbers[:, 4])
     norm_drift = float(np.max(np.abs(np.sqrt(numbers[:, 0]) - 1.0)))
-    ntotal0 = mode_moments(light).number_mean
-    ntotal_drift = max(abs(rec.ntotal - ntotal0) for rec in records)
-    return EvolutionResult(times, moments, records, norm_drift, ntotal_drift)
+    ntotal = light_t.number_mean + atoms_t.number_mean
+    ntotal_drift = float(np.max(np.abs(ntotal - mode_moments(light).number_mean)))
+    return EvolutionResult(times, (light_t, atoms_t), norm_drift, ntotal_drift)
 
 
 @dataclass(frozen=True)
@@ -134,7 +122,7 @@ class ConvergenceEntry:
     n_max: int
     status: str  # "ok" or "truncation-insufficient"
     norm_deficit: float
-    records: list[ObservableRecord] | None
+    physics: np.ndarray | None  # (T, 11) PHYSICS_COLUMNS table
 
 
 @dataclass(frozen=True)
@@ -147,20 +135,12 @@ class ConvergenceTable:
     delta_tol: float
 
 
-def _records_delta(
-    previous: list[ObservableRecord], current: list[ObservableRecord]
-) -> float:
-    worst = 0.0
-    for rec_p, rec_c in zip(previous, current):
-        for name in PHYSICS_COLUMNS:
-            p = getattr(rec_p, name)
-            c = getattr(rec_c, name)
-            if math.isnan(p) and math.isnan(c):
-                continue
-            if math.isnan(p) or math.isnan(c):
-                return math.inf
-            worst = max(worst, abs(p - c))
-    return worst
+def _physics_delta(previous: np.ndarray, current: np.ndarray) -> float:
+    """Largest entry difference; NaN on both sides is skipped, NaN on one side is inf."""
+    p_nan, c_nan = np.isnan(previous), np.isnan(current)
+    if np.any(p_nan != c_nan):
+        return math.inf
+    return float(np.max(np.abs(previous - current), where=~p_nan, initial=0.0))
 
 
 def convergence_sweep(
@@ -198,17 +178,15 @@ def convergence_sweep(
         status = (
             "ok" if light.norm_deficit <= deficit_threshold else "truncation-insufficient"
         )
-        result = evolve(cfg.params, light, times)
-        entries.append(
-            ConvergenceEntry(n_max, status, light.norm_deficit, result.records)
-        )
+        physics = physics_table(*evolve(cfg.params, light, times).moments)
+        entries.append(ConvergenceEntry(n_max, status, light.norm_deficit, physics))
 
     deltas: list[float] = []
     for prev, curr in zip(entries, entries[1:]):
-        if prev.records is None or curr.records is None:
+        if prev.physics is None or curr.physics is None:
             deltas.append(math.inf)
         else:
-            deltas.append(_records_delta(prev.records, curr.records))
+            deltas.append(_physics_delta(prev.physics, curr.physics))
     final_ok = bool(entries) and entries[-1].status == "ok"
     converged = (
         final_ok and len(deltas) >= 1 and all(d <= delta_tol for d in deltas[-2:])

@@ -34,17 +34,13 @@ import time
 import numpy as np
 
 from atomlaser.cli import main
-from atomlaser.fock import (
-    SqueezedInput,
-    Truncation,
-    coherent_state,
-    squeezed_coherent_state,
-)
+from atomlaser.fock import SqueezedInput, Truncation, squeezed_coherent_state
 from atomlaser.observables import (
+    PHYSICS_COLUMNS,
     ScenarioConfig,
-    input_moments,
     literal_q_pair,
-    moment_map_record,
+    moment_map_table,
+    physics_table,
     squeeze_coeffs,
 )
 from atomlaser.oracle import evolve
@@ -71,16 +67,28 @@ def run_oracle(cfg, times):
     return evolve(cfg.params, squeezed_coherent_state(cfg.input, cfg.truncation), times)
 
 
+def columns(table):
+    """A physics table as {column name: values over the times}."""
+    return dict(zip(PHYSICS_COLUMNS, table.T))
+
+
+def q_pair_deviation(rec, grid) -> float:
+    """Largest |Q - cosh(2)(cos^2, sin^2)| where that mode's mean exceeds 1e-6."""
+    dev_a = np.abs(rec["q_a"] - COSH2 * np.cos(grid) ** 2)[rec["na_mean"] > 1e-6]
+    dev_b = np.abs(rec["q_b"] - COSH2 * np.sin(grid) ** 2)[rec["nb_mean"] > 1e-6]
+    return float(np.max(np.concatenate((dev_a, dev_b)), initial=0.0))
+
+
 def test_criterion_1_complete_quantum_conversion():
     """Oracle at n_max=64, t=pi/2: <Nb> = sinh^2(1) within 1e-6, <Na> <= 1e-8."""
     start = time.perf_counter()
     cfg = default_scenario()
-    result = run_oracle(cfg, [math.pi / 2])
+    a, b = run_oracle(cfg, [math.pi / 2]).moments
     elapsed = time.perf_counter() - start
-    rec = result.records[0]
-    dev_b = abs(rec.nb_mean - SINH1_SQ)
-    ok = dev_b <= 1e-6 and rec.na_mean <= 1e-8 and elapsed < 10.0
-    detail = f"(|dNb|={dev_b:.3e}, Na={rec.na_mean:.3e}, {elapsed:.2f}s)"
+    na_mean, nb_mean = a.number_mean[0], b.number_mean[0]
+    dev_b = abs(nb_mean - SINH1_SQ)
+    ok = dev_b <= 1e-6 and na_mean <= 1e-8 and elapsed < 10.0
+    detail = f"(|dNb|={dev_b:.3e}, Na={na_mean:.3e}, {elapsed:.2f}s)"
     report("1 complete-quantum-conversion", ok, detail)
     assert ok, detail
 
@@ -93,28 +101,16 @@ def test_criterion_2_q_oscillation():
     there, against 7.06e-6 at n_max = 64 (see the module docstring)."""
     cfg = default_scenario(n_max=80)
     grid = np.linspace(0.0, math.pi, 50)
-    result = run_oracle(cfg, grid)
+    dev_oracle = q_pair_deviation(columns(physics_table(*run_oracle(cfg, grid).moments)), grid)
 
-    dev_oracle = 0.0
-    for rec, t in zip(result.records, grid):
-        if rec.na_mean > 1e-6:
-            dev_oracle = max(dev_oracle, abs(rec.q_a - COSH2 * math.cos(t) ** 2))
-        if rec.nb_mean > 1e-6:
-            dev_oracle = max(dev_oracle, abs(rec.q_b - COSH2 * math.sin(t) ** 2))
-
-    a0 = input_moments(cfg.input)
-    dev_map = 0.0
-    for t in grid:
-        rec = moment_map_record(cfg, float(t), a0)
-        lit_a, lit_b = literal_q_pair(cfg, float(t))
-        if not math.isnan(rec.q_a):
-            dev_map = max(dev_map, abs(rec.q_a - lit_a))
-        else:
-            dev_map = max(dev_map, abs(lit_a - COSH2 * math.cos(t) ** 2))
-        if not math.isnan(rec.q_b):
-            dev_map = max(dev_map, abs(rec.q_b - lit_b))
-        else:
-            dev_map = max(dev_map, abs(lit_b))  # limit value at the vacuum point
+    rec = columns(moment_map_table(cfg, grid))
+    lit_a, lit_b = literal_q_pair(cfg, grid)
+    dev_map = max(
+        np.max(np.where(np.isnan(rec["q_a"]), np.abs(lit_a - COSH2 * np.cos(grid) ** 2),
+                        np.abs(rec["q_a"] - lit_a))),
+        # the limit value at the vacuum point is 0
+        np.max(np.where(np.isnan(rec["q_b"]), np.abs(lit_b), np.abs(rec["q_b"] - lit_b))),
+    )
 
     ok = dev_oracle <= 1e-6 and dev_map <= 1e-10
     detail = f"(oracle dev={dev_oracle:.3e} vs 1e-6, map dev={dev_map:.3e} vs 1e-10)"
@@ -129,9 +125,7 @@ def test_criterion_3_squeezing_transfer():
     n_max = 64 are 9.7e-8 and 7.2e-7 (see the module docstring)."""
     cfg = default_scenario()
     t_swap = 5 * math.pi / 8  # w t = pi/2 + 2 pi, the largest sin^2 among such times
-    (_, b), (_, b_swap) = run_oracle(cfg, [math.pi / 2, t_swap]).moments
-    s1b, s2b = squeeze_coeffs(b)
-    s1b_swap, s2b_swap = squeeze_coeffs(b_swap)
+    (s1b, s1b_swap), (s2b, s2b_swap) = squeeze_coeffs(run_oracle(cfg, [math.pi / 2, t_swap]).moments[1])
 
     dev1 = abs(s1b + SQUEEZE_DIP)
     dev2 = abs(s2b - SQUEEZE_RISE)
@@ -162,14 +156,14 @@ def test_criterion_4_detuned_propagator_validation():
         )
         m = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
         times = np.sort(rng.uniform(0.0, 10.0, size=10))
-        result = evolve(params, coherent_state(m, truncation), times)
-        for (a, b), t in zip(result.moments, times):
-            u = propagator_at(params, float(t)).matrix
-            worst = max(
-                worst,
-                abs(b.mean_amp - u[0, 1] * m),
-                abs(a.mean_amp - u[1, 1] * m),
-            )
+        light = squeezed_coherent_state(SqueezedInput(0.0, m=m), truncation)
+        a, b = evolve(params, light, times).moments
+        u = propagator_at(params, times).matrix
+        worst = max(
+            worst,
+            np.max(np.abs(b.mean_amp - u[:, 0, 1] * m)),
+            np.max(np.abs(a.mean_amp - u[:, 1, 1] * m)),
+        )
     ok = worst <= 1e-8
     detail = f"(worst first-moment deviation {worst:.3e} vs 1e-8)"
     report("4 detuned-propagator-validation", ok, detail)
@@ -215,12 +209,12 @@ def test_criterion_5_invariant_suite():
         result = run_oracle(cfg, np.linspace(0.0, 8.0, 9))
         worst_norm = max(worst_norm, result.norm_drift)
         worst_ntotal = max(worst_ntotal, result.ntotal_drift)
-        for rec in result.records:
-            worst_pair = min(
-                worst_pair,
-                (rec.s1a + 1.0) * (rec.s2a + 1.0),
-                (rec.s1b + 1.0) * (rec.s2b + 1.0),
-            )
+        rec = columns(physics_table(*result.moments))
+        worst_pair = min(
+            worst_pair,
+            np.min((rec["s1a"] + 1.0) * (rec["s2a"] + 1.0)),
+            np.min((rec["s1b"] + 1.0) * (rec["s2b"] + 1.0)),
+        )
 
     ok = (
         worst_unitarity <= 1e-12
@@ -325,13 +319,7 @@ def test_criterion_7_truncation_convergence(tmp_path):
 def test_supporting_q_oscillation_converges_at_larger_cutoff():
     cfg = default_scenario(n_max=96)
     grid = np.linspace(0.0, math.pi, 50)
-    result = run_oracle(cfg, grid)
-    dev = 0.0
-    for rec, t in zip(result.records, grid):
-        if rec.na_mean > 1e-6:
-            dev = max(dev, abs(rec.q_a - COSH2 * math.cos(t) ** 2))
-        if rec.nb_mean > 1e-6:
-            dev = max(dev, abs(rec.q_b - COSH2 * math.sin(t) ** 2))
+    dev = q_pair_deviation(columns(physics_table(*run_oracle(cfg, grid).moments)), grid)
     report("supporting q-oscillation at n_max=96", dev <= 1e-6, f"(dev={dev:.3e})")
     assert dev <= 1e-6
 
@@ -340,8 +328,7 @@ def test_supporting_partner_quadrature_is_uncertainty_bound():
     # at the conversion time the atom mode is a pure squeezed state, so the
     # anti-squeezed partner sits exactly on the minimum-uncertainty hyperbola
     cfg = default_scenario()
-    _, b = run_oracle(cfg, [math.pi / 2]).moments[0]
-    s1b, s2b = squeeze_coeffs(b)
+    (s1b,), (s2b,) = squeeze_coeffs(run_oracle(cfg, [math.pi / 2]).moments[1])
     forced_partner = 1.0 / (1.0 + s1b) - 1.0  # = e^2 - 1 for s1b = e^{-2} - 1
     assert abs(s2b - forced_partner) < 1e-5
     assert abs(s2b - (math.exp(2.0) - 1.0)) < 1e-5

@@ -174,10 +174,10 @@ def test_sweep_detuned_value_routes_literal_to_na(tmp_path):
 
 @pytest.mark.parametrize("values", ["0.5,nan", "0.5,0.6,0.7,-1"])
 def test_sweep_validates_every_value_before_running_any(tmp_path, capsys, monkeypatch, values):
-    def must_not_run(run_config):
+    def must_not_run(*args):
         raise AssertionError("a scenario ran before every value was validated")
 
-    monkeypatch.setattr(cli, "simulate_records", must_not_run)
+    monkeypatch.setattr(cli, "simulate_rows", must_not_run)
     out = tmp_path / "sweep.csv"
     assert run("sweep", "--axis", "r", "--values", values, "--out", str(out)) == 1
     err = capsys.readouterr().err.splitlines()
@@ -290,3 +290,51 @@ def test_non_finite_settings_are_config_errors(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        # the moment map's global phase overflows: every field is NaN
+        (("--sources", "moment-map", "--omega0", "1e308", "--omega-a", "1e308"), "moment-map"),
+        # the oracle's phases overflow: its norm drift is NaN
+        (("--sources", "oracle", "--t-max", "1e300", "--omega0", "1e10", "--omega-a", "1e10"),
+         "norm drift"),
+        # the oracle's block diagonal overflows before any eigensolve
+        (("--omega0", "1e308", "--omega-a", "1e308"), "not finite"),
+    ],
+    ids=["moment-map-phase", "oracle-phases", "oracle-block"],
+)
+def test_results_that_are_not_finite_are_invariant_violations(tmp_path, capsys, argv, where):
+    out = tmp_path / "inf.csv"
+    assert run("simulate", *argv, "--steps", "3", "--out", str(out)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invariant violation:")
+    assert where in err[0]
+    assert not out.exists()
+
+
+def test_failed_sweep_leaves_no_file(tmp_path, capsys):
+    # r = 0.3 fits 40 levels and runs; r = 3 does not and exits 2
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--axis", "r", "--values", "0.3,3", "--n-max", "40", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("truncation-insufficient:")
+    assert not out.exists()
+
+
+def verdicts(path):
+    rows = path.read_text().split("\n\n")[1].splitlines()[2:-2]
+    return [tuple(row.split()[:2]) for row in rows]
+
+
+@pytest.mark.parametrize("extra", [(), ("--m-re", "0.5")])
+def test_tol_algebraic_gates_confirmed_verdicts(tmp_path, extra):
+    default, strict = tmp_path / "default.txt", tmp_path / "strict.txt"
+    assert run("verify", *extra, "--out", str(default)) == 0
+    # roundoff separates the closed forms from the moment map by about 1e-15
+    assert run("verify", *extra, "--tol-algebraic", "1e-17", "--out", str(strict)) == 4
+    before, after = verdicts(default), verdicts(strict)
+    assert [name for name, _ in before] == [name for name, _ in after]
+    for (name, was), (_, now) in zip(before, after):
+        assert now == was or (was == "CONFIRMED" and now == "UNRESOLVED"), name
+    assert ("conversion-number-transfer", "CONFIRMED") in after  # |lit-map| is 0 there

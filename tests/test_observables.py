@@ -1,4 +1,4 @@
-"""Closed-form predictions, Mandel Q, squeeze coefficients, and records."""
+"""Closed-form predictions, Mandel Q, squeeze coefficients, and physics tables."""
 
 import math
 
@@ -9,30 +9,28 @@ from atomlaser.fock import (
     MomentSet,
     SqueezedInput,
     Truncation,
-    coherent_state,
     mode_moments,
     squeezed_coherent_state,
 )
 from atomlaser.observables import (
+    PHYSICS_COLUMNS,
     AlphaPair,
     InvariantViolationError,
-    ObservableRecord,
     ScenarioConfig,
-    check_record,
+    check_table,
     corrected_q_pair,
-    input_moments,
     literal_atom_squeeze_pair,
     literal_input_number_mean,
     literal_light_squeeze_pair,
     literal_na_mean,
     literal_nb_mean,
+    literal_gaps,
     literal_number_variances,
-    literal_number_variances_real_input,
     literal_q_pair,
-    literal_record,
+    literal_table,
     mandel_q,
-    moment_map_record,
-    record_from_moments,
+    moment_map_table,
+    physics_table,
     squeeze_coeffs,
 )
 from atomlaser.propagator import ModelParams, ResonanceError
@@ -42,6 +40,15 @@ RESONANT = ModelParams(4.0, 4.0, 1.0, 0.0)
 
 def scenario(r=1.0, phi=0.0, m=0j, params=RESONANT, n_max=64):
     return ScenarioConfig(params, SqueezedInput(r, phi, m), Truncation(n_max))
+
+
+def coherent_moments(m, n_max=48):
+    return mode_moments(squeezed_coherent_state(SqueezedInput(0.0, m=m), Truncation(n_max)))
+
+
+def columns(table):
+    """A physics table as {column name: values over the times}."""
+    return dict(zip(PHYSICS_COLUMNS, table.T))
 
 
 def test_alpha_pair_identities():
@@ -84,22 +91,31 @@ def test_literal_atom_variance_at_conversion():
     assert abs(nb_var - expected) < 1e-12
 
 
+def real_input_variances(r, m, t):
+    """The phi = 0, real-m specialization of the variance pair, written out
+    independently of the general expression."""
+    al = AlphaPair.from_r(r)
+    quartic = m * m * (al.alpha1 + 2.0 * al.alpha2) ** 2 + 2.0 * al.alpha2**2
+    cross = math.sinh(r) ** 2 + (al.alpha1 + 2.0 * al.alpha2) * m * m
+    cos2, sin2 = np.cos(t) ** 2, np.sin(t) ** 2
+    mixed = cross * sin2 * cos2
+    return quartic * cos2 * cos2 + mixed, quartic * sin2 * sin2 + mixed
+
+
 @pytest.mark.parametrize("r", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("m", [0.0, 0.7, -1.2])
 def test_literal_variance_specialization_overlap(r, m):
     # the general expression and its phi = 0 / real-m specialization are the
     # same algebra; they must agree to rounding on the overlap domain
-    scn = scenario(r=r, m=complex(m))
-    for t in np.linspace(0.0, 2 * math.pi, 40):
-        general = literal_number_variances(scn, t)
-        special = literal_number_variances_real_input(scn, t)
-        assert abs(general[0] - special[0]) < 1e-12
-        assert abs(general[1] - special[1]) < 1e-12
+    times = np.linspace(0.0, 2 * math.pi, 40)
+    general = literal_number_variances(scenario(r=r, m=complex(m)), times)
+    special = real_input_variances(r, m, times)
+    assert np.max(np.abs(general[0] - special[0])) < 1e-12
+    assert np.max(np.abs(general[1] - special[1])) < 1e-12
 
 
 def test_mandel_q_coherent_is_poisson():
-    moments = mode_moments(coherent_state(1.1, Truncation(48)))
-    assert abs(mandel_q(moments)) < 1e-8
+    assert abs(mandel_q(coherent_moments(1.1))) < 1e-8
 
 
 def test_mandel_q_squeezed_vacuum():
@@ -112,8 +128,10 @@ def test_mandel_q_number_state():
 
 
 def test_mandel_q_vacuum_undefined():
-    with pytest.raises(ValueError):
-        mandel_q(MomentSet.vacuum())
+    assert math.isnan(mandel_q(MomentSet.vacuum()))
+    # elementwise on array moments: only the vacuum entry is undefined
+    q = mandel_q(MomentSet(np.zeros(2), np.zeros(2), np.array([0.0, 2.0]), np.array([0.0, 6.0])))
+    assert math.isnan(q[0]) and q[1] == 0.0
 
 
 def test_literal_q_pair_vacuum_limits():
@@ -157,8 +175,7 @@ def test_squeeze_coeffs_squeezed_vacuum_pair():
 
 @pytest.mark.parametrize("m", [0.0, 1.0, 0.8 - 1.1j])
 def test_squeeze_coeffs_coherent_states(m):
-    moments = mode_moments(coherent_state(m, Truncation(48)))
-    s1, s2 = squeeze_coeffs(moments)
+    s1, s2 = squeeze_coeffs(coherent_moments(m))
     assert abs(s1) < 1e-8
     assert abs(s2) < 1e-8
 
@@ -210,45 +227,32 @@ def test_literal_matches_moment_map_on_grid(r):
     # where the transcription is self-consistent it must agree with the
     # independently derived moment map to algebraic accuracy
     scn = scenario(r=r)
-    a0 = input_moments(scn.input)
-    for t in np.linspace(0.0, math.pi, 100):
-        rec = moment_map_record(scn, t, a0)
-        assert abs(rec.na_mean - literal_na_mean(scn, t)) < 1e-8
-        assert abs(rec.nb_mean - literal_nb_mean(scn, t)) < 1e-8
-        na_var, nb_var = literal_number_variances(scn, t)
-        assert abs(rec.na_var - na_var) < 1e-8
-        assert abs(rec.nb_var - nb_var) < 1e-8
-        q_a, q_b = literal_q_pair(scn, t)
-        if not math.isnan(rec.q_a):
-            assert abs(rec.q_a - q_a) < 1e-8
-        if not math.isnan(rec.q_b):
-            assert abs(rec.q_b - q_b) < 1e-8
-        s1b, s2b = literal_atom_squeeze_pair(scn, t)
-        assert abs(rec.s1b - s1b) < 1e-8
-        assert abs(rec.s2b - s2b) < 1e-8
-        s1a, s2a = literal_light_squeeze_pair(scn, t)
-        assert abs(rec.s1a - s1a) < 1e-8
-        assert abs(rec.s2a - s2a) < 1e-8
+    times = np.linspace(0.0, math.pi, 100)
+    rec = columns(moment_map_table(scn, times))
+    expected = {"na_mean": literal_na_mean(scn, times), "nb_mean": literal_nb_mean(scn, times)}
+    expected["na_var"], expected["nb_var"] = literal_number_variances(scn, times)
+    expected["q_a"], expected["q_b"] = literal_q_pair(scn, times)
+    expected["s1b"], expected["s2b"] = literal_atom_squeeze_pair(scn, times)
+    expected["s1a"], expected["s2a"] = literal_light_squeeze_pair(scn, times)
+    for name, want in expected.items():
+        got = rec[name]
+        defined = ~np.isnan(got)  # the map's Q is undefined at a vacuum mode
+        assert np.all(defined | name.startswith("q_"))
+        assert np.max(np.abs(got - want)[defined]) < 1e-8
 
 
 def test_q_oscillation_complementarity():
     # q_a(t)/q_a(0) + q_b(t)/q_a(0) = 1 (the cos^2 + sin^2 structure)
     scn = scenario()
-    a0 = input_moments(scn.input)
-    q_a0 = moment_map_record(scn, 0.0, a0).q_a
-    for t in np.linspace(0.05, math.pi - 0.05, 40):
-        rec = moment_map_record(scn, t, a0)
-        assert abs(rec.q_a / q_a0 + rec.q_b / q_a0 - 1.0) < 1e-10
+    q_a0 = columns(moment_map_table(scn, [0.0]))["q_a"][0]
+    rec = columns(moment_map_table(scn, np.linspace(0.05, math.pi - 0.05, 40)))
+    assert np.max(np.abs(rec["q_a"] / q_a0 + rec["q_b"] / q_a0 - 1.0)) < 1e-10
 
 
 def test_map_record_total_occupation_constant():
     scn = scenario(r=0.7, m=0.4 + 0.1j, phi=0.5)
-    a0 = input_moments(scn.input)
-    totals = [
-        moment_map_record(scn, t, a0).ntotal
-        for t in np.linspace(0.0, 2 * math.pi, 30)
-    ]
-    assert max(abs(x - totals[0]) for x in totals) < 1e-10
+    totals = columns(moment_map_table(scn, np.linspace(0.0, 2 * math.pi, 30)))["ntotal"]
+    assert np.max(np.abs(totals - totals[0])) < 1e-10
 
 
 def test_uncertainty_bound_on_map_records():
@@ -261,55 +265,68 @@ def test_uncertainty_bound_on_map_records():
             params=ModelParams(4.0, 4.0, 1.0, float(rng.uniform(0, 2 * math.pi))),
             n_max=96,
         )
-        a0 = input_moments(scn.input)
-        for t in rng.uniform(0.0, 10.0, size=5):
-            rec = moment_map_record(scn, float(t), a0)
-            assert (rec.s1a + 1.0) * (rec.s2a + 1.0) >= 1.0 - 1e-9
-            assert (rec.s1b + 1.0) * (rec.s2b + 1.0) >= 1.0 - 1e-9
+        rec = columns(moment_map_table(scn, rng.uniform(0.0, 10.0, size=5)))
+        assert np.all((rec["s1a"] + 1.0) * (rec["s2a"] + 1.0) >= 1.0 - 1e-9)
+        assert np.all((rec["s1b"] + 1.0) * (rec["s2b"] + 1.0) >= 1.0 - 1e-9)
 
 
 def test_literal_record_detuned_is_all_na():
     scn = scenario(params=ModelParams(5.0, 4.0, 1.0))
-    rec = literal_record(scn, 1.0)
-    assert math.isnan(rec.na_mean)
-    assert math.isnan(rec.ntotal)
-    assert rec.n_max == 64
+    assert literal_gaps(scn) == PHYSICS_COLUMNS
+    table = literal_table(scn, [0.0, 1.0])
+    assert table.shape == (2, len(PHYSICS_COLUMNS))
+    assert np.all(np.isnan(table))
 
 
 def test_literal_record_domain_gaps_are_na():
-    rec = literal_record(scenario(m=0.5 + 0.5j), 1.0)
-    assert not math.isnan(rec.na_mean)
-    assert math.isnan(rec.q_a)  # q needs real m
-    assert math.isnan(rec.s1b)  # squeeze pair needs m = 0
+    scn = scenario(m=0.5 + 0.5j)
+    assert literal_gaps(scn) == ("q_a", "q_b", "s1a", "s2a", "s1b", "s2b")
+    rec = columns(literal_table(scn, [1.0]))
+    assert not math.isnan(rec["na_mean"][0])
+    assert math.isnan(rec["q_a"][0])  # q needs real m
+    assert math.isnan(rec["s1b"][0])  # squeeze pair needs m = 0
+    # a real displaced input keeps the q pair and loses only the squeeze pair
+    assert literal_gaps(scenario(m=0.5)) == ("s1a", "s2a", "s1b", "s2b")
 
 
 def test_literal_record_vacuum_input_full():
-    rec = literal_record(scenario(), math.pi / 4)
-    assert not any(
-        math.isnan(getattr(rec, name))
-        for name in ("na_mean", "na_var", "nb_mean", "nb_var", "q_a", "q_b",
-                     "s1a", "s2a", "s1b", "s2b", "ntotal")
-    )
-    assert abs(rec.ntotal - literal_input_number_mean(scenario())) < 1e-12
+    assert literal_gaps(scenario()) == ()
+    table = literal_table(scenario(), [math.pi / 4])
+    assert not np.any(np.isnan(table))
+    ntotal = columns(table)["ntotal"][0]
+    assert abs(ntotal - literal_input_number_mean(scenario())) < 1e-12
 
 
-def test_record_from_moments_q_nan_for_vacuum_mode():
-    rec = record_from_moments(
-        0.0, "oracle", MomentSet(0j, 0j, 1.0, 2.0), MomentSet.vacuum(), 32, 0.0
-    )
-    assert math.isnan(rec.q_b)
-    assert rec.q_a == 0.0
+def test_physics_table_q_nan_for_vacuum_mode():
+    rec = columns(physics_table(MomentSet(0j, 0j, 1.0, 2.0), MomentSet.vacuum()))
+    assert math.isnan(rec["q_b"][0])
+    assert rec["q_a"][0] == 0.0
 
 
-def test_check_record_flags_negative_variance():
-    rec = record_from_moments(
-        0.0, "oracle", MomentSet(0j, 0j, 1.0, 2.0), MomentSet.vacuum(), 32, 0.0
+def test_check_table_flags_negative_variance():
+    times = np.array([0.0])
+    good = physics_table(MomentSet(0j, 0j, 1.0, 2.0), MomentSet.vacuum())
+    check_table(good, times, "oracle")  # fine: the vacuum atom Q is a domain gap
+    bad = good.copy()
+    bad[0, PHYSICS_COLUMNS.index("na_var")] = -0.5
+    with pytest.raises(InvariantViolationError, match="na_var"):
+        check_table(bad, times, "oracle")
+    squeezed = good.copy()
+    squeezed[0, PHYSICS_COLUMNS.index("s2a")] = -1.5
+    with pytest.raises(InvariantViolationError, match="s2a"):
+        check_table(squeezed, times, "oracle")
+
+
+@pytest.mark.parametrize("name", ["na_mean", "q_a", "s1b", "ntotal"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_check_table_rejects_values_that_are_not_finite_outside_a_gap(name, value):
+    times = np.array([0.0, 0.5])
+    table = physics_table(
+        MomentSet(np.zeros(2), np.zeros(2), np.array([1.0, 1.0]), np.array([2.0, 2.0])),
+        MomentSet(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2)),
     )
-    check_record(rec)  # fine
-    bad = ObservableRecord(
-        t=0.0, source="oracle", na_mean=1.0, na_var=-0.5, nb_mean=0.0,
-        nb_var=0.0, q_a=0.0, q_b=0.0, s1a=0.0, s2a=0.0, s1b=0.0, s2b=0.0,
-        ntotal=1.0, n_max=32, tail_mass=0.0,
-    )
-    with pytest.raises(InvariantViolationError):
-        check_record(bad)
+    table[1, PHYSICS_COLUMNS.index(name)] = value
+    with pytest.raises(InvariantViolationError, match=rf"{name} = .* at t = 0.5 \(moment-map\)"):
+        check_table(table, times, "moment-map")
+    # the same entry inside a declared gap passes
+    check_table(table, times, "literal-paper", gaps=(name,))

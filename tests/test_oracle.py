@@ -12,20 +12,19 @@ from atomlaser.fock import (
     MomentSet,
     SqueezedInput,
     Truncation,
-    coherent_state,
     mode_moments,
     squeezed_coherent_state,
 )
 from atomlaser.observables import (
     PHYSICS_COLUMNS,
-    SOURCE_ORACLE,
+    InvariantViolationError,
     ScenarioConfig,
-    input_moments,
-    moment_map_record,
+    moment_map_table,
+    physics_table,
 )
 from atomlaser.oracle import convergence_sweep, evolve
-from atomlaser.propagator import ModelParams, propagator_at
-from test_fock import ladder_matrix
+from atomlaser.propagator import ModelParams, heisenberg_moment_map, propagator_at
+from test_fock import coherent_state, ladder_matrix
 
 RESONANT = ModelParams(4.0, 4.0, 1.0, 0.0)
 
@@ -83,22 +82,19 @@ def test_evolve_matches_dense_expm_reference(params, n_max):
     reference = dense_reference(params, light, times)
     result = evolve(params, light, times)
     got = np.array(
-        [
-            [[m.mean_amp, m.sq_amp, m.number_mean, m.number_sq] for m in pair]
-            for pair in result.moments
-        ]
-    )
+        [[m.mean_amp, m.sq_amp, m.number_mean, m.number_sq] for m in result.moments]
+    ).transpose(2, 0, 1)
     assert np.max(np.abs(got - reference)) < 1e-12
 
 
 def test_evolve_at_time_zero_returns_input():
     light = coherent_state(1.0, Truncation(24))
-    a, b = evolve(RESONANT, light, [0.0]).moments[0]
+    a, b = evolve(RESONANT, light, [0.0]).moments
     for got, want in ((a, mode_moments(light)), (b, MomentSet.vacuum())):
-        assert abs(got.mean_amp - want.mean_amp) < 1e-14
-        assert abs(got.sq_amp - want.sq_amp) < 1e-14
-        assert abs(got.number_mean - want.number_mean) < 1e-14
-        assert abs(got.number_sq - want.number_sq) < 1e-14
+        assert abs(got.mean_amp[0] - want.mean_amp) < 1e-14
+        assert abs(got.sq_amp[0] - want.sq_amp) < 1e-14
+        assert abs(got.number_mean[0] - want.number_mean) < 1e-14
+        assert abs(got.number_sq[0] - want.number_sq) < 1e-14
 
 
 def test_evolve_single_photon_rabi_swap():
@@ -107,20 +103,18 @@ def test_evolve_single_photon_rabi_swap():
     tr = Truncation(3)
     amps = np.zeros(tr.dim, dtype=complex)
     amps[1] = 1.0
-    result = evolve(RESONANT, ModeVector(amps, tr), [math.pi / 2])
-    a, b = result.moments[0]
-    assert abs(b.number_mean - 1.0) < 1e-12
-    assert abs(b.number_sq - 1.0) < 1e-12
-    assert a.number_mean < 1e-24
+    a, b = evolve(RESONANT, ModeVector(amps, tr), [math.pi / 2]).moments
+    assert abs(b.number_mean[0] - 1.0) < 1e-12
+    assert abs(b.number_sq[0] - 1.0) < 1e-12
+    assert a.number_mean[0] < 1e-24
 
 
 def test_evolve_squeezed_vacuum_complete_conversion():
     cfg = ScenarioConfig(RESONANT, SqueezedInput(1.0), Truncation(64))
     light = squeezed_coherent_state(cfg.input, cfg.truncation)
-    rec = evolve(cfg.params, light, [math.pi / 2]).records[0]
-    assert abs(rec.nb_mean - math.sinh(1.0) ** 2) < 1e-6
-    assert rec.na_mean <= 1e-8
-    assert rec.source == SOURCE_ORACLE
+    a, b = evolve(cfg.params, light, [math.pi / 2]).moments
+    assert abs(b.number_mean[0] - math.sinh(1.0) ** 2) < 1e-6
+    assert a.number_mean[0] <= 1e-8
 
 
 def test_evolve_conservation_and_block_invariance():
@@ -147,11 +141,10 @@ def test_oracle_first_moments_match_transfer_matrix_detuned():
         )
         m = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
         times = np.sort(rng.uniform(0.0, 8.0, size=5))
-        result = evolve(params, coherent_state(m, tr), times)
-        for (a, b), t in zip(result.moments, times):
-            u = propagator_at(params, float(t)).matrix
-            assert abs(b.mean_amp - u[0, 1] * m) < 1e-8
-            assert abs(a.mean_amp - u[1, 1] * m) < 1e-8
+        a, b = evolve(params, coherent_state(m, tr), times).moments
+        u = propagator_at(params, times).matrix
+        assert np.max(np.abs(b.mean_amp - u[:, 0, 1] * m)) < 1e-8
+        assert np.max(np.abs(a.mean_amp - u[:, 1, 1] * m)) < 1e-8
 
 
 @pytest.mark.parametrize(
@@ -165,32 +158,26 @@ def test_oracle_matches_moment_map_records(params):
     # never leaves the complete blocks
     cfg = ScenarioConfig(params, SqueezedInput(0.9, 0.2, 0.3 + 0.4j), Truncation(72))
     light = squeezed_coherent_state(cfg.input, cfg.truncation)
-    a0 = mode_moments(light)
     times = np.linspace(0.0, 5.0, 7)
-    result = evolve(params, light, times)
-    fields = ("na_mean", "na_var", "nb_mean", "nb_var", "s1a", "s2a", "s1b", "s2b", "ntotal")
-    for rec, t in zip(result.records, times):
-        map_rec = moment_map_record(cfg, float(t), a0)
-        for name in fields:
-            assert abs(getattr(rec, name) - getattr(map_rec, name)) < 1e-9
+    oracle = physics_table(*evolve(params, light, times).moments)
+    mapped = physics_table(
+        *heisenberg_moment_map(propagator_at(params, times), mode_moments(light))
+    )
+    # every column but the Q pair, which is NaN at the vacuum atom mode
+    fields = [j for j, name in enumerate(PHYSICS_COLUMNS) if name not in ("q_a", "q_b")]
+    assert np.max(np.abs(oracle - mapped)[:, fields]) < 1e-9
 
 
 def test_oracle_matches_enlarged_map_at_converged_truncation():
     # with effectively exact map inputs the two sources agree within the
     # oracle's truncation tolerance
     cfg = ScenarioConfig(RESONANT, SqueezedInput(0.5, 0.0, 0.2), Truncation(64))
-    a0 = input_moments(cfg.input)
     light = squeezed_coherent_state(cfg.input, cfg.truncation)
     times = np.linspace(0.0, 2 * math.pi, 12)
-    result = evolve(cfg.params, light, times)
-    for rec, t in zip(result.records, times):
-        map_rec = moment_map_record(cfg, float(t), a0)
-        for name in PHYSICS_COLUMNS:
-            got = getattr(rec, name)
-            expected = getattr(map_rec, name)
-            if math.isnan(got) and math.isnan(expected):
-                continue
-            assert abs(got - expected) < 1e-6
+    got = physics_table(*evolve(cfg.params, light, times).moments)
+    expected = moment_map_table(cfg, times)
+    assert np.array_equal(np.isnan(got), np.isnan(expected))
+    assert np.nanmax(np.abs(got - expected)) < 1e-6
 
 
 def test_evolve_validates_times():
@@ -199,6 +186,12 @@ def test_evolve_validates_times():
         evolve(RESONANT, light, [1.0, 0.5])
     with pytest.raises(ValueError):
         evolve(RESONANT, light, [-1.0])
+
+
+def test_evolve_rejects_blocks_that_are_not_finite():
+    light = coherent_state(0.5, Truncation(16))
+    with np.errstate(over="ignore"), pytest.raises(InvariantViolationError, match="not finite"):
+        evolve(ModelParams(1e308, 1e308, 1.0), light, [0.0, 1.0])
 
 
 def test_evolve_memory_stays_linear_in_times():
