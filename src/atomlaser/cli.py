@@ -39,6 +39,7 @@ from .observables import (
     SOURCES,
     InvariantViolationError,
     ScenarioConfig,
+    UsageError,
     check_table,
     literal_gaps,
     literal_table,
@@ -92,10 +93,6 @@ _FLOAT_KEYS = (
 )
 _INT_KEYS = ("steps", "n_max")
 _STR_KEYS = ("sources", "out")
-
-
-class UsageError(Exception):
-    """Unusable configuration; maps to exit code 1."""
 
 
 @dataclass(frozen=True)

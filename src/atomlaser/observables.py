@@ -1,4 +1,4 @@
-"""Observable functionals, physics tables, and the transcribed closed-form predictions.
+"""Observable functionals, physics tables, and the closed-form registry.
 
 Each of the three output sources evaluates the whole time grid at once and
 returns one (T, 11) float table whose columns are PHYSICS_COLUMNS:
@@ -9,6 +9,15 @@ returns one (T, 11) float table whose columns are PHYSICS_COLUMNS:
 * ``moment-map``     -- exact propagation of the input-mode moments through
   the transfer matrix,
 * ``oracle``         -- truncated Fock-space evolution (oracle module).
+
+``FORMULAS`` lists every transcribed closed form once.  An entry holds its
+domain predicate, the anchor times at which verify checks it, its literal
+form as stated and, where a misprint is suspected, a corrected form (both
+array functions of t), the observable it predicts as a function of the
+(light, atom) moments, and the literal-paper columns it fills.
+``literal_table`` and ``literal_gaps`` read the list, and so does
+``verify.discrepancy_report``, one row per entry with an observable.  Adding
+a formula means adding one entry.
 
 A NaN entry marks a domain gap: a closed form outside its scenario, or a
 Mandel Q of a (numerically) vacuum mode.  ``check_table`` rejects any other
@@ -21,11 +30,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .fock import MomentSet, SqueezedInput, Truncation
-from .propagator import ModelParams, ResonanceError, heisenberg_moment_map, propagator_at
+from .propagator import ModelParams, heisenberg_moment_map, propagator_at
 
 SOURCE_LITERAL = "literal-paper"
 SOURCE_MOMENT_MAP = "moment-map"
@@ -58,6 +68,10 @@ NA = float("nan")
 
 class InvariantViolationError(RuntimeError):
     """A physically impossible value was produced during a run."""
+
+
+class UsageError(Exception):
+    """Unusable configuration; maps to exit code 1."""
 
 
 @dataclass(frozen=True)
@@ -113,36 +127,14 @@ def squeeze_coeffs(moments: MomentSet) -> tuple[float, float]:
 
 
 # ----------------------------------------------------------------------------
-# Transcribed closed forms (the literal-paper source).  All are derived at
-# resonance; q and squeeze pairs additionally need phi = 0 and real / zero m.
-# Each takes one time or an array of times.
+# Transcribed closed forms.  Each takes one time or an array of times and
+# assumes the domain of the registry entries that use it.
 # ----------------------------------------------------------------------------
-
-
-def _require_resonant(params: ModelParams) -> None:
-    if not params.resonant:
-        raise ResonanceError(
-            "the transcribed closed forms are only defined at resonance"
-        )
 
 
 def _interference(inp: SqueezedInput) -> float:
     # 2 Re(m^2 e^{2 i phi}), the displacement-squeeze interference term
     return float(2.0 * ((inp.m * inp.m) * np.exp(2j * inp.phi)).real)
-
-
-def _is_real_input(inp: SqueezedInput) -> bool:
-    return inp.phi == 0.0 and complex(inp.m).imag == 0.0
-
-
-def _is_squeezed_vacuum(inp: SqueezedInput) -> bool:
-    return inp.m == 0 and inp.phi == 0.0
-
-
-def _real_input(inp: SqueezedInput) -> float:
-    if not _is_real_input(inp):
-        raise ValueError("this closed form needs phi = 0 and real m")
-    return complex(inp.m).real
 
 
 def literal_input_number_mean(scn: ScenarioConfig) -> float:
@@ -157,19 +149,16 @@ def literal_input_number_mean(scn: ScenarioConfig) -> float:
 
 def literal_na_mean(scn: ScenarioConfig, t: float) -> float:
     """Light-mode occupation: the initial occupation times cos^2(omega_r t)."""
-    _require_resonant(scn.params)
     return literal_input_number_mean(scn) * np.cos(scn.params.omega_r * t) ** 2
 
 
 def literal_nb_mean(scn: ScenarioConfig, t: float) -> float:
     """Atom-mode occupation as the conserved complement of the light mode."""
-    _require_resonant(scn.params)
     return literal_input_number_mean(scn) * np.sin(scn.params.omega_r * t) ** 2
 
 
 def literal_number_variances(scn: ScenarioConfig, t: float) -> tuple[float, float]:
     """Occupation variances (light, atoms) for general phi and complex m."""
-    _require_resonant(scn.params)
     al = AlphaPair.from_r(scn.input.r)
     bar = _interference(scn.input)
     mag2 = abs(scn.input.m) ** 2
@@ -185,20 +174,17 @@ def literal_number_variances(scn: ScenarioConfig, t: float) -> tuple[float, floa
     return quartic * cos2 * cos2 + mixed, quartic * sin2 * sin2 + mixed
 
 
-def _q_pair(scn: ScenarioConfig, t, numerator: float, m0_factor: float | None = None):
-    # factor (cos^2, sin^2)(omega_r t) for phi = 0 and real m, with
-    # factor = (m^2 s^2 + numerator) / (m^2 s + sinh^2 r) - 1 and s = a1 + 2 a2;
-    # m0_factor, if given, replaces the ratio at m = 0
-    _require_resonant(scn.params)
-    m = _real_input(scn.input)
+def _q_pair(scn: ScenarioConfig, t, numerator: float):
+    # the stated ratio for phi = 0 and real m, times (cos^2, sin^2)(omega_r t):
+    # (m^2 s^2 + numerator) / (m^2 s + sinh^2 r) - 1 with s = a1 + 2 a2
+    m = complex(scn.input.m).real
     al = AlphaPair.from_r(scn.input.r)
-    if m == 0.0 and m0_factor is not None:
-        factor = m0_factor
-    else:
-        shifted = al.alpha1 + 2.0 * al.alpha2
-        factor = (m * m * shifted**2 + numerator) / (
-            m * m * shifted + math.sinh(scn.input.r) ** 2
-        ) - 1.0
+    shifted = al.alpha1 + 2.0 * al.alpha2
+    factor = (m * m * shifted**2 + numerator) / (m * m * shifted + math.sinh(scn.input.r) ** 2) - 1.0
+    return _scaled_cos2_sin2(scn, t, factor)
+
+
+def _scaled_cos2_sin2(scn: ScenarioConfig, t, factor: float):
     wt = scn.params.omega_r * t
     return factor * np.cos(wt) ** 2, factor * np.sin(wt) ** 2
 
@@ -209,39 +195,22 @@ def literal_q_pair(scn: ScenarioConfig, t: float) -> tuple[float, float]:
     For m = 0 this returns the stated limit pair (a1 cos^2, a1 sin^2); the
     atom-mode value at t = 0 is the limit of an undefined 0/0 expression and
     is reported as 0 by that convention.  For m != 0 the transcribed ratio is
-    evaluated as written, including its suspected "2 a2" numerator misprint
-    (the verify report adjudicates it against the oracle).
+    evaluated as written, including its suspected "2 a2" numerator misprint.
     """
     al = AlphaPair.from_r(scn.input.r)
-    return _q_pair(scn, t, 2.0 * al.alpha2, m0_factor=al.alpha1)
+    if scn.input.m == 0:
+        return _scaled_cos2_sin2(scn, t, al.alpha1)
+    return _q_pair(scn, t, 2.0 * al.alpha2)
 
 
 def corrected_q_pair(scn: ScenarioConfig, t: float) -> tuple[float, float]:
-    """The q pair with the numerator term 2 a2 replaced by 2 a2^2.
-
-    This is the form consistent with both the m = 0 limit pair and the moment
-    map; used by the verify report as the registered correction.
-    """
+    """The q pair with the numerator term 2 a2 replaced by 2 a2^2, the form
+    consistent with both the m = 0 limit pair and the moment map."""
     return _q_pair(scn, t, 2.0 * AlphaPair.from_r(scn.input.r).alpha2 ** 2)
 
 
-def _require_vacuum_squeezed(inp: SqueezedInput) -> None:
-    if not _is_squeezed_vacuum(inp):
-        raise ValueError("this closed form needs m = 0 and phi = 0")
-
-
 def literal_atom_squeeze_pair(scn: ScenarioConfig, t: float) -> tuple[float, float]:
-    """Atom-mode squeeze coefficients (S1b, S2b) for squeezed-vacuum input.
-
-        S1b = 2 sinh r [sinh r - cosh r cos(2(w t + theta))] sin^2(omega_r t)
-        S2b = 2 sinh r [sinh r + cosh r cos(2(w t + theta))] sin^2(omega_r t)
-
-    At w t + theta = n pi the pair is S1b = -2 sinh r e^{-r} sin^2 and
-    S2b = +2 sinh r e^{+r} sin^2 (X1b squeezed); at w t + theta = (n + 1/2) pi
-    the roles swap to X2b.
-    """
-    _require_resonant(scn.params)
-    _require_vacuum_squeezed(scn.input)
+    """Atom-mode squeeze coefficients (S1b, S2b) for squeezed-vacuum input."""
     s = math.sinh(scn.input.r)
     c = math.cosh(scn.input.r)
     rotation = np.cos(2.0 * (scn.params.omega0 * t + scn.params.theta))
@@ -253,13 +222,9 @@ def literal_atom_squeeze_pair(scn: ScenarioConfig, t: float) -> tuple[float, flo
 
 
 def literal_light_squeeze_pair(scn: ScenarioConfig, t: float) -> tuple[float, float]:
-    """Light-mode squeeze coefficients, built the same way as the atom pair.
-
-    The light mode keeps its own squeeze phase, rotating at 2 w t only (the
-    condensate phase theta never multiplies the surviving a(0) coefficient).
-    """
-    _require_resonant(scn.params)
-    _require_vacuum_squeezed(scn.input)
+    """Light-mode squeeze coefficients (S1a, S2a), built the same way as the atom
+    pair; the condensate phase theta never multiplies the surviving a(0)
+    coefficient, so the light quadratures rotate at 2 w t only."""
     s = math.sinh(scn.input.r)
     c = math.cosh(scn.input.r)
     rotation = np.cos(2.0 * scn.params.omega0 * t)
@@ -270,25 +235,227 @@ def literal_light_squeeze_pair(scn: ScenarioConfig, t: float) -> tuple[float, fl
     )
 
 
-def literal_atom_sq_amp(scn: ScenarioConfig, t: float) -> complex:
-    """Transcribed <b^2(t)> = -sinh r cosh r e^{-2i(w t + theta)} sin^2(omega_r t)."""
-    _require_resonant(scn.params)
-    _require_vacuum_squeezed(scn.input)
-    rotation = np.exp(-2j * (scn.params.omega0 * t + scn.params.theta))
-    sin2 = np.sin(scn.params.omega_r * t) ** 2
-    return complex(-math.sinh(scn.input.r) * math.cosh(scn.input.r) * rotation * sin2)
+def _atom_variance_at_conversion(scn: ScenarioConfig, t) -> float:
+    al = AlphaPair.from_r(scn.input.r)
+    return complex(scn.input.m).real ** 2 * (al.alpha1 + 2 * al.alpha2) ** 2 + 2 * al.alpha2**2
 
 
-def literal_atom_number_mean_as_stated(scn: ScenarioConfig, t: float) -> float:
-    """Transcribed <b†b(t)> = sinh^2 r cosh^2 r sin^2(omega_r t) (typo-suspect).
+def _vacuum_form(expression):
+    """An array form of t from an expression in sinh r, cosh r, cos^2(omega_r t),
+    sin^2(omega_r t) and the atom rotation phase w t + theta."""
 
-    The cosh^2 r factor is inconsistent with complete conversion of
-    sinh^2 r; the verify report adjudicates it.
+    def form(scn: ScenarioConfig, t):
+        t = np.asarray(t, dtype=float)
+        r, wt = scn.input.r, scn.params.omega_r * t
+        phase = scn.params.omega0 * t + scn.params.theta
+        return expression(math.sinh(r), math.cosh(r), np.cos(wt) ** 2, np.sin(wt) ** 2, phase)
+
+    return form
+
+
+# -2 sinh r e^{-r} sin^2(omega_r t), the squeezed atom quadrature at an
+# aligned or crossed rotation phase (e^{-r} = cosh r - sinh r)
+_SQUEEZED_DIP = _vacuum_form(lambda s, c, cos2, sin2, phase: -2.0 * s * (c - s) * sin2)
+
+
+# ----------------------------------------------------------------------------
+# Domain predicates.  Every transcribed form is derived at resonance; the q
+# ratio also needs phi = 0, real m and an occupied light mode, and the
+# squeezed-vacuum forms m = 0, phi = 0 and r > 0.
+# ----------------------------------------------------------------------------
+
+
+def resonant(scn: ScenarioConfig) -> bool:
+    return scn.params.resonant
+
+
+def real_input(scn: ScenarioConfig) -> bool:
+    """Resonant, with phi = 0 and real m."""
+    return resonant(scn) and scn.input.phi == 0.0 and complex(scn.input.m).imag == 0.0
+
+
+def occupied_real_input(scn: ScenarioConfig) -> bool:
+    """A real input that is not the vacuum: the q ratio divides by its occupation."""
+    return real_input(scn) and (scn.input.m != 0 or scn.input.r > 0.0)
+
+
+def squeezed_vacuum(scn: ScenarioConfig) -> bool:
+    """A real input with m = 0 and r > 0.
+
+    At r = 0 the light mode is the vacuum: its Mandel Q is undefined, the
+    m = 0 q ratio divides by sinh^2 r, and every other form vanishes.
     """
-    _require_resonant(scn.params)
-    _require_vacuum_squeezed(scn.input)
-    r = scn.input.r
-    return math.sinh(r) ** 2 * math.cosh(r) ** 2 * np.sin(scn.params.omega_r * t) ** 2
+    return real_input(scn) and scn.input.m == 0 and scn.input.r > 0.0
+
+
+# ----------------------------------------------------------------------------
+# The closed-form registry
+# ----------------------------------------------------------------------------
+
+# anchor families: where verify evaluates an entry
+GRID = "grid"              # the scenario time grid
+CONVERSION = "conversion"  # omega_r t = (n + 1/2) pi
+ALIGNED = "aligned"        # omega0 t + theta = n pi, with sin^2(omega_r t) >= 0.2
+CROSSED = "crossed"        # omega0 t + theta = (n + 1/2) pi, likewise
+
+
+@dataclass(frozen=True)
+class FormulaSpec:
+    """One transcribed closed form.
+
+    ``literal`` and ``corrected`` map (scenario, array of times) to the
+    predicted values, a tuple for a pair.  ``observable`` maps the (light,
+    atom) moments over the times to the same quantity, for the oracle and
+    the moment map alike; an entry without one only fills its literal-paper
+    ``columns``.  ``polar`` compares a complex value's magnitude, and its
+    phase where the magnitude exceeds 1e-3, instead of the value.
+    """
+
+    name: str
+    claim: str | Callable[[ScenarioConfig], str]
+    domain: Callable[[ScenarioConfig], bool]
+    literal: Callable
+    corrected: Callable | None = None
+    observable: Callable[[MomentSet, MomentSet], object] | None = None
+    columns: tuple[str, ...] = ()
+    anchors: str = GRID
+    polar: bool = False
+    against_map: bool = True  # False leaves the report's |lit-map| blank
+
+    def claim_for(self, scn: ScenarioConfig) -> str:
+        return self.claim(scn) if callable(self.claim) else self.claim
+
+
+def _adjudicated_q(light: MomentSet, atom: MomentSet):
+    # a Q only where the mode holds more than 1e-6 quanta; below that the
+    # oracle's Q is roundoff over a vanishing mean
+    return mandel_q(light, 1e-6), mandel_q(atom, 1e-6)
+
+
+def _squeezed_component(which: int):
+    # S1b or S2b, or inf where its partner is not anti-squeezed (a sign
+    # violation must fail the check, not skip it)
+    def extract(light: MomentSet, atom: MomentSet):
+        pair = squeeze_coeffs(atom)
+        return np.where(pair[1 - which] <= 0.0, math.inf, pair[which])
+
+    return extract
+
+
+# The four vacuum-input misprints are corrected by the general number-moment
+# transcriptions above evaluated at m = 0: the squeezed-vacuum restatements
+# disagree with them, and they agree with the moment map.
+FORMULAS: list[FormulaSpec] = [
+    FormulaSpec(
+        "conversion-number-transfer",
+        "at cos(omega_r t) = 0 the atom occupation equals the initial light occupation",
+        resonant, lambda scn, t: literal_input_number_mean(scn),
+        observable=lambda a, b: b.number_mean, anchors=CONVERSION,
+    ),
+    FormulaSpec(
+        "light-number-mean", "light occupation = initial occupation times cos^2(omega_r t)",
+        resonant, literal_na_mean, observable=lambda a, b: a.number_mean, columns=("na_mean",),
+    ),
+    FormulaSpec(
+        "atom-number-mean", "atom occupation = initial occupation times sin^2(omega_r t)",
+        resonant, literal_nb_mean, columns=("nb_mean",),
+    ),
+    FormulaSpec(
+        "number-variances", "light and atom number variances for general phi and complex m",
+        resonant, literal_number_variances, columns=("na_var", "nb_var"),
+    ),
+    FormulaSpec(
+        "total-occupation", "light plus atom occupation stays the initial occupation",
+        resonant, lambda scn, t: literal_na_mean(scn, t) + literal_nb_mean(scn, t),
+        columns=("ntotal",),
+    ),
+    FormulaSpec(
+        "atom-number-variance-at-conversion",
+        "atom number variance at conversion = m^2 (a1 + 2 a2)^2 + 2 a2^2",
+        real_input, _atom_variance_at_conversion,
+        observable=lambda a, b: b.number_var, anchors=CONVERSION,
+    ),
+    FormulaSpec(
+        "q-pair-vacuum", "Mandel Q pair = (sinh^2 r + cosh^2 r) (cos^2, sin^2)(omega_r t)",
+        squeezed_vacuum, literal_q_pair, observable=_adjudicated_q, columns=("q_a", "q_b"),
+    ),
+    FormulaSpec(
+        "light-squeeze-pair",
+        "S1a/S2a = 2 sinh r [sinh r +/- cosh r cos(2 w t)] cos^2(omega_r t)",
+        squeezed_vacuum, literal_light_squeeze_pair, columns=("s1a", "s2a"),
+    ),
+    FormulaSpec(
+        "atom-squeeze-pair",
+        "S1b/S2b = 2 sinh r [sinh r -/+ cosh r cos(2(w t + theta))] sin^2(omega_r t)",
+        squeezed_vacuum, literal_atom_squeeze_pair,
+        observable=lambda a, b: squeeze_coeffs(b), columns=("s1b", "s2b"),
+    ),
+    FormulaSpec(
+        "atom-squeeze-aligned-phase",
+        "at w t + theta = n pi quadrature X1b is squeezed: "
+        "S1b = -2 sinh r e^{-r} sin^2(omega_r t) with S2b > 0",
+        squeezed_vacuum, _SQUEEZED_DIP, observable=_squeezed_component(0), anchors=ALIGNED,
+    ),
+    FormulaSpec(
+        "atom-squeeze-crossed-phase",
+        "at w t + theta = (n + 1/2) pi the squeezing moves to X2b: "
+        "S2b = -2 sinh r e^{-r} sin^2(omega_r t) with S1b > 0",
+        squeezed_vacuum, _SQUEEZED_DIP, observable=_squeezed_component(1), anchors=CROSSED,
+    ),
+    FormulaSpec(
+        "light-number-square-vacuum",
+        "as stated <Na^2> = (2 a2 + sinh^4 r) cos^4(omega_r t); corrected "
+        "(2 a2^2 + sinh^4 r) cos^4 + sinh^2 r sin^2 cos^2",
+        squeezed_vacuum,
+        _vacuum_form(lambda s, c, cos2, sin2, _: (2 * s * c + s**4) * cos2**2),
+        corrected=lambda scn, t: literal_number_variances(scn, t)[0] + literal_na_mean(scn, t) ** 2,
+        observable=lambda a, b: a.number_sq,
+    ),
+    FormulaSpec(
+        "light-number-variance-vacuum",
+        "as stated <dNa^2> = sqrt(2) sinh r cos^4(omega_r t); corrected "
+        "2 sinh^2 r cosh^2 r cos^4 + sinh^2 r sin^2 cos^2",
+        squeezed_vacuum,
+        _vacuum_form(lambda s, c, cos2, sin2, _: math.sqrt(2.0) * s * cos2**2),
+        corrected=lambda scn, t: literal_number_variances(scn, t)[0],
+        observable=lambda a, b: a.number_var,
+    ),
+    FormulaSpec(
+        "atom-number-variance-vacuum",
+        "as stated <dNb^2> = sqrt(2) sinh r cosh r sin^4(omega_r t); corrected "
+        "2 sinh^2 r cosh^2 r sin^4 + sinh^2 r sin^2 cos^2",
+        squeezed_vacuum,
+        _vacuum_form(lambda s, c, cos2, sin2, _: math.sqrt(2.0) * s * c * sin2**2),
+        corrected=lambda scn, t: literal_number_variances(scn, t)[1],
+        observable=lambda a, b: b.number_var,
+    ),
+    FormulaSpec(
+        "atom-number-mean-vacuum",
+        "as stated <b†b> = sinh^2 r cosh^2 r sin^2(omega_r t); corrected "
+        "sinh^2 r sin^2(omega_r t)",
+        squeezed_vacuum,
+        _vacuum_form(lambda s, c, cos2, sin2, _: s**2 * c**2 * sin2),
+        corrected=literal_nb_mean,
+        observable=lambda a, b: b.number_mean,
+    ),
+    FormulaSpec(
+        "atom-squared-amplitude-vacuum",
+        "<b^2(t)> = -sinh r cosh r e^{-2i(w t + theta)} sin^2(omega_r t); "
+        "magnitude and phase compared separately",
+        squeezed_vacuum,
+        _vacuum_form(lambda s, c, cos2, sin2, phase: -s * c * np.exp(-2j * phase) * sin2),
+        observable=lambda a, b: b.sq_amp, polar=True,
+    ),
+    FormulaSpec(
+        "q-pair-real-input",
+        lambda scn: "as stated the q prefactor numerator carries 2 a2; corrected 2 a2^2"
+        + (" (evaluated in the m = 0 limit)" if scn.input.m == 0 else ""),
+        occupied_real_input,
+        lambda scn, t: _q_pair(scn, t, 2.0 * AlphaPair.from_r(scn.input.r).alpha2),
+        corrected=corrected_q_pair, observable=_adjudicated_q, columns=("q_a", "q_b"),
+        against_map=False,
+    ),
+]
 
 
 # ----------------------------------------------------------------------------
@@ -335,38 +502,23 @@ def moment_map_table(scn: ScenarioConfig, times) -> np.ndarray:
 
 
 def literal_gaps(scn: ScenarioConfig) -> tuple[str, ...]:
-    """The literal-paper columns outside the closed forms' domain (written NaN).
-
-    Detuned parameters leave out every column, complex m or nonzero phi the
-    q pair, and any input but the squeezed vacuum the four squeeze columns.
-    """
-    if not scn.params.resonant:
-        return PHYSICS_COLUMNS
-    gaps: tuple[str, ...] = ()
-    if not _is_real_input(scn.input):
-        gaps += ("q_a", "q_b")
-    if not _is_squeezed_vacuum(scn.input):
-        gaps += ("s1a", "s2a", "s1b", "s2b")
-    return gaps
+    """The literal-paper columns that no in-domain entry fills (written NaN)."""
+    filled = {name for spec in FORMULAS if spec.domain(scn) for name in spec.columns}
+    return tuple(name for name in PHYSICS_COLUMNS if name not in filled)
 
 
 def literal_table(scn: ScenarioConfig, times) -> np.ndarray:
-    """The literal-paper source: the transcribed closed forms at each time."""
+    """The literal-paper source: the transcribed closed forms at each time.
+
+    A column listed by several in-domain entries takes the first entry's
+    values, so the entries are written in reverse order.
+    """
     times = np.asarray(times, dtype=float)
     table = np.full((len(times), len(PHYSICS_COLUMNS)), NA)
-    gaps = literal_gaps(scn)
-    if gaps == PHYSICS_COLUMNS:
-        return table
-    values = {"na_mean": literal_na_mean(scn, times), "nb_mean": literal_nb_mean(scn, times)}
-    values["na_var"], values["nb_var"] = literal_number_variances(scn, times)
-    if "q_a" not in gaps:
-        values["q_a"], values["q_b"] = literal_q_pair(scn, times)
-    if "s1a" not in gaps:
-        values["s1a"], values["s2a"] = literal_light_squeeze_pair(scn, times)
-        values["s1b"], values["s2b"] = literal_atom_squeeze_pair(scn, times)
-    values["ntotal"] = values["na_mean"] + values["nb_mean"]
-    for name, column in values.items():
-        table[:, PHYSICS_COLUMNS.index(name)] = column
+    for spec in reversed(FORMULAS):
+        if spec.columns and spec.domain(scn):
+            values = np.reshape(spec.literal(scn, times), (len(spec.columns), len(times)))
+            table[:, [PHYSICS_COLUMNS.index(name) for name in spec.columns]] = values.T
     return table
 
 

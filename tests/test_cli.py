@@ -112,6 +112,37 @@ def test_verify_r_zero_skips_the_squeezed_vacuum_forms(tmp_path):
     assert "q-pair-vacuum" not in text
 
 
+def test_simulate_r_zero_writes_no_literal_q_pair(tmp_path):
+    # at r = 0 and m = 0 the light mode is the vacuum: every source writes NA
+    # for its Mandel Q, and the literal squeezed-vacuum forms are out of domain
+    out = tmp_path / "r0.csv"
+    assert run("simulate", "--r", "0", "--steps", "4", "--out", str(out)) == 0
+    _, rows = read_rows(out)
+    assert all(row["q_a"] == "NA" and row["q_b"] == "NA" for row in rows)
+    literal = [row for row in rows if row["source"] == "literal-paper"]
+    assert len(literal) == 4
+    assert all(row[name] == "NA" for row in literal for name in ("s1a", "s2a", "s1b", "s2b"))
+    assert all(row["na_mean"] == "0" for row in literal)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--omega0", "1e308", "--omega-a", "1e308"),
+        ("--r", "0", "--t-max", "1e300", "--steps", "2"),
+    ],
+    ids=["phase-anchors", "conversion-anchors"],
+)
+def test_verify_refuses_unbounded_anchor_sets(tmp_path, capsys, argv):
+    out = tmp_path / "v.txt"
+    start = time.perf_counter()
+    assert run("verify", *argv, "--out", str(out)) == 1
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "anchor times" in err[0]
+    assert not out.exists()
+
+
 def test_verify_requires_all_sources(tmp_path):
     assert (
         run("verify", "--sources", "moment-map,oracle", "--out", str(tmp_path / "v.txt"))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomlaser.fock import (
     MomentSet,
@@ -13,12 +15,18 @@ from atomlaser.fock import (
     squeezed_coherent_state,
 )
 from atomlaser.observables import (
+    ALIGNED,
+    CONVERSION,
+    CROSSED,
+    FORMULAS,
+    GRID,
     PHYSICS_COLUMNS,
     AlphaPair,
     InvariantViolationError,
     ScenarioConfig,
     check_table,
     corrected_q_pair,
+    input_moments,
     literal_atom_squeeze_pair,
     literal_input_number_mean,
     literal_light_squeeze_pair,
@@ -33,7 +41,8 @@ from atomlaser.observables import (
     physics_table,
     squeeze_coeffs,
 )
-from atomlaser.propagator import ModelParams, ResonanceError
+from atomlaser.propagator import ModelParams, heisenberg_moment_map, propagator_at
+from atomlaser.verify import anchor_times
 
 RESONANT = ModelParams(4.0, 4.0, 1.0, 0.0)
 
@@ -75,8 +84,11 @@ def test_literal_na_mean_vanishes_at_conversion():
 
 
 def test_literal_na_mean_requires_resonance():
-    with pytest.raises(ResonanceError):
-        literal_na_mean(scenario(params=ModelParams(4.0, 3.0, 1.0)), 0.0)
+    # the form is a plain formula; its registry entry confines it to resonance
+    detuned = scenario(params=ModelParams(4.0, 3.0, 1.0))
+    entry = next(spec for spec in FORMULAS if "na_mean" in spec.columns)
+    assert entry.domain(scenario()) and not entry.domain(detuned)
+    assert "na_mean" in literal_gaps(detuned)
 
 
 def test_literal_variances_coherent_poisson():
@@ -241,6 +253,58 @@ def test_literal_matches_moment_map_on_grid(r):
         assert np.max(np.abs(got - want)[defined]) < 1e-8
 
 
+def agrees(got, want, is_q: bool) -> bool:
+    """|got - want| <= 1e-9 max(1, |want|) everywhere, except that a Mandel Q
+    the map leaves undefined (NaN, a vacuum mode) is skipped."""
+    got, want = np.broadcast_arrays(np.asarray(got), np.asarray(want))
+    close = np.isfinite(want) & (np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+    return bool(np.all(close | (is_q & np.isnan(want))))
+
+
+def literal_or_corrected_agrees(spec, scn, times, want) -> bool:
+    is_q = "q_a" in spec.columns
+    if agrees(spec.literal(scn, times), want, is_q):
+        return True
+    return spec.corrected is not None and agrees(spec.corrected(scn, times), want, is_q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    r=st.floats(0.05, 1.5, exclude_min=True),
+    m=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+    theta=st.floats(0.0, 2 * math.pi),
+    omega0=st.floats(0.5, 10.0),
+)
+def test_registry_matches_moment_map_property(r, m, theta, omega0):
+    # every in-domain registry entry, as stated or as corrected, agrees with
+    # the independently derived moment map to algebraic accuracy: at its own
+    # anchor times through its observable, and on the grid in the columns it
+    # fills; the entries out of domain are exactly the literal-paper gaps
+    scn = scenario(r=r, m=complex(m), params=ModelParams(omega0, omega0, 1.0, theta))
+    grid = np.linspace(0.0, math.pi, 100)
+    anchors = anchor_times(scn.params, grid, {GRID, CONVERSION, ALIGNED, CROSSED})
+    all_times = np.unique(np.concatenate(list(anchors.values())))
+    mapped = heisenberg_moment_map(propagator_at(scn.params, all_times), input_moments(scn.input))
+    on_grid = columns(moment_map_table(scn, grid))
+    in_domain = [spec for spec in FORMULAS if spec.domain(scn)]
+    for spec in in_domain:
+        if spec.observable is not None:
+            times = anchors[spec.anchors]
+            want = np.asarray(spec.observable(*mapped))[..., np.searchsorted(all_times, times)]
+            assert literal_or_corrected_agrees(spec, scn, times, want), spec.name
+        if spec.columns:
+            want = np.array([on_grid[name] for name in spec.columns])
+            assert literal_or_corrected_agrees(spec, scn, grid, want.squeeze()), spec.name
+
+    filled = {name for spec in in_domain for name in spec.columns}
+    unfilled = {name for spec in FORMULAS if spec not in in_domain for name in spec.columns}
+    gaps = literal_gaps(scn)
+    assert set(gaps) == unfilled - filled
+    assert gaps == (() if m == 0 else ("s1a", "s2a", "s1b", "s2b"))
+    na = np.all(np.isnan(literal_table(scn, grid)), axis=0)
+    assert [name for name, gap in zip(PHYSICS_COLUMNS, na) if gap] == list(gaps)
+
+
 def test_q_oscillation_complementarity():
     # q_a(t)/q_a(0) + q_b(t)/q_a(0) = 1 (the cos^2 + sin^2 structure)
     scn = scenario()
@@ -287,6 +351,18 @@ def test_literal_record_domain_gaps_are_na():
     assert math.isnan(rec["s1b"][0])  # squeeze pair needs m = 0
     # a real displaced input keeps the q pair and loses only the squeeze pair
     assert literal_gaps(scenario(m=0.5)) == ("s1a", "s2a", "s1b", "s2b")
+
+
+def test_literal_record_vacuum_light_mode_has_no_q_or_squeeze_columns():
+    # at r = 0 and m = 0 the light mode is the vacuum: its Mandel Q is
+    # undefined and the squeezed-vacuum entries are out of their domain
+    squeeze = ("s1a", "s2a", "s1b", "s2b")
+    assert literal_gaps(scenario(r=0.0)) == ("q_a", "q_b", *squeeze)
+    rec = columns(literal_table(scenario(r=0.0), [0.0, 1.0]))
+    assert np.all(np.isnan(rec["q_a"])) and np.all(np.isnan(rec["q_b"]))
+    assert np.all(rec["na_mean"] == 0.0)
+    # a displaced input at r = 0 keeps its q pair
+    assert literal_gaps(scenario(r=0.0, m=0.5)) == squeeze
 
 
 def test_literal_record_vacuum_input_full():

@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 
 from atomlaser.fock import SqueezedInput, Truncation
-from atomlaser.observables import ScenarioConfig
-from atomlaser.propagator import ModelParams, ResonanceError
-from atomlaser.verify import CONFIRMED, TYPO_SUSPECT, discrepancy_report
+from atomlaser.observables import (
+    ALIGNED,
+    CONVERSION,
+    CROSSED,
+    FORMULAS,
+    FormulaSpec,
+    ScenarioConfig,
+    literal_input_number_mean,
+    resonant,
+)
+from atomlaser.propagator import ModelParams, ResonanceError, conversion_times
+from atomlaser.verify import CONFIRMED, TYPO_SUSPECT, anchor_times, discrepancy_report
 
 DEFAULT_GRID = np.arange(200) * (2 * math.pi / 200)
 
@@ -94,3 +103,58 @@ def test_report_requires_resonance():
     )
     with pytest.raises(ResonanceError):
         discrepancy_report(scn, DEFAULT_GRID)
+
+
+def test_one_registry_entry_is_one_report_row():
+    toy = FormulaSpec(
+        "toy-total-occupation",
+        "light plus atom occupation stays the initial occupation",
+        resonant,
+        lambda scn, t: literal_input_number_mean(scn),
+        observable=lambda light, atom: light.number_mean + atom.number_mean,
+    )
+    scn = ScenarioConfig(ModelParams(4.0, 4.0, 1.0, 0.0), SqueezedInput(0.3), Truncation(32))
+    grid = np.linspace(0.0, math.pi, 20)
+    FORMULAS.append(toy)
+    try:
+        report = discrepancy_report(scn, grid)
+    finally:
+        FORMULAS.remove(toy)
+    last = report.checks[-1]
+    assert (last.name, last.verdict, last.n_points) == (toy.name, CONFIRMED, len(grid))
+    assert f"{toy.name}: {toy.claim}\n" in report.render()
+    assert toy.name not in discrepancy_report(scn, grid).render()
+
+
+def walk_phase_anchors(params, t_max, offset):
+    """The phase anchors found by stepping k = 0, 1, ... until t passes t_max."""
+    anchors = []
+    k = 0
+    while True:
+        t = (offset + k * math.pi - params.theta) / params.omega0
+        k += 1
+        if t < -1e-12:
+            continue
+        if t > t_max + 1e-12:
+            break
+        if math.sin(params.omega_r * t) ** 2 >= 0.2:
+            anchors.append(max(t, 0.0))
+    return anchors
+
+
+@pytest.mark.parametrize(
+    "params, t_max",
+    [
+        (ModelParams(4.0, 4.0, 1.0, 0.0), DEFAULT_GRID[-1]),
+        (ModelParams(4.0, 4.0, 1.0, 0.3), math.pi),
+        (ModelParams(7.3, 7.3, 0.7, -2.1), 20.0),
+        (ModelParams(1e3, 1e3, 1.3, 11.0), 2 * math.pi),
+    ],
+)
+def test_anchor_times_match_the_walk_over_k(params, t_max):
+    grid = np.linspace(0.0, t_max, 7)
+    anchors = anchor_times(params, grid, {CONVERSION, ALIGNED, CROSSED})
+    assert np.array_equal(anchors[ALIGNED], walk_phase_anchors(params, t_max, 0.0))
+    assert np.array_equal(anchors[CROSSED], walk_phase_anchors(params, t_max, 0.5 * math.pi))
+    conv = conversion_times(params, 1 + int(t_max * params.omega_r / math.pi))
+    assert np.array_equal(anchors[CONVERSION], conv[conv <= t_max + 1e-12])
