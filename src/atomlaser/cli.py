@@ -40,6 +40,7 @@ from .observables import (
     InvariantViolationError,
     ScenarioConfig,
     UsageError,
+    check_dynamics,
     check_table,
     literal_gaps,
     literal_table,
@@ -254,7 +255,7 @@ def simulate_rows(run: RunConfig, prefix: str = "") -> tuple[str, np.ndarray]:
     scenario = run.scenario
     grid = run.time_grid()
     # building the input up front surfaces truncation-insufficient
-    # configurations early and supplies the per-row tail diagnostic
+    # configurations early and supplies the per-row tail diagnostic (it gates nothing)
     light = squeezed_coherent_state(scenario.input, scenario.truncation)
     tables: dict[str, np.ndarray] = {}
     if SOURCE_LITERAL in run.sources:
@@ -266,6 +267,7 @@ def simulate_rows(run: RunConfig, prefix: str = "") -> tuple[str, np.ndarray]:
         for name, drift in (("norm", result.norm_drift), ("total-occupation", result.ntotal_drift)):
             if not drift <= 1e-9:
                 raise InvariantViolationError(f"oracle {name} drift {drift:.3e} exceeds 1e-9")
+        check_dynamics(scenario.params, light, result.moments, grid)
         tables[SOURCE_ORACLE] = physics_table(*result.moments)
     for source, table in tables.items():
         gaps = literal_gaps(scenario) if source == SOURCE_LITERAL else ()
@@ -403,11 +405,16 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
                         help="largest |closed form - moment map| a CONFIRMED verify "
                         "verdict allows (default 1e-8)")
     parser.add_argument("--tol-oracle", type=float, dest="tol_oracle",
-                        help="base oracle tolerance, scaled by tail mass (default 1e-6)")
+                        help="oracle slack beyond each form's truncation term (default 1e-6)")
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1 with one line; subparsers inherit this
+        raise UsageError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="atomlaser",
         description="Squeezing transfer between an optical field and an "
         "outcoupled atom beam: time series, formula adjudication, sweeps, "
@@ -438,8 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         # a value that is not finite is reported by the table checks, not as
         # a numpy warning
         with np.errstate(all="ignore"):

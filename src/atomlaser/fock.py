@@ -1,9 +1,9 @@
 """Truncated Fock-space machinery for one bosonic mode.
 
 States are plain complex amplitude vectors over number states.  Every
-constructor returns a unit-norm state and carries truncation diagnostics
-(top-decile tail mass, exact norm deficit) so that downstream consumers can
-scale tolerances by the truncation quality instead of guessing.
+constructor returns a unit-norm state and carries truncation diagnostics:
+the exact norm deficit, which the constructor gates, and the top-decile tail
+mass, which is reported and gates nothing.
 """
 
 from __future__ import annotations

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .fock import MomentSet, SqueezedInput, Truncation
+from .fock import ModeVector, MomentSet, SqueezedInput, Truncation, mode_moments
 from .propagator import ModelParams, heisenberg_moment_map, propagator_at
 
 SOURCE_LITERAL = "literal-paper"
@@ -545,3 +545,26 @@ def check_table(table: np.ndarray, times, source: str, gaps=(), tol: float = 1e-
         raise InvariantViolationError(
             f"{PHYSICS_COLUMNS[j]} = {value:.6g} {problem} at t = {times[i]:.6g} ({source})"
         )
+
+
+def check_dynamics(params: ModelParams, light: ModeVector, moments, times):
+    """Check the oracle's (light, atom) ``moments`` against the moment map of
+    ``mode_moments(light)`` and return the map.  Blocks n_tot <= n_max are complete,
+    so each field agrees to phase roundoff, (1e-11 + eps t_max n_max (max |omega|
+    + omega_r)) (1 + |input moment|); InvariantViolationError otherwise, NaN too."""
+    times = np.asarray(times, dtype=float)
+    truncated = mode_moments(light)
+    mapped = heisenberg_moment_map(propagator_at(params, times), truncated)
+    phase = max(abs(params.omega0), abs(params.omega_a)) + params.omega_r
+    slack = 1e-11 + np.finfo(float).eps * np.max(times) * light.truncation.n_max * phase
+    for mode, got, want in zip(("light", "atom"), moments, mapped):
+        for field in fields(MomentSet):
+            dev = np.abs(getattr(got, field.name) - getattr(want, field.name))
+            bad = ~(dev <= slack * (1.0 + abs(getattr(truncated, field.name))))
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise InvariantViolationError(
+                    f"oracle {mode} {field.name} is {dev[i]:.3e} from the moment map of its "
+                    f"truncated input at t = {times[i]:.6g}"
+                )
+    return mapped

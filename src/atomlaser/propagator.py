@@ -28,7 +28,7 @@ class ModelParams:
     omega_a  optical frequency (rad/time)
     omega_r  collective coupling, single-atom coupling times sqrt(condensate
              number); the slow condensate depletion is not modelled
-    theta    condensate phase (rad), enters only off-diagonal phases
+    theta    condensate phase (rad), enters only off-diagonal phases; kept mod 2 pi
     """
 
     omega0: float
@@ -39,9 +39,12 @@ class ModelParams:
     def __post_init__(self) -> None:
         if self.omega_r <= 0:
             raise ValueError(f"omega_r must be > 0, got {self.omega_r}")
+        # fmod is exact and keeps |theta| < 2 pi; a huge theta would swamp omega0 t
+        object.__setattr__(self, "theta", math.fmod(self.theta, 2.0 * math.pi))
 
     @property
     def resonant(self) -> bool:
+        """Exact on purpose: any detuning is a domain gap for the literal forms."""
         return self.omega0 == self.omega_a
 
     @property
@@ -76,8 +79,8 @@ class PropagatorMatrix:
 
 
 def detuning_geometry(params: ModelParams) -> DetuningGeometry:
-    varphi = math.atan2(params.omega0 - params.omega_a, 2.0 * params.omega_r)
-    return DetuningGeometry(varphi, params.omega_r / math.cos(varphi))
+    half = 0.5 * (params.omega0 - params.omega_a)
+    return DetuningGeometry(math.atan2(half, params.omega_r), math.hypot(params.omega_r, half))
 
 
 def propagator_at(params: ModelParams, t) -> PropagatorMatrix:
@@ -91,11 +94,13 @@ def propagator_at(params: ModelParams, t) -> PropagatorMatrix:
     """
     t = np.asarray(t, dtype=float)
     geo = detuning_geometry(params)
+    # sin and cos of varphi as ratios: taken of varphi near pi/2 they lose eps / cos(varphi)
+    sin_v, cos_v = 0.5 * (params.omega0 - params.omega_a) / geo.big_i, params.omega_r / geo.big_i
     cos_it = np.cos(geo.big_i * t)
     sin_it = np.sin(geo.big_i * t)
-    lam_minus = cos_it - 1j * math.sin(geo.varphi) * sin_it
-    lam_plus = cos_it + 1j * math.sin(geo.varphi) * sin_it
-    eta = math.cos(geo.varphi) * sin_it
+    lam_minus = cos_it - 1j * sin_v * sin_it
+    lam_plus = cos_it + 1j * sin_v * sin_it
+    eta = cos_v * sin_it
     phase = np.exp(-1j * params.theta)
     entries = np.stack(
         (

@@ -14,9 +14,9 @@ same times:
 * UNRESOLVED    -- neither matches, or the transcription matches the
                    oracle but not the moment map.
 
-Oracle comparisons use a tolerance scaled by the input state's reported tail
-mass, because the oracle's error is truncation-dominated: the discarded
-occupation-squared weight is bounded by tail_mass * n_max^2.
+The oracle evolves the truncated input exactly, so its whole error is the
+moment map of the truncated input less that of the exact input; each row's
+oracle tolerance is tol_oracle plus that term for its form, at its times.
 
 This module holds no per-formula code: a new formula is one new registry
 entry, and it appears here as one more row.
@@ -38,6 +38,7 @@ from .observables import (
     GRID,
     ScenarioConfig,
     UsageError,
+    check_dynamics,
     input_moments,
 )
 from .oracle import evolve
@@ -90,8 +91,6 @@ class DiscrepancyReport:
     checks: list[FormulaCheck]
     tol_algebraic: float
     tol_oracle: float
-    tol_oracle_scaled: float
-    input_tail_mass: float
 
     @property
     def unresolved(self) -> int:
@@ -115,18 +114,13 @@ class DiscrepancyReport:
             )
         )
         lines.append(
-            "tolerances: algebraic=%s oracle=%s oracle-scaled=%s (input tail mass %s)"
-            % (
-                _g(self.tol_algebraic),
-                _g(self.tol_oracle),
-                _g(self.tol_oracle_scaled),
-                _g(self.input_tail_mass),
-            )
+            "tolerances: algebraic=%s oracle=%s plus each form's truncation term"
+            % (_g(self.tol_algebraic), _g(self.tol_oracle))
         )
         lines.append("")
         header = (
             f"{'formula':<36} {'verdict':<13} {'|lit-oracle|':>12} "
-            f"{'|corr-oracle|':>13} {'|lit-map|':>12} {'pts':>4}"
+            f"{'|corr-oracle|':>13} {'|lit-map|':>12} {'pts':>4} {'tol':>9}"
         )
         lines.append(header)
         lines.append("-" * len(header))
@@ -135,7 +129,8 @@ class DiscrepancyReport:
                 f"{check.name:<36} {check.verdict:<13} "
                 f"{_e(check.dev_literal_oracle):>12} "
                 f"{_e(check.dev_corrected_oracle):>13} "
-                f"{_e(check.dev_literal_map):>12} {check.n_points:>4}"
+                f"{_e(check.dev_literal_map):>12} {check.n_points:>4} "
+                f"{_e(check.tolerance):>9}"
             )
         lines.append("-" * len(header))
         lines.append(f"unresolved: {self.unresolved}")
@@ -244,8 +239,8 @@ def discrepancy_report(
 
     light = squeezed_coherent_state(scn.input, scn.truncation)
     oracle = evolve(scn.params, light, all_times).moments
+    truncated = check_dynamics(scn.params, light, oracle, all_times)
     mapped = heisenberg_moment_map(propagator_at(scn.params, all_times), input_moments(scn.input))
-    tol_scaled = tol_oracle + light.tail_mass * scn.truncation.n_max**2
 
     checks = []
     for spec in specs:
@@ -257,19 +252,13 @@ def discrepancy_report(
         dev_co = NAN
         if spec.corrected is not None:
             dev_co = _max_dev(spec.corrected(scn, times), observed, spec.polar)
-        dev_lm = NAN
-        if spec.against_map:
-            dev_lm = _max_dev(literal, np.asarray(spec.observable(*mapped))[..., at], spec.polar)
-        verdict = _verdict(dev_lo, dev_co, dev_lm, tol_scaled, tol_algebraic)
+        exact = np.asarray(spec.observable(*mapped))[..., at]
+        kept = np.asarray(spec.observable(*truncated))[..., at]
+        tol = tol_oracle + _max_dev(exact, kept, spec.polar)
+        dev_lm = _max_dev(literal, exact, spec.polar) if spec.against_map else NAN
+        verdict = _verdict(dev_lo, dev_co, dev_lm, tol, tol_algebraic)
         checks.append(FormulaCheck(
-            spec.name, spec.claim_for(scn), verdict, len(times), dev_lo, dev_co, dev_lm, tol_scaled
+            spec.name, spec.claim_for(scn), verdict, len(times), dev_lo, dev_co, dev_lm, tol
         ))
 
-    return DiscrepancyReport(
-        scenario=scn,
-        checks=checks,
-        tol_algebraic=tol_algebraic,
-        tol_oracle=tol_oracle,
-        tol_oracle_scaled=tol_scaled,
-        input_tail_mass=light.tail_mass,
-    )
+    return DiscrepancyReport(scn, checks, tol_algebraic, tol_oracle)

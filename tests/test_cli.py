@@ -1,14 +1,18 @@
 """CLI contract: commands, exit codes, CSV schema and determinism."""
 
+import dataclasses
 import math
 import time
 
+import numpy as np
 import pytest
 
 from atomlaser import cli
+from atomlaser import verify as verify_module
 from atomlaser.cli import DEFAULT_N_MAX_FLOOR, auto_n_max, main
 from atomlaser.fock import SqueezedInput, Truncation, TruncationError, squeezed_coherent_state
 from atomlaser.observables import CSV_COLUMNS
+from atomlaser.oracle import evolve
 
 
 def run(*argv):
@@ -313,6 +317,12 @@ def test_auto_n_max_stops_at_the_ceiling(tmp_path, capsys):
         ("verify", "--phi", "inf"),
         ("sweep", "--axis", "r", "--values", "0.5,nan"),
         ("converge", "--values", "16,24", "--omega-r", "nan"),
+        # usage errors from argparse
+        ("simulate", "--bogus"),
+        ("simulate", "--m-re", "-1e-3"),  # argparse reads -1e-3 as a flag
+        ("verify", "--steps", "many"),
+        ("sweep", "--axis", "r"),
+        ("transmogrify",),
     ],
 )
 def test_non_finite_settings_are_config_errors(tmp_path, capsys, argv):
@@ -320,6 +330,64 @@ def test_non_finite_settings_are_config_errors(tmp_path, capsys, argv):
     assert run(*argv, "--out", str(out)) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("simulate", "--help")
+    assert exc.value.code == 0
+    assert "--tol-oracle" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("theta", ["-1e25", "1e20"])
+def test_verify_reduces_a_huge_theta(tmp_path, theta):
+    default, huge = tmp_path / "default.txt", tmp_path / "huge.txt"
+    assert run("verify", "--out", str(default)) == 0
+    assert run("verify", f"--theta={theta}", "--out", str(huge)) == 0
+    assert verdicts(huge) == verdicts(default)
+
+
+def test_simulate_huge_theta_is_its_remainder_mod_2_pi(tmp_path):
+    huge, reduced = tmp_path / "huge.csv", tmp_path / "reduced.csv"
+    assert run("simulate", "--theta=-1e25", "--out", str(huge)) == 0
+    remainder = repr(math.fmod(-1e25, 2 * math.pi))
+    assert run("simulate", f"--theta={remainder}", "--out", str(reduced)) == 0
+    assert huge.read_bytes() == reduced.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--omega0", "1e4"),
+        ("--omega0", "1e6", "--omega-a=-1e6"),
+        ("--omega-r", "1e-3", "--omega0", "1e4"),
+    ],
+)
+def test_oracle_matches_the_moment_map_far_off_resonance(tmp_path, argv):
+    # the detuned transfer matrix must keep up with the oracle's check
+    assert run("simulate", *argv, "--steps", "20", "--out", str(tmp_path / "far.csv")) == 0
+
+
+def rotated_b_squared(params, light, times):
+    """evolve, with the atom-mode <b^2> turned by e^{0.1 i}: an oracle fault."""
+    result = evolve(params, light, times)
+    light_t, atom_t = result.moments
+    atom_t = dataclasses.replace(atom_t, sq_amp=atom_t.sq_amp * np.exp(0.1j))
+    return dataclasses.replace(result, moments=(light_t, atom_t))
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_oracle_that_leaves_the_moment_map_is_an_invariant_violation(
+    tmp_path, capsys, monkeypatch, command
+):
+    monkeypatch.setattr(cli, "evolve", rotated_b_squared)
+    monkeypatch.setattr(verify_module, "evolve", rotated_b_squared)
+    out = tmp_path / "out.txt"
+    assert run(command, "--out", str(out)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invariant violation:")
+    assert "atom sq_amp" in err[0]
     assert not out.exists()
 
 

@@ -1,10 +1,13 @@
 """Block evolution against a dense reference, and convergence sweeps."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from atomlaser.fock import (
@@ -19,8 +22,10 @@ from atomlaser.observables import (
     PHYSICS_COLUMNS,
     InvariantViolationError,
     ScenarioConfig,
+    check_dynamics,
     moment_map_table,
     physics_table,
+    squeeze_coeffs,
 )
 from atomlaser.oracle import convergence_sweep, evolve
 from atomlaser.propagator import ModelParams, heisenberg_moment_map, propagator_at
@@ -251,3 +256,48 @@ def test_convergence_sweep_deltas_shrink_monotonically():
 def test_convergence_sweep_requires_increasing_list():
     with pytest.raises(ValueError):
         convergence_sweep(sweep_cfg(0.5), [0.0, 1.0], [32, 32])
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    omega0=st.floats(0.5, 10.0),
+    detuning=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    theta=st.floats(-1e3, 1e3),
+    r=st.floats(0.0, 1.0),
+    phi=st.floats(-math.pi, math.pi),
+    m=st.complex_numbers(max_magnitude=1.0),
+    n_max=st.integers(36, 44),
+    times=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4),
+)
+def test_oracle_is_the_moment_map_of_its_truncated_input(
+    omega0, detuning, theta, r, phi, m, n_max, times
+):
+    # every block n_tot <= n_max is complete, so at any scenario and cutoff
+    # the oracle evolves its truncated input exactly: it conserves norm and
+    # occupation, obeys the uncertainty relation, and equals the moment map
+    params = ModelParams(omega0, omega0 + detuning, 1.0, theta)
+    inp = SqueezedInput(r, phi, m)
+    light = squeezed_coherent_state(inp, Truncation(n_max), deficit_threshold=0.5)
+    times = np.sort(times)
+    result = evolve(params, light, times)
+    check_dynamics(params, light, result.moments, times)
+    for moments in result.moments:
+        s1, s2 = squeeze_coeffs(moments)
+        assert np.all((s1 + 1.0) * (s2 + 1.0) >= 1.0 - 1e-9)
+    assert result.norm_drift <= 1e-9
+    assert result.ntotal_drift <= 1e-9
+
+
+@pytest.mark.parametrize("field, value", [("number_sq", 1e-6), ("mean_amp", math.nan)])
+def test_check_dynamics_names_the_mode_the_moment_and_the_time(field, value):
+    light = squeezed_coherent_state(SqueezedInput(0.5, m=0.3), Truncation(40))
+    times = np.linspace(0.0, 2.0, 5)
+    params = ModelParams(4.0, 4.0, 1.0, 0.7)
+    light_t, atom_t = evolve(params, light, times).moments
+    mapped = check_dynamics(params, light, (light_t, atom_t), times)
+    assert np.allclose(mapped[1].number_mean, atom_t.number_mean, rtol=0, atol=1e-12)
+    shifted = np.array(getattr(light_t, field))
+    shifted[3] += value
+    with pytest.raises(InvariantViolationError, match=f"light {field} .* at t = 1.5"):
+        faulty = dataclasses.replace(light_t, **{field: shifted})
+        check_dynamics(params, light, (faulty, atom_t), times)

@@ -128,6 +128,20 @@ def test_detuned_propagator_matches_direct_exponential():
         np.testing.assert_allclose(u, direct, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "omega0, omega_a, omega_r, theta",
+    [(1e4, 4.0, 1.0, 0.3), (3e3, -3e3, 0.5, 2.0), (1e8, -1e8, 1.0, 1.1)],
+)
+def test_far_detuned_propagator_matches_direct_exponential(omega0, omega_a, omega_r, theta):
+    # near varphi = pi/2, I = omega_r / cos(varphi) loses eps / cos(varphi) of
+    # relative accuracy; the propagator must stay at the exponential's roundoff
+    params = ModelParams(omega0, omega_a, omega_r, theta)
+    u = propagator_at(params, 1.0).matrix
+    direct = expm(-1j * coefficient_matrix(params))
+    atol = 100 * np.finfo(float).eps * max(abs(omega0), abs(omega_a))
+    np.testing.assert_allclose(u, direct, rtol=0, atol=atol)
+
+
 def test_conversion_times_basic():
     np.testing.assert_allclose(
         conversion_times(ModelParams(4.0, 4.0, 1.0), 1), [math.pi / 2]

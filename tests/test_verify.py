@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from atomlaser.fock import SqueezedInput, Truncation
+from atomlaser.fock import SqueezedInput, Truncation, mode_moments, squeezed_coherent_state
 from atomlaser.observables import (
     ALIGNED,
     CONVERSION,
@@ -13,11 +13,24 @@ from atomlaser.observables import (
     FORMULAS,
     FormulaSpec,
     ScenarioConfig,
+    input_moments,
     literal_input_number_mean,
     resonant,
 )
-from atomlaser.propagator import ModelParams, ResonanceError, conversion_times
-from atomlaser.verify import CONFIRMED, TYPO_SUSPECT, anchor_times, discrepancy_report
+from atomlaser.propagator import (
+    ModelParams,
+    ResonanceError,
+    conversion_times,
+    heisenberg_moment_map,
+    propagator_at,
+)
+from atomlaser.verify import (
+    CONFIRMED,
+    TYPO_SUSPECT,
+    _max_dev,
+    anchor_times,
+    discrepancy_report,
+)
 
 DEFAULT_GRID = np.arange(200) * (2 * math.pi / 200)
 
@@ -68,10 +81,33 @@ def test_confirmed_checks_also_match_moment_map(default_report):
             assert check.dev_literal_map < default_report.tol_algebraic
 
 
-def test_scaled_tolerance_reflects_tail(default_report):
-    assert default_report.tol_oracle_scaled > default_report.tol_oracle
-    assert default_report.tol_oracle_scaled < 1e-3
-    assert default_report.input_tail_mass > 0.0
+def truncation_terms(scn, grid):
+    """Each in-domain entry's |observable(map of exact input) - observable(map
+    of truncated input)| at its anchor times: the oracle's whole error."""
+    light = squeezed_coherent_state(scn.input, scn.truncation)
+    specs = [spec for spec in FORMULAS if spec.observable is not None and spec.domain(scn)]
+    anchors = anchor_times(scn.params, grid, {spec.anchors for spec in specs})
+    terms = {}
+    for spec in specs:
+        u = propagator_at(scn.params, anchors[spec.anchors])
+        exact = spec.observable(*heisenberg_moment_map(u, input_moments(scn.input)))
+        kept = spec.observable(*heisenberg_moment_map(u, mode_moments(light)))
+        terms[spec.name] = _max_dev(np.asarray(exact), np.asarray(kept), spec.polar)
+    return terms
+
+
+def test_tolerance_is_tol_oracle_plus_the_exact_truncation_term(default_report):
+    terms = truncation_terms(default_report.scenario, DEFAULT_GRID)
+    for check in default_report.checks:
+        term = check.tolerance - default_report.tol_oracle
+        assert term == pytest.approx(terms[check.name], rel=1e-6, abs=1e-15), check.name
+        assert 1e-8 < term < 2e-5, check.name  # r = 1 loses something at 64 levels
+    # at r = 0.5 the 64 levels lose nothing measurable
+    scn = ScenarioConfig(ModelParams(4.0, 4.0, 1.0, 0.3), SqueezedInput(0.5), Truncation(64))
+    report = discrepancy_report(scn, DEFAULT_GRID)
+    assert report.unresolved == 0
+    for check in report.checks:
+        assert check.tolerance - report.tol_oracle <= 1e-14, check.name
 
 
 def test_render_is_deterministic_and_complete(default_report):
