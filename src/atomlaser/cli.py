@@ -47,7 +47,7 @@ from .observables import (
     moment_map_table,
     physics_table,
 )
-from .oracle import convergence_sweep, evolve
+from .oracle import EvolutionResult, convergence_sweep, evolve, evolve_many
 from .propagator import ModelParams, ResonanceError
 from .verify import discrepancy_report
 
@@ -79,19 +79,7 @@ _DEFAULTS = {
     "tol_oracle": 1e-6,
 }
 
-_FLOAT_KEYS = (
-    "r",
-    "phi",
-    "m_re",
-    "m_im",
-    "theta",
-    "omega0",
-    "omega_a",
-    "omega_r",
-    "t_max",
-    "tol_algebraic",
-    "tol_oracle",
-)
+_FLOAT_KEYS = tuple(key for key, value in _DEFAULTS.items() if isinstance(value, float))
 _INT_KEYS = ("steps", "n_max")
 _STR_KEYS = ("sources", "out")
 
@@ -245,29 +233,32 @@ def _open_output(path: str):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def simulate_rows(run: RunConfig, prefix: str = "") -> tuple[str, np.ndarray]:
+def check_oracle(params: ModelParams, light, result: EvolutionResult, grid) -> None:
+    """Check the oracle's norm and occupation drift and its own truncated input's moment map."""
+    for name, drift in (("norm", result.norm_drift), ("total-occupation", result.ntotal_drift)):
+        if not drift <= 1e-9:
+            raise InvariantViolationError(f"oracle {name} drift {drift:.3e} exceeds 1e-9")
+    check_dynamics(params, light, result.moments, grid)
+
+
+def simulate_rows(run: RunConfig, light, result, prefix: str = "") -> tuple[str, np.ndarray]:
     """One scenario's CSV rows as a %-template and a float table.
 
-    Each selected source's (T, 11) physics table is computed over the time
-    grid and checked.  Row i of the returned table holds every source's line
-    at grid time i, so the output is ordered by (time, source).
+    ``light`` is the scenario's truncated input and ``result`` its oracle
+    evolution (None without the oracle source).  Each selected source's
+    (T, 11) physics table is computed over the time grid and checked.  Row i
+    of the returned table holds every source's line at grid time i, so the
+    output is ordered by (time, source).
     """
     scenario = run.scenario
     grid = run.time_grid()
-    # building the input up front surfaces truncation-insufficient
-    # configurations early and supplies the per-row tail diagnostic (it gates nothing)
-    light = squeezed_coherent_state(scenario.input, scenario.truncation)
     tables: dict[str, np.ndarray] = {}
     if SOURCE_LITERAL in run.sources:
         tables[SOURCE_LITERAL] = literal_table(scenario, grid)
     if SOURCE_MOMENT_MAP in run.sources:
         tables[SOURCE_MOMENT_MAP] = moment_map_table(scenario, grid)
     if SOURCE_ORACLE in run.sources:
-        result = evolve(scenario.params, light, grid)
-        for name, drift in (("norm", result.norm_drift), ("total-occupation", result.ntotal_drift)):
-            if not drift <= 1e-9:
-                raise InvariantViolationError(f"oracle {name} drift {drift:.3e} exceeds 1e-9")
-        check_dynamics(scenario.params, light, result.moments, grid)
+        check_oracle(scenario.params, light, result, grid)
         tables[SOURCE_ORACLE] = physics_table(*result.moments)
     for source, table in tables.items():
         gaps = literal_gaps(scenario) if source == SOURCE_LITERAL else ()
@@ -282,7 +273,11 @@ def simulate_rows(run: RunConfig, prefix: str = "") -> tuple[str, np.ndarray]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     run = build_run_config(_resolve_settings(args))
-    template, table = simulate_rows(run)
+    # the input also supplies the per-row tail diagnostic, which gates nothing
+    light = squeezed_coherent_state(run.scenario.input, run.scenario.truncation)
+    oracle = SOURCE_ORACLE in run.sources
+    result = evolve(run.scenario.params, light, run.time_grid()) if oracle else None
+    template, table = simulate_rows(run, light, result)
     out = run.out or "simulate.csv"
     with _open_output(out) as handle:
         handle.write(",".join(CSV_COLUMNS) + "\n")
@@ -331,9 +326,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = _parse_values(args.values, float)
     settings = _resolve_settings(args)
     out = settings["out"] or "sweep.csv"
-    # every value is validated before any scenario runs
+    # every value is validated, and its input built, before any scenario runs
     runs = [build_run_config({**settings, args.axis: value}) for value in values]
-    blocks = [simulate_rows(run, f"{args.axis},{_fmt(value)},") for value, run in zip(values, runs)]
+    lights = [squeezed_coherent_state(run.scenario.input, run.scenario.truncation) for run in runs]
+    # values that share the Hamiltonian and the time grid share one oracle pass
+    groups: dict[tuple, list[int]] = {}
+    for i, run in enumerate(runs):
+        if SOURCE_ORACLE in run.sources:
+            groups.setdefault((run.scenario.params, run.t_max, run.steps), []).append(i)
+    results: dict[int, EvolutionResult] = {}
+    for (params, *_), members in groups.items():
+        batch = evolve_many(params, [lights[i] for i in members], runs[members[0]].time_grid())
+        results.update(zip(members, batch))
+    blocks = [
+        simulate_rows(run, light, results.get(i), f"{args.axis},{_fmt(value)},")
+        for i, (value, run, light) in enumerate(zip(values, runs, lights))
+    ]
     with _open_output(out) as handle:
         handle.write(",".join(("axis", "value") + CSV_COLUMNS) + "\n")
         for template, table in blocks:
@@ -352,6 +360,9 @@ def cmd_converge(args: argparse.Namespace) -> int:
     run = build_run_config(settings)
     grid = run.time_grid()
     table = convergence_sweep(run.scenario, grid, n_max_list)
+    for entry in table.entries:
+        if entry.result is not None:
+            check_oracle(run.scenario.params, entry.light, entry.result, grid)
     out = settings["out"] or "converge.csv"
 
     no_physics = ["NA"] * len(PHYSICS_COLUMNS)

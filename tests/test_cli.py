@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from atomlaser import cli
+from atomlaser import oracle as oracle_module
 from atomlaser import verify as verify_module
 from atomlaser.cli import DEFAULT_N_MAX_FLOOR, auto_n_max, main
 from atomlaser.fock import SqueezedInput, Truncation, TruncationError, squeezed_coherent_state
 from atomlaser.observables import CSV_COLUMNS
-from atomlaser.oracle import evolve
+from atomlaser.oracle import evolve, evolve_many
 
 
 def run(*argv):
@@ -255,6 +256,20 @@ def test_converge_insufficient_truncation(tmp_path):
     assert "not-converged" in text
 
 
+def test_converge_with_no_input_that_fits_writes_the_table_and_exits_2(tmp_path):
+    # neither cutoff holds r = 3 even at the permissive deficit, so nothing evolves
+    out = tmp_path / "conv.csv"
+    assert run("converge", "--values", "1,2", "--r", "3", "--out", str(out)) == 2
+    assert out.read_text() == (
+        "kind,n_max,status,t,na_mean,na_var,nb_mean,nb_var,q_a,q_b,"
+        "s1a,s2a,s1b,s2b,ntotal,max_delta\n"
+        "value,1,truncation-insufficient,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA\n"
+        "value,2,truncation-insufficient,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA\n"
+        "delta,1->2,,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,inf\n"
+        "result,2,not-converged,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,1e-08\n"
+    )
+
+
 def test_converge_rejects_non_increasing_values(tmp_path):
     assert (
         run("converge", "--values", "32,32", "--out", str(tmp_path / "c.csv")) == 1
@@ -371,7 +386,10 @@ def test_oracle_matches_the_moment_map_far_off_resonance(tmp_path, argv):
 
 def rotated_b_squared(params, light, times):
     """evolve, with the atom-mode <b^2> turned by e^{0.1 i}: an oracle fault."""
-    result = evolve(params, light, times)
+    return turn_b_squared(evolve(params, light, times))
+
+
+def turn_b_squared(result):
     light_t, atom_t = result.moments
     atom_t = dataclasses.replace(atom_t, sq_amp=atom_t.sq_amp * np.exp(0.1j))
     return dataclasses.replace(result, moments=(light_t, atom_t))
@@ -414,11 +432,67 @@ def test_results_that_are_not_finite_are_invariant_violations(tmp_path, capsys, 
 
 
 def test_failed_sweep_leaves_no_file(tmp_path, capsys):
-    # r = 0.3 fits 40 levels and runs; r = 3 does not and exits 2
+    # r = 0.3 fits 40 levels; r = 3 does not, so the sweep exits 2 before any oracle runs
     out = tmp_path / "sweep.csv"
     assert run("sweep", "--axis", "r", "--values", "0.3,3", "--n-max", "40", "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith("truncation-insufficient:")
     assert not out.exists()
+
+
+def test_sweep_builds_every_input_before_any_oracle_runs(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("the oracle ran before every input was built")
+
+    monkeypatch.setattr(cli, "evolve_many", must_not_run)
+    out = tmp_path / "sweep.csv"
+    argv = ("sweep", "--axis", "r", "--values", "0.5,3", "--n-max", "64", "--out", str(out))
+    assert run(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("truncation-insufficient:")
+    assert "r=3" in err[0] and "n_max=64" in err[0]
+    assert not out.exists()
+
+
+def test_converge_checks_every_cutoff_against_the_moment_map(tmp_path, capsys, monkeypatch):
+    def rotated(params, lights, times):
+        return [turn_b_squared(result) for result in evolve_many(params, lights, times)]
+
+    monkeypatch.setattr(oracle_module, "evolve_many", rotated)
+    out = tmp_path / "conv.csv"
+    assert run("converge", "--r", "0.3", "--steps", "4", "--values", "24,32", "--out", str(out)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invariant violation:")
+    assert "atom sq_amp" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "commands, solves",
+    [
+        # the cutoffs share one pass over the 80 even blocks up to 160
+        ([("converge", "--values", "96,128,160", "--steps", "40")], 80),
+        # input axes share one pass
+        ([("sweep", "--axis", "r", "--values", "0.75,1.25", "--n-max", "160", "--steps", "40")],
+         80),
+        # theta changes the Hamiltonian: one pass over 32 even blocks per value
+        ([("sweep", "--axis", "theta", "--values", "0,1", "--n-max", "64")], 64),
+        # no eigensolve is kept from one command to the next
+        ([("converge", "--values", "96,128,160", "--steps", "40")] * 2, 160),
+    ],
+    ids=["converge", "sweep-r", "sweep-theta", "converge-twice"],
+)
+def test_eigensolves_per_command(tmp_path, monkeypatch, commands, solves):
+    calls = []
+    solve = oracle_module.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(oracle_module, "eigh_tridiagonal", counted)
+    for argv in commands:
+        assert run(*argv, "--out", str(tmp_path / "out.csv")) == 0
+    assert len(calls) == solves
 
 
 def verdicts(path):

@@ -27,7 +27,7 @@ from atomlaser.observables import (
     physics_table,
     squeeze_coeffs,
 )
-from atomlaser.oracle import convergence_sweep, evolve
+from atomlaser.oracle import convergence_sweep, evolve, evolve_many
 from atomlaser.propagator import ModelParams, heisenberg_moment_map, propagator_at
 from test_fock import coherent_state, ladder_matrix
 
@@ -211,6 +211,50 @@ def test_evolve_memory_stays_linear_in_times():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+MIXED_LIGHTS = [
+    # m = 0 fills the even blocks only; the others fill every block
+    squeezed_coherent_state(SqueezedInput(0.8), Truncation(40)),
+    squeezed_coherent_state(SqueezedInput(0.6, 0.0, 0.5 - 0.4j), Truncation(48)),
+    squeezed_coherent_state(SqueezedInput(0.7, 1.1, 0.3), Truncation(56)),
+]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [ModelParams(4.0, 4.0, 1.0, 0.9), ModelParams(5.0, 3.0, 1.4, 2.3)],
+    ids=["resonant-theta", "detuned-theta"],
+)
+def test_evolve_many_matches_evolve_on_each_light(params):
+    times = np.linspace(0.0, 6.0, 9)
+    batch = evolve_many(params, MIXED_LIGHTS, times)
+    assert len(batch) == len(MIXED_LIGHTS)
+    for light, result in zip(MIXED_LIGHTS, batch):
+        alone = evolve(params, light, times)
+        for got, want in zip(result.moments, alone.moments):
+            for field in dataclasses.fields(MomentSet):
+                dev = np.abs(getattr(got, field.name) - getattr(want, field.name))
+                assert np.max(dev) < 1e-13, field.name
+        assert abs(result.norm_drift - alone.norm_drift) < 1e-13
+        assert abs(result.ntotal_drift - alone.ntotal_drift) < 1e-13
+        check_dynamics(params, light, result.moments, times)
+
+
+def test_evolve_many_results_do_not_depend_on_the_light_order():
+    params = ModelParams(4.0, 4.0, 1.0, 0.9)
+    times = np.linspace(0.0, 6.0, 9)
+    forward = evolve_many(params, MIXED_LIGHTS, times)
+    backward = evolve_many(params, MIXED_LIGHTS[::-1], times)[::-1]
+    for one, other in zip(forward, backward):
+        assert (one.norm_drift, one.ntotal_drift) == (other.norm_drift, other.ntotal_drift)
+        for got, want in zip(one.moments, other.moments):
+            for field in dataclasses.fields(MomentSet):
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+
+
+def test_evolve_many_of_no_lights_is_empty():
+    assert evolve_many(RESONANT, [], [0.0, 1.0]) == []
 
 
 def sweep_cfg(r, m=0j, n_max=64):
