@@ -56,6 +56,8 @@ class SqueezedInput:
     def __post_init__(self) -> None:
         if self.r < 0:
             raise ValueError(f"squeeze magnitude r must be >= 0, got {self.r}")
+        # fmod is exact and keeps |phi| < 2 pi; 2 phi would overflow for a huge phi
+        object.__setattr__(self, "phi", math.fmod(self.phi, 2.0 * math.pi))
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,9 @@ time grid (the cutoffs of a convergence sweep, the inputs of a sweep): each
 block is eigensolved and folded into unit moment sums once, and each light
 scales those sums by its coefficients.  No two-mode state is held: memory is
 O(times * n_max) per light, whose result is one pair of (light, atom) moment
-sets with one array entry per time.  The oracle uses neither the transfer
-matrix nor any closed form.
+sets with one array entry per time.  The evolution uses neither the transfer
+matrix nor any closed form; ``check_oracle`` compares its result with the
+moment map only afterwards, at run time.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .fock import (
     DEFAULT_DEFICIT_THRESHOLD,
@@ -39,7 +39,7 @@ from .fock import (
     mode_moments,
     squeezed_coherent_state,
 )
-from .observables import InvariantViolationError, ScenarioConfig, physics_table
+from .observables import InvariantViolationError, ScenarioConfig, check_dynamics, physics_table
 from .propagator import ModelParams
 
 # a state is still reportable (with an insufficiency flag) up to this loss
@@ -53,6 +53,18 @@ class EvolutionResult:
     moments: tuple[MomentSet, MomentSet]
     norm_drift: float
     ntotal_drift: float
+
+
+def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray):
+    """scipy.linalg.eigh_tridiagonal, imported on the first block solve.
+
+    Loading scipy.linalg costs about 0.2 s, more than the rest of the
+    package's import; a run that solves no block (closed forms only, --help,
+    a usage error) never loads it.
+    """
+    from scipy.linalg import eigh_tridiagonal as solve
+
+    return solve(diag, off)
 
 
 def _unit_block(params: ModelParams, n_tot: int, times: np.ndarray) -> np.ndarray:
@@ -139,6 +151,16 @@ def evolve_many(params: ModelParams, lights, times) -> list[EvolutionResult]:
 def evolve(params: ModelParams, light: ModeVector, times) -> EvolutionResult:
     """Evolve exp(-iHt)(|0>_b x light) and return both modes' moments at each time."""
     return evolve_many(params, [light], times)[0]
+
+
+def check_oracle(params: ModelParams, light: ModeVector, result: EvolutionResult, times):
+    """Check an evolution's norm and occupation drift, and its moments against the
+    moment map of its own truncated input; return that map's (light, atom) moments.
+    InvariantViolationError on any failure."""
+    for name, drift in (("norm", result.norm_drift), ("total-occupation", result.ntotal_drift)):
+        if not drift <= 1e-9:
+            raise InvariantViolationError(f"oracle {name} drift {drift:.3e} exceeds 1e-9")
+    return check_dynamics(params, light, result.moments, times)
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,9 @@ from .observables import (
     GRID,
     ScenarioConfig,
     UsageError,
-    check_dynamics,
     input_moments,
 )
-from .oracle import evolve
+from .oracle import check_oracle, evolve
 from .propagator import (
     ModelParams,
     ResonanceError,
@@ -238,8 +237,9 @@ def discrepancy_report(
     all_times = np.unique(np.concatenate(list(anchors.values())))
 
     light = squeezed_coherent_state(scn.input, scn.truncation)
-    oracle = evolve(scn.params, light, all_times).moments
-    truncated = check_dynamics(scn.params, light, oracle, all_times)
+    result = evolve(scn.params, light, all_times)
+    truncated = check_oracle(scn.params, light, result, all_times)
+    oracle = result.moments
     mapped = heisenberg_moment_map(propagator_at(scn.params, all_times), input_moments(scn.input))
 
     checks = []

@@ -1,11 +1,15 @@
 """CLI contract: commands, exit codes, CSV schema and determinism."""
 
+import contextlib
 import dataclasses
+import io
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomlaser import cli
 from atomlaser import oracle as oracle_module
@@ -338,6 +342,8 @@ def test_auto_n_max_stops_at_the_ceiling(tmp_path, capsys):
         ("verify", "--steps", "many"),
         ("sweep", "--axis", "r"),
         ("transmogrify",),
+        # a cutoff below 1 that is not the last of converge's list
+        ("converge", "--values", "0,40"),
     ],
 )
 def test_non_finite_settings_are_config_errors(tmp_path, capsys, argv):
@@ -353,6 +359,30 @@ def test_help_still_exits_0(capsys):
         run("simulate", "--help")
     assert exc.value.code == 0
     assert "--tol-oracle" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--out", "."),
+        ("verify", "--out", "missing/verify.txt"),
+    ],
+    ids=["a-directory", "in-a-missing-directory"],
+)
+def test_an_output_that_cannot_be_written_is_a_config_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "--steps", "3") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_simulate_huge_phi_is_its_remainder_mod_2_pi(tmp_path):
+    huge, reduced = tmp_path / "huge.csv", tmp_path / "reduced.csv"
+    assert run("simulate", "--phi", "1e308", "--steps", "5", "--out", str(huge)) == 0
+    remainder = repr(math.fmod(1e308, 2 * math.pi))
+    assert run("simulate", f"--phi={remainder}", "--steps", "5", "--out", str(reduced)) == 0
+    assert huge.read_bytes() == reduced.read_bytes()
 
 
 @pytest.mark.parametrize("theta", ["-1e25", "1e20"])
@@ -511,3 +541,107 @@ def test_tol_algebraic_gates_confirmed_verdicts(tmp_path, extra):
     for (name, was), (_, now) in zip(before, after):
         assert now == was or (was == "CONFIRMED" and now == "UNRESOLVED"), name
     assert ("conversion-number-transfer", "CONFIRMED") in after  # |lit-map| is 0 there
+
+
+def drifting(name):
+    """evolve, with its norm or occupation drift set to 1e-6: an oracle fault that
+    leaves every moment in place."""
+    return lambda *args: dataclasses.replace(evolve(*args), **{name: 1e-6})
+
+
+@pytest.mark.parametrize("name, where", [("norm_drift", "norm"), ("ntotal_drift", "occupation")])
+def test_verify_gates_the_oracle_drift(tmp_path, capsys, monkeypatch, name, where):
+    monkeypatch.setattr(verify_module, "evolve", drifting(name))
+    out = tmp_path / "verify.txt"
+    assert run("verify", "--out", str(out)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invariant violation:")
+    assert f"{where} drift 1.000e-06" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("simulate", "--n-max", "513"), None),
+        (("simulate",), "n_max = 513\n"),
+        (("converge", "--values", "64,513"), None),
+        (("sweep", "--axis", "r", "--values", "0.5", "--n-max", "100000"), None),
+    ],
+    ids=["flag", "config", "converge", "sweep"],
+)
+def test_an_explicit_cutoff_above_the_ceiling_is_a_config_error(
+    tmp_path, capsys, monkeypatch, argv, config
+):
+    def must_not_run(*args):
+        raise AssertionError("the oracle ran past the cutoff ceiling")
+
+    monkeypatch.setattr(oracle_module, "evolve_many", must_not_run)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ("--config", str(tmp_path / "run.cfg"))
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "at most 512" in err[0]
+    assert not out.exists()
+
+
+def test_the_ceiling_itself_is_an_allowed_cutoff():
+    run_config = cli.build_run_config({**cli._DEFAULTS, "n_max": cli.DEFAULT_N_MAX_CEILING})
+    assert run_config.scenario.truncation.n_max == cli.DEFAULT_N_MAX_CEILING
+
+
+# argv fragments for the fuzz test below.  Grids stay at most 64 steps and
+# explicit cutoffs at most 40 levels, so no example needs much time or memory.
+_BAD = ["nan", "inf", "-inf", "-1", "0", "1e308", "-1e308", "x", ""]
+
+
+def _mostly(*valid):
+    """A value from ``valid`` three times in four, else one from _BAD."""
+    return st.one_of(*[st.sampled_from(valid)] * 3, st.sampled_from(_BAD))
+
+
+def _value_list(*valid):
+    return st.lists(_mostly(*valid), min_size=1, max_size=3).map(",".join)
+
+
+_FUZZ_VALUES = {
+    **{flag: _mostly("0.5", "1") for flag in ("--r", "--phi", "--m-re", "--m-im", "--theta")},
+    **{flag: _mostly("0.5", "1", "4") for flag in ("--omega0", "--omega-a", "--omega-r")},
+    "--t-max": _mostly("1", "6"),
+    "--tol-algebraic": _mostly("1e-8", "1"),
+    "--tol-oracle": _mostly("1e-6", "1"),
+    "--steps": _mostly("2", "3", "17", "64"),
+    "--n-max": _mostly(*map(str, range(24, 41)), "513"),
+    "--sources": _mostly("oracle", "literal-paper,moment-map", "moment-map,x"),
+    "--config": _mostly("run.cfg", "."),
+    "--out": _mostly("out.csv", ".", "missing/out.csv"),
+}
+_REQUIRED = {
+    "sweep": {"--axis": _mostly(*cli.SWEEP_AXES), "--values": _value_list("0.5", "1")},
+    "converge": {"--values": _value_list(*map(str, range(24, 41, 8)), "513")},
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(["simulate", "verify", "sweep", "converge"] * 2 + ["x"]))
+    argv = [command]
+    for flag, values in _REQUIRED.get(command, {}).items():
+        argv += [flag, draw(values)]
+    for flag in draw(st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), max_size=4)):
+        argv += [flag, draw(_FUZZ_VALUES[flag])]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(argv=fuzz_argv())
+def test_no_argv_raises(tmp_path_factory, argv):
+    workdir = tmp_path_factory.getbasetemp() / "fuzz"
+    workdir.mkdir(exist_ok=True)
+    (workdir / "run.cfg").write_text("r = 0.3\nn_max = 32\nsteps = 4\n")
+    with contextlib.chdir(workdir), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in {0, 1, 2, 3, 4}
