@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -329,15 +329,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # every value is validated, and its input built, before any scenario runs
     runs = [build_run_config({**settings, args.axis: value}) for value in values]
     lights = [squeezed_coherent_state(run.scenario.input, run.scenario.truncation) for run in runs]
-    # values that share the Hamiltonian and the time grid share one oracle pass
+    # values that differ at most in theta share one oracle pass: no block reads it
     groups: dict[tuple, list[int]] = {}
     for i, run in enumerate(runs):
         if SOURCE_ORACLE in run.sources:
-            groups.setdefault((run.scenario.params, run.t_max, run.steps), []).append(i)
+            key = (replace(run.scenario.params, theta=0.0), run.t_max, run.steps)
+            groups.setdefault(key, []).append(i)
     results: dict[int, EvolutionResult] = {}
     for (params, *_), members in groups.items():
-        batch = evolve_many(params, [lights[i] for i in members], runs[members[0]].time_grid())
-        results.update(zip(members, batch))
+        thetas = [runs[i].scenario.params.theta for i in members]
+        grid = runs[members[0]].time_grid()
+        results.update(zip(members, evolve_many(params, [lights[i] for i in members], grid, thetas)))
     blocks = [
         simulate_rows(run, light, results.get(i), f"{args.axis},{_fmt(value)},")
         for i, (value, run, light) in enumerate(zip(values, runs, lights))

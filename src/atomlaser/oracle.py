@@ -21,6 +21,9 @@ O(times * n_max) per light, whose result is one pair of (light, atom) moment
 sets with one array entry per time.  The evolution uses neither the transfer
 matrix nor any closed form; ``check_oracle`` compares its result with the
 moment map only afterwards, at run time.
+
+On a grid times = arange(T) * times[1] the phases e^{-i E t} are W fine offsets
+times ceil(T / W) coarse starts, W = isqrt(T - 1) + 1; other time sets take W = 1.
 """
 
 from __future__ import annotations
@@ -67,12 +70,24 @@ def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray):
     return solve(diag, off)
 
 
+def _block_phases(energies: np.ndarray, scale: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """scale[k] e^{-i E_k t} as a real (len(E), 2T) view; see _unit_block."""
+    count = len(times)
+    grid = count > 1 and np.array_equal(times, np.arange(count) * times[1])
+    width = math.isqrt(count - 1) + 1 if grid else 1
+    fine = np.exp(-1j * np.outer(energies, times[:width] - times[0])) * scale[:, None]
+    coarse = np.exp(-1j * np.outer(energies, times[::width]))
+    phases = (coarse[:, :, None] * fine[:, None, :]).reshape(len(energies), -1)
+    return phases.view(float)[:, : 2 * count]
+
+
 def _unit_block(params: ModelParams, n_tot: int, times: np.ndarray) -> np.ndarray:
     """Gauged amplitudes u[n_b, t] of block n_tot, started as 1 on (0, n_tot).
 
-    u = modes diag(e^{-i E t}) modes[0].  The cosines and sines of E t, scaled
-    by modes[0], are interleaved in one real (n_tot + 1, 2T) array, so one real
-    matmul with the eigenvectors yields u as complex numbers in place.
+    u = modes diag(e^{-i E t}) modes[0].  On a grid, e^{-i E t} at t = times[j W + i]
+    is coarse[j] fine[i], W = isqrt(T - 1) + 1, with modes[0] folded into fine; any
+    other time set takes W = 1.  One real matmul of the eigenvectors with the
+    product's real view, uncopied, yields u as complex numbers in place.
     """
     nb = np.arange(n_tot + 1)
     na = n_tot - nb
@@ -84,22 +99,18 @@ def _unit_block(params: ModelParams, n_tot: int, times: np.ndarray) -> np.ndarra
         energies, modes = diag, np.ones((1, 1))
     else:
         energies, modes = eigh_tridiagonal(diag, off)
-    waves = np.empty((n_tot + 1, len(times), 2))
-    angles = np.outer(energies, times)
-    np.cos(angles, out=waves[:, :, 0])
-    np.sin(angles, out=waves[:, :, 1])
-    waves *= modes[0][:, None, None] * np.array([1.0, -1.0])
-    return (modes @ waves.reshape(n_tot + 1, -1)).view(complex)
+    return (modes @ _block_phases(energies, modes[0], times)).view(complex)
 
 
-def evolve_many(params: ModelParams, lights, times) -> list[EvolutionResult]:
+def evolve_many(params: ModelParams, lights, times, thetas=None) -> list[EvolutionResult]:
     """Evolve exp(-iHt)(|0>_b x light) for each light; return each one's moments.
 
     A light only scales block n_tot by c_{n_tot}, so each block up to the
     largest cutoff is solved once, if some light populates it, and folded
     once: <c†c> and <(c†c)^2> sum over the block, <c> pairs it with block
     n_tot - 1 and <c^2> with n_tot - 2.  Each light adds these unit folds
-    times |c_n|^2, conj(c_{n-1}) c_n and conj(c_{n-2}) c_n.
+    times |c_n|^2, conj(c_{n-1}) c_n and conj(c_{n-2}) c_n.  Blocks never read
+    theta, so light i may carry its own, thetas[i] (default params.theta).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -114,7 +125,8 @@ def evolve_many(params: ModelParams, lights, times) -> list[EvolutionResult]:
     coeffs = np.zeros((len(lights), n_top + 1), dtype=complex)
     for row, light in zip(coeffs, lights):
         row[: light.truncation.dim] = light.amplitudes
-    coeffs *= np.exp(-1j * params.theta * np.arange(n_top + 1))
+    thetas = np.full(len(lights), params.theta) if thetas is None else np.asarray(thetas)
+    coeffs *= np.exp(-1j * thetas[:, None] * np.arange(n_top + 1))
     numbers = np.zeros((len(lights), 5, len(times)))  # norm^2, <n_a>, <n_a^2>, <n_b>, <n_b^2>
     ladders = np.zeros((len(lights), 2, 2, len(times)), dtype=complex)  # <a^k>, <b^k> at k - 1
     older, old = None, None  # conjugated unit blocks n_tot - 2 and n_tot - 1, if solved
@@ -135,7 +147,7 @@ def evolve_many(params: ModelParams, lights, times) -> list[EvolutionResult]:
                 pair = np.conj(coeffs[:, n_tot - k]) * c
                 ladders[:, k - 1] += pair[:, None, None] * np.stack(ends)
         older, old = old, None if u is None else np.conj(u)
-    ladders[:, :, 0] *= np.exp(1j * params.theta * np.array([[1.0], [2.0]]))
+    ladders[:, :, 0] *= np.exp(1j * thetas[:, None, None] * np.array([[1.0], [2.0]]))
 
     results = []
     for light, number, ladder in zip(lights, numbers, ladders):

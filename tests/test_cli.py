@@ -504,8 +504,8 @@ def test_converge_checks_every_cutoff_against_the_moment_map(tmp_path, capsys, m
         # input axes share one pass
         ([("sweep", "--axis", "r", "--values", "0.75,1.25", "--n-max", "160", "--steps", "40")],
          80),
-        # theta changes the Hamiltonian: one pass over 32 even blocks per value
-        ([("sweep", "--axis", "theta", "--values", "0,1", "--n-max", "64")], 64),
+        # the blocks never read theta: both values share one pass over 32 even blocks
+        ([("sweep", "--axis", "theta", "--values", "0,1", "--n-max", "64")], 32),
         # no eigensolve is kept from one command to the next
         ([("converge", "--values", "96,128,160", "--steps", "40")] * 2, 160),
     ],

@@ -27,7 +27,7 @@ from atomlaser.observables import (
     physics_table,
     squeeze_coeffs,
 )
-from atomlaser.oracle import convergence_sweep, evolve, evolve_many
+from atomlaser.oracle import _block_phases, convergence_sweep, evolve, evolve_many
 from atomlaser.propagator import ModelParams, heisenberg_moment_map, propagator_at
 from test_fock import coherent_state, ladder_matrix
 
@@ -84,6 +84,44 @@ def random_light(n_max, seed):
 def test_evolve_matches_dense_expm_reference(params, n_max):
     light = random_light(n_max, seed=n_max + int(10 * params.theta))
     times = [0.0, 0.37, 1.9, 5.2]
+    reference = dense_reference(params, light, times)
+    result = evolve(params, light, times)
+    got = np.array(
+        [[m.mean_amp, m.sq_amp, m.number_mean, m.number_sq] for m in result.moments]
+    ).transpose(2, 0, 1)
+    assert np.max(np.abs(got - reference)) < 1e-12
+
+
+@pytest.mark.parametrize("t_max", [2 * math.pi, 628318.0], ids=["one-turn", "long"])
+@pytest.mark.parametrize("count", [2, 3, 16, 37, 2000])
+def test_grid_phases_match_direct_exponentials(count, t_max):
+    # the eigenvalues of block 64 of RESONANT, 256 + (64 - 2k)
+    energies = 4.0 * 64 + np.arange(-64.0, 65.0, 2.0)
+    times = np.arange(count) * (t_max / count)
+    got = _block_phases(energies, np.ones(len(energies)), times).view(complex)
+    want = np.exp(-1j * np.outer(energies, times))
+    eps = np.finfo(float).eps
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 8 * eps * np.max(np.abs(energies)) * np.max(times)
+
+
+def test_phases_carry_their_scale():
+    energies, scale = np.array([-1.5, 0.0, 2.0]), np.array([0.6, -0.8, 1e-3])
+    times = np.arange(10) * 0.3
+    got = _block_phases(energies, scale, times).view(complex)
+    assert np.allclose(got, scale[:, None] * np.exp(-1j * np.outer(energies, times)), atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[0.3, 0.7, 1.9, 2.0, 5.2], 0.5 + 0.25 * np.arange(6), 0.4 * np.arange(16)],
+    ids=["sorted", "shifted-grid", "grid"],
+)
+def test_any_time_set_evolves_like_the_dense_reference(times):
+    # the first two start off 0, so they are no grid and take one exponential
+    # per energy and time; the phases must still be e^{-iEt}, not e^{-iE(t + t_0)}
+    params = ModelParams(5.0, 3.0, 1.4, 0.9)
+    light = random_light(8, seed=3)
     reference = dense_reference(params, light, times)
     result = evolve(params, light, times)
     got = np.array(
@@ -249,6 +287,18 @@ def test_evolve_many_results_do_not_depend_on_the_light_order():
     for one, other in zip(forward, backward):
         assert (one.norm_drift, one.ntotal_drift) == (other.norm_drift, other.ntotal_drift)
         for got, want in zip(one.moments, other.moments):
+            for field in dataclasses.fields(MomentSet):
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+
+
+def test_evolve_many_gauges_each_light_by_its_own_theta():
+    params, thetas = ModelParams(5.0, 3.0, 1.4, 0.0), [0.9, 0.0, 2.3]
+    times = np.linspace(0.0, 6.0, 9)
+    batch = evolve_many(params, MIXED_LIGHTS, times, thetas)
+    for light, theta, result in zip(MIXED_LIGHTS, thetas, batch):
+        alone = evolve(dataclasses.replace(params, theta=theta), light, times)
+        assert (result.norm_drift, result.ntotal_drift) == (alone.norm_drift, alone.ntotal_drift)
+        for got, want in zip(result.moments, alone.moments):
             for field in dataclasses.fields(MomentSet):
                 assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
 
