@@ -71,19 +71,28 @@ def random_light(n_max, seed):
     return ModeVector(amps / np.linalg.norm(amps), Truncation(n_max))
 
 
+DENSE_TIMES = [0.0, 0.37, 1.9, 5.2]
+
+
 @pytest.mark.parametrize(
-    "params, n_max",
+    "params, n_max, times",
     [
-        (RESONANT, 8),
-        (ModelParams(5.0, 3.0, 1.4, 0.0), 8),
-        (ModelParams(4.0, 4.0, 1.0, 0.9), 6),
-        (ModelParams(2.5, 6.0, 0.7, 2.3), 8),
+        (RESONANT, 8, DENSE_TIMES),
+        (ModelParams(5.0, 3.0, 1.4, 0.0), 8, DENSE_TIMES),
+        (ModelParams(4.0, 4.0, 1.0, 0.9), 6, DENSE_TIMES),
+        (ModelParams(2.5, 6.0, 0.7, 2.3), 8, DENSE_TIMES),
+        # time sets that are no grid and start past 0 take one exponential per
+        # energy and time, whose phases must be e^{-iEt}, not e^{-iE(t + t_0)}
+        (ModelParams(5.0, 3.0, 1.4, 0.9), 8, [0.3, 0.7, 1.9, 2.0, 5.2]),
+        (ModelParams(5.0, 3.0, 1.4, 0.9), 8, 0.5 + 0.25 * np.arange(6)),
+        # a grid: the phases come by angle addition
+        (ModelParams(5.0, 3.0, 1.4, 0.9), 8, 0.4 * np.arange(16)),
     ],
-    ids=["resonant", "detuned", "resonant-theta", "detuned-theta"],
+    ids=["resonant", "detuned", "resonant-theta", "detuned-theta", "sorted-times",
+         "shifted-grid", "grid"],
 )
-def test_evolve_matches_dense_expm_reference(params, n_max):
+def test_evolve_matches_dense_expm_reference(params, n_max, times):
     light = random_light(n_max, seed=n_max + int(10 * params.theta))
-    times = [0.0, 0.37, 1.9, 5.2]
     reference = dense_reference(params, light, times)
     result = evolve(params, light, times)
     got = np.array(
@@ -95,39 +104,16 @@ def test_evolve_matches_dense_expm_reference(params, n_max):
 @pytest.mark.parametrize("t_max", [2 * math.pi, 628318.0], ids=["one-turn", "long"])
 @pytest.mark.parametrize("count", [2, 3, 16, 37, 2000])
 def test_grid_phases_match_direct_exponentials(count, t_max):
-    # the eigenvalues of block 64 of RESONANT, 256 + (64 - 2k)
-    energies = 4.0 * 64 + np.arange(-64.0, 65.0, 2.0)
+    # the eigenvalues of block 64 at omega0 = omega_a = 4, omega_r = 1.4, which are
+    # 256 + 1.4 (64 - 2k), and a scale in [-1, 1]
+    energies = 4.0 * 64 + 1.4 * np.arange(-64.0, 65.0, 2.0)
+    scale = np.cos(np.arange(len(energies)))
     times = np.arange(count) * (t_max / count)
-    got = _block_phases(energies, np.ones(len(energies)), times).view(complex)
-    want = np.exp(-1j * np.outer(energies, times))
+    got = _block_phases(energies, scale, times).view(complex)
+    want = scale[:, None] * np.exp(-1j * np.outer(energies, times))
     eps = np.finfo(float).eps
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 8 * eps * np.max(np.abs(energies)) * np.max(times)
-
-
-def test_phases_carry_their_scale():
-    energies, scale = np.array([-1.5, 0.0, 2.0]), np.array([0.6, -0.8, 1e-3])
-    times = np.arange(10) * 0.3
-    got = _block_phases(energies, scale, times).view(complex)
-    assert np.allclose(got, scale[:, None] * np.exp(-1j * np.outer(energies, times)), atol=1e-15)
-
-
-@pytest.mark.parametrize(
-    "times",
-    [[0.3, 0.7, 1.9, 2.0, 5.2], 0.5 + 0.25 * np.arange(6), 0.4 * np.arange(16)],
-    ids=["sorted", "shifted-grid", "grid"],
-)
-def test_any_time_set_evolves_like_the_dense_reference(times):
-    # the first two start off 0, so they are no grid and take one exponential
-    # per energy and time; the phases must still be e^{-iEt}, not e^{-iE(t + t_0)}
-    params = ModelParams(5.0, 3.0, 1.4, 0.9)
-    light = random_light(8, seed=3)
-    reference = dense_reference(params, light, times)
-    result = evolve(params, light, times)
-    got = np.array(
-        [[m.mean_amp, m.sq_amp, m.number_mean, m.number_sq] for m in result.moments]
-    ).transpose(2, 0, 1)
-    assert np.max(np.abs(got - reference)) < 1e-12
 
 
 def test_evolve_at_time_zero_returns_input():
