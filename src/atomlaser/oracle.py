@@ -22,8 +22,9 @@ sets with one array entry per time.  The evolution uses neither the transfer
 matrix nor any closed form; ``check_oracle`` compares its result with the
 moment map only afterwards, at run time.
 
-On a grid times = arange(T) * times[1] the phases e^{-i E t} are W fine offsets
-times ceil(T / W) coarse starts, W = isqrt(T - 1) + 1; other time sets take W = 1.
+Blocks run on the times reordered: first the grid part arange(G) * times[1], whose
+phases e^{-i E t} are W = isqrt(G - 1) + 1 fine offsets times ceil(G / W) coarse
+starts, then the extras (verify's off-grid anchors), one exponential per energy each.
 """
 
 from __future__ import annotations
@@ -70,24 +71,36 @@ def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray):
     return solve(diag, off)
 
 
-def _block_phases(energies: np.ndarray, scale: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """scale[k] e^{-i E_k t} as a real (len(E), 2T) view; see _unit_block."""
+def _grid_order(times: np.ndarray) -> tuple[np.ndarray, int]:
+    """(order, G): times[order[:G]] is arange(G) * times[1], order[G:] the rest in order."""
     count = len(times)
-    grid = count > 1 and np.array_equal(times, np.arange(count) * times[1])
-    width = math.isqrt(count - 1) + 1 if grid else 1
-    fine = np.exp(-1j * np.outer(energies, times[:width] - times[0])) * scale[:, None]
-    coarse = np.exp(-1j * np.outer(energies, times[::width]))
-    phases = (coarse[:, :, None] * fine[:, None, :]).reshape(len(energies), -1)
+    if count < 2 or times[0] != 0.0 or not times[1] > 0.0:
+        return np.arange(count), 0
+    index = np.rint(np.minimum(times, count * times[1]) / times[1])  # capped before rounding
+    on = np.flatnonzero(index * times[1] == times)
+    grid = on[np.logical_and.accumulate(index[on] == np.arange(len(on)))]
+    return np.concatenate((grid, np.delete(np.arange(count), grid))), len(grid)
+
+
+def _block_phases(energies: np.ndarray, scale: np.ndarray, times: np.ndarray, grid: int):
+    """scale[k] e^{-i E_k t} as a real (len(E), 2T) view; see _unit_block."""
+    rows, count, width = len(energies), len(times), math.isqrt(max(grid, 1) - 1) + 1
+    coarse = np.exp(-1j * np.outer(energies, times[:grid:width]))
+    fine = np.exp(-1j * np.outer(energies, times[:width])) * scale[:, None]
+    span = coarse.shape[1] * width  # >= grid; the extras overwrite the excess
+    phases = np.empty((rows, max(span, count)), dtype=complex)
+    np.multiply(coarse[:, :, None], fine[:, None, :], out=phases[:, :span].reshape(rows, -1, width))
+    phases[:, grid:count] = np.exp(-1j * np.outer(energies, times[grid:])) * scale[:, None]
     return phases.view(float)[:, : 2 * count]
 
 
-def _unit_block(params: ModelParams, n_tot: int, times: np.ndarray) -> np.ndarray:
+def _unit_block(params: ModelParams, n_tot: int, times: np.ndarray, grid: int) -> np.ndarray:
     """Gauged amplitudes u[n_b, t] of block n_tot, started as 1 on (0, n_tot).
 
-    u = modes diag(e^{-i E t}) modes[0].  On a grid, e^{-i E t} at t = times[j W + i]
-    is coarse[j] fine[i], W = isqrt(T - 1) + 1, with modes[0] folded into fine; any
-    other time set takes W = 1.  One real matmul of the eigenvectors with the
-    product's real view, uncopied, yields u as complex numbers in place.
+    u = modes diag(e^{-i E t}) modes[0].  On times[:grid] = arange(grid) * times[1],
+    e^{-i E t_{j W + i}} is coarse[j] fine[i], W = isqrt(grid - 1) + 1, with modes[0]
+    folded into fine; each later time takes its own exponential in the same buffer.
+    One real matmul of the eigenvectors with its real view yields u in place.
     """
     nb = np.arange(n_tot + 1)
     na = n_tot - nb
@@ -99,7 +112,7 @@ def _unit_block(params: ModelParams, n_tot: int, times: np.ndarray) -> np.ndarra
         energies, modes = diag, np.ones((1, 1))
     else:
         energies, modes = eigh_tridiagonal(diag, off)
-    return (modes @ _block_phases(energies, modes[0], times)).view(complex)
+    return (modes @ _block_phases(energies, modes[0], times, grid)).view(complex)
 
 
 def evolve_many(params: ModelParams, lights, times, thetas=None) -> list[EvolutionResult]:
@@ -115,8 +128,8 @@ def evolve_many(params: ModelParams, lights, times, thetas=None) -> list[Evoluti
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a non-empty 1-d sequence")
-    if np.any(times < 0) or np.any(np.diff(times) < 0):
-        raise ValueError("times must be sorted and nonnegative")
+    if not np.all(np.isfinite(times)) or np.any(times < 0) or np.any(np.diff(times) < 0):
+        raise ValueError("times must be finite, sorted and nonnegative")
     if not lights:
         return []
     n_top = max(light.truncation.n_max for light in lights)
@@ -130,11 +143,12 @@ def evolve_many(params: ModelParams, lights, times, thetas=None) -> list[Evoluti
     numbers = np.zeros((len(lights), 5, len(times)))  # norm^2, <n_a>, <n_a^2>, <n_b>, <n_b^2>
     ladders = np.zeros((len(lights), 2, 2, len(times)), dtype=complex)  # <a^k>, <b^k> at k - 1
     older, old = None, None  # conjugated unit blocks n_tot - 2 and n_tot - 1, if solved
+    order, grid = _grid_order(times)  # every block runs on the grid part first
     for n_tot in range(n_top + 1):
         c = coeffs[:, n_tot]
         u = None
         if np.any(c):
-            u = _unit_block(params, n_tot, times)
+            u = _unit_block(params, n_tot, times[order], grid)
             nb = np.arange(n_tot + 1.0)  # row j of the block is n_b
             na = n_tot - nb
             weights = np.stack((np.ones_like(nb), na, na * na, nb, nb * nb))
@@ -148,6 +162,7 @@ def evolve_many(params: ModelParams, lights, times, thetas=None) -> list[Evoluti
                 ladders[:, k - 1] += pair[:, None, None] * np.stack(ends)
         older, old = old, None if u is None else np.conj(u)
     ladders[:, :, 0] *= np.exp(1j * thetas[:, None, None] * np.array([[1.0], [2.0]]))
+    numbers, ladders = (sums[..., np.argsort(order)] for sums in (numbers, ladders))
 
     results = []
     for light, number, ladder in zip(lights, numbers, ladders):

@@ -60,9 +60,9 @@ _MIN_SIGNAL_SIN2 = 0.2
 
 # the most conversion and phase anchor times (counted before the sin^2
 # filter) one report evaluates.  The oracle evolves every anchor, and its
-# time grows linearly with their number: measured on 2 cores, verify
-# --omega0 1e4 --omega-a 1e4 counts 40,000 and takes 3.4 s (3.4 s of it in
-# evolve), and --omega0 2.4e4, just under this cap, takes 9 s.
+# time grows linearly with their number: measured on 2 cores with one BLAS
+# thread, verify --omega0 1e4 --omega-a 1e4 counts 40,000 and takes 2-3 s,
+# and --omega0 2.4e4, just under this cap, takes about 6 s.
 MAX_ANCHOR_TIMES = 100_000
 
 _PHASE_OFFSET = {ALIGNED: 0.0, CROSSED: 0.5 * math.pi}

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import math
+import os
 import time
 
 import numpy as np
@@ -642,6 +643,10 @@ def test_no_argv_raises(tmp_path_factory, argv):
     workdir = tmp_path_factory.getbasetemp() / "fuzz"
     workdir.mkdir(exist_ok=True)
     (workdir / "run.cfg").write_text("r = 0.3\nn_max = 32\nsteps = 4\n")
-    with contextlib.chdir(workdir), contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) in {0, 1, 2, 3, 4}
+    home = os.getcwd()  # contextlib.chdir needs Python 3.11
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in {0, 1, 2, 3, 4}
+    finally:
+        os.chdir(home)

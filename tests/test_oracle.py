@@ -27,7 +27,13 @@ from atomlaser.observables import (
     physics_table,
     squeeze_coeffs,
 )
-from atomlaser.oracle import _block_phases, convergence_sweep, evolve, evolve_many
+from atomlaser.oracle import (
+    _block_phases,
+    _grid_order,
+    convergence_sweep,
+    evolve,
+    evolve_many,
+)
 from atomlaser.propagator import ModelParams, heisenberg_moment_map, propagator_at
 from test_fock import coherent_state, ladder_matrix
 
@@ -87,9 +93,13 @@ DENSE_TIMES = [0.0, 0.37, 1.9, 5.2]
         (ModelParams(5.0, 3.0, 1.4, 0.9), 8, 0.5 + 0.25 * np.arange(6)),
         # a grid: the phases come by angle addition
         (ModelParams(5.0, 3.0, 1.4, 0.9), 8, 0.4 * np.arange(16)),
+        # a grid plus off-grid anchors, one 1 ulp from a grid point: the blocks run
+        # on the grid part, then the extras, and the moments return in time order
+        (ModelParams(5.0, 3.0, 1.4, 0.9), 8,
+         np.union1d(0.4 * np.arange(16), [np.nextafter(2.0, 3.0), 3.1, 6.3, 9.5])),
     ],
     ids=["resonant", "detuned", "resonant-theta", "detuned-theta", "sorted-times",
-         "shifted-grid", "grid"],
+         "shifted-grid", "grid", "grid-plus-anchors"],
 )
 def test_evolve_matches_dense_expm_reference(params, n_max, times):
     light = random_light(n_max, seed=n_max + int(10 * params.theta))
@@ -101,19 +111,60 @@ def test_evolve_matches_dense_expm_reference(params, n_max, times):
     assert np.max(np.abs(got - reference)) < 1e-12
 
 
+# the eigenvalues of block 64 at omega0 = omega_a = 4, omega_r = 1.4, which are
+# 256 + 1.4 (64 - 2k), and a scale in [-1, 1]
+BLOCK_ENERGIES = 4.0 * 64 + 1.4 * np.arange(-64.0, 65.0, 2.0)
+BLOCK_SCALE = np.cos(np.arange(len(BLOCK_ENERGIES)))
+
+
+def split_phases_error(times):
+    """Grid size of the split of ``times`` and the largest deviation of the split's
+    phases from scale e^{-iEt}, as a share of 8 eps max|E| max(t)."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        order, grid = _grid_order(times)
+        got = _block_phases(BLOCK_ENERGIES, BLOCK_SCALE, times[order], grid).view(complex)
+    assert np.array_equal(np.sort(order), np.arange(len(times)))
+    assert np.array_equal(times[order[:grid]], np.arange(grid) * times[1])
+    want = BLOCK_SCALE[:, None] * np.exp(-1j * np.outer(BLOCK_ENERGIES, times[order]))
+    assert got.shape == want.shape
+    bound = 8 * np.finfo(float).eps * np.max(np.abs(BLOCK_ENERGIES)) * np.max(times)
+    return grid, np.max(np.abs(got - want)) / bound
+
+
 @pytest.mark.parametrize("t_max", [2 * math.pi, 628318.0], ids=["one-turn", "long"])
 @pytest.mark.parametrize("count", [2, 3, 16, 37, 2000])
 def test_grid_phases_match_direct_exponentials(count, t_max):
-    # the eigenvalues of block 64 at omega0 = omega_a = 4, omega_r = 1.4, which are
-    # 256 + 1.4 (64 - 2k), and a scale in [-1, 1]
-    energies = 4.0 * 64 + 1.4 * np.arange(-64.0, 65.0, 2.0)
-    scale = np.cos(np.arange(len(energies)))
-    times = np.arange(count) * (t_max / count)
-    got = _block_phases(energies, scale, times).view(complex)
-    want = scale[:, None] * np.exp(-1j * np.outer(energies, times))
-    eps = np.finfo(float).eps
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 8 * eps * np.max(np.abs(energies)) * np.max(times)
+    grid, error = split_phases_error(np.arange(count) * (t_max / count))
+    assert grid == count
+    assert error <= 1.0
+
+
+STEP = 2 * math.pi / 200
+GRID_200 = np.arange(200) * STEP
+
+
+@pytest.mark.parametrize(
+    "times, grid",
+    [
+        # verify's anchors often sit 1 ulp from a grid point (pi/4 against 25 STEP)
+        (np.union1d(GRID_200, [np.nextafter(GRID_200[25], 0.0), np.nextafter(GRID_200[50], 7.0),
+                               np.nextafter(GRID_200[199], 7.0)]), 200),
+        # an extra inside the first step is times[1]: the grid is 0 and that extra
+        (np.union1d(GRID_200, [STEP / 3]), 2),
+        (np.union1d(GRID_200, [200.5 * STEP, 1e3, 628318.0]), 200),
+        (np.array([0.0, 1e-300, 1e6]), 2),
+        (np.array([0.0, 5e-324, 1e6]), 2),
+        (np.array([0.3, 0.7, 1.9]), 0),
+        # a repeated time is an extra, and the grid stops at the first gap
+        (np.array([0.0, STEP, STEP, 3 * STEP]), 2),
+    ],
+    ids=["ulp-off-grid", "inside-first-step", "past-the-grid", "tiny-step", "denormal-step",
+         "no-grid", "repeated-time"],
+)
+def test_grid_plus_extra_phases_match_direct_exponentials(times, grid):
+    found, error = split_phases_error(times)
+    assert found == grid
+    assert error <= 1.0
 
 
 def test_evolve_at_time_zero_returns_input():
@@ -215,6 +266,9 @@ def test_evolve_validates_times():
         evolve(RESONANT, light, [1.0, 0.5])
     with pytest.raises(ValueError):
         evolve(RESONANT, light, [-1.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            evolve(RESONANT, light, [0.0, bad])
 
 
 def test_evolve_rejects_blocks_that_are_not_finite():

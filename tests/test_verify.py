@@ -1,10 +1,14 @@
 """Formula adjudication: verdicts, corrected forms, report rendering."""
 
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
 
+from atomlaser import oracle
+from atomlaser.cli import main
 from atomlaser.fock import SqueezedInput, Truncation, mode_moments, squeezed_coherent_state
 from atomlaser.observables import (
     ALIGNED,
@@ -108,6 +112,26 @@ def test_tolerance_is_tol_oracle_plus_the_exact_truncation_term(default_report):
     assert report.unresolved == 0
     for check in report.checks:
         assert check.tolerance - report.tol_oracle <= 1e-14, check.name
+
+
+@pytest.mark.parametrize(
+    "argv, extras",
+    [((), 8), (("--m-re", "0.5"), 1), (("--r", "0.5", "--theta", "0.3"), 13)],
+    ids=["vacuum", "real-input", "phase-shifted"],
+)
+def test_verify_runs_every_block_on_its_grid_part(tmp_path, monkeypatch, argv, extras):
+    # the 200-point grid plus the off-grid anchors: every block's phases must
+    # come by angle addition on the grid part, one exponential per extra only
+    calls, block_phases = [], oracle._block_phases
+
+    def spy(energies, scale, times, grid):
+        calls.append((len(times) - grid, grid))
+        return block_phases(energies, scale, times, grid)
+
+    monkeypatch.setattr(oracle, "_block_phases", spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", *argv, "--out", str(tmp_path / "v.txt")]) == 0
+    assert calls and set(calls) == {(extras, 200)}
 
 
 def test_render_is_deterministic_and_complete(default_report):
