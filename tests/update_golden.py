@@ -2,7 +2,8 @@
 
     PYTHONPATH=src python tests/update_golden.py [NAME ...]
 
-With no names every pinned command is rerun.  Say in CHANGES.md which files
+With no names every pinned command is rerun; each must exit with the code
+its case in test_golden.CASES expects.  Say in CHANGES.md which files
 moved and why.
 """
 
