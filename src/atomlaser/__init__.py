@@ -20,7 +20,7 @@ from .observables import (
     physics_table,
     squeeze_coeffs,
 )
-from .oracle import EvolutionResult, convergence_sweep, evolve, evolve_many
+from .oracle import EvolutionResult, evolve, evolve_many
 from .propagator import (
     ModelParams,
     PropagatorMatrix,

@@ -14,13 +14,14 @@ amplitudes c_0 .. c_{n_max}.  It populates only the complete blocks
 n_tot <= n_max, and block n_tot starts on the single basis vector
 (n_b = 0, n_a = n_tot) with amplitude c_{n_tot}, the light's only way in.  So
 one pass over the blocks serves every light evolved under one Hamiltonian and
-time grid (the cutoffs of a convergence sweep, the inputs of a sweep): each
+time grid (the cutoffs of ``converge``, the inputs of ``sweep``): each
 block is eigensolved and folded into unit moment sums once, and each light
 scales those sums by its coefficients.  No two-mode state is held: memory is
 O(times * n_max) per light, whose result is one pair of (light, atom) moment
 sets with one array entry per time.  The evolution uses neither the transfer
 matrix nor any closed form; ``check_oracle`` compares its result with the
-moment map only afterwards, at run time.
+moment map only afterwards, at run time.  Comparing cutoffs is the
+``converge`` command's job (``cli.cmd_converge``), not this module's.
 
 Blocks run on the times reordered: first the grid part arange(G) * times[1], whose
 phases e^{-i E t} are W = isqrt(G - 1) + 1 fine offsets times ceil(G / W) coarse
@@ -34,20 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    DEFAULT_DEFICIT_THRESHOLD,
-    ModeVector,
-    MomentSet,
-    Truncation,
-    TruncationError,
-    mode_moments,
-    squeezed_coherent_state,
-)
-from .observables import InvariantViolationError, ScenarioConfig, check_dynamics, physics_table
+from .fock import ModeVector, MomentSet, mode_moments
+# unused here, but perfbench's tracer test checks that this binding is wrapped;
+# drop it with that check when the benchmark next changes (ROADMAP item 2)
+from .fock import squeezed_coherent_state  # noqa: F401
+from .observables import InvariantViolationError, check_dynamics
 from .propagator import ModelParams
-
-# a state is still reportable (with an insufficiency flag) up to this loss
-PERMISSIVE_DEFICIT = 0.5
 
 
 @dataclass(frozen=True)
@@ -189,78 +182,3 @@ def check_oracle(params: ModelParams, light: ModeVector, result: EvolutionResult
             raise InvariantViolationError(f"oracle {name} drift {drift:.3e} exceeds 1e-9")
     return check_dynamics(params, light, result.moments, times)
 
-
-@dataclass(frozen=True)
-class ConvergenceEntry:
-    """One cutoff of a convergence sweep."""
-
-    n_max: int
-    status: str  # "ok" or "truncation-insufficient"
-    light: ModeVector | None  # the truncated input; None past a gross loss
-    result: EvolutionResult | None
-    physics: np.ndarray | None  # (T, 11) PHYSICS_COLUMNS table
-
-
-@dataclass(frozen=True)
-class ConvergenceTable:
-    """Observables per cutoff plus the successive inter-cutoff deltas."""
-
-    entries: list[ConvergenceEntry]
-    deltas: list[float]
-    converged: bool
-    delta_tol: float
-
-
-def _physics_delta(previous: np.ndarray, current: np.ndarray) -> float:
-    """Largest entry difference; NaN on both sides is skipped, NaN on one side is inf."""
-    p_nan, c_nan = np.isnan(previous), np.isnan(current)
-    if np.any(p_nan != c_nan):
-        return math.inf
-    return float(np.max(np.abs(previous - current), where=~p_nan, initial=0.0))
-
-
-def convergence_sweep(
-    cfg: ScenarioConfig,
-    times,
-    n_max_list,
-    delta_tol: float = 1e-8,
-    deficit_threshold: float = DEFAULT_DEFICIT_THRESHOLD,
-) -> ConvergenceTable:
-    """Rebuild the input at each cutoff and evolve them all in one pass; deltas
-    measure truncation error.
-
-    Cutoffs whose norm deficit exceeds ``deficit_threshold`` are flagged
-    truncation-insufficient but still reported (up to a gross loss of
-    PERMISSIVE_DEFICIT) so the decay of the deltas stays observable.
-    Converged means: the final cutoff is sufficient and the last two deltas
-    (or the only delta) are below ``delta_tol``.  Squeezed inputs have
-    geometric number tails, so 1e-8 deltas typically need n_max ~ 100 even
-    for r = 1.
-    """
-    n_max_list = list(n_max_list)
-    if any(b <= a for a, b in zip(n_max_list, n_max_list[1:])):
-        raise ValueError("n_max_list must be strictly increasing")
-    lights = {}
-    for n_max in n_max_list:
-        try:
-            lights[n_max] = squeezed_coherent_state(
-                cfg.input, Truncation(n_max), deficit_threshold=PERMISSIVE_DEFICIT
-            )
-        except TruncationError:
-            pass
-    results = dict(zip(lights, evolve_many(cfg.params, list(lights.values()), times)))
-    entries: list[ConvergenceEntry] = []
-    for n_max in n_max_list:
-        light, result = lights.get(n_max), results.get(n_max)
-        ok = light is not None and light.norm_deficit <= deficit_threshold
-        physics = None if result is None else physics_table(*result.moments)
-        status = "ok" if ok else "truncation-insufficient"
-        entries.append(ConvergenceEntry(n_max, status, light, result, physics))
-
-    deltas = [
-        math.inf if p.physics is None or c.physics is None else _physics_delta(p.physics, c.physics)
-        for p, c in zip(entries, entries[1:])
-    ]
-    final_ok = bool(entries) and entries[-1].status == "ok"
-    converged = final_ok and len(deltas) >= 1 and all(d <= delta_tol for d in deltas[-2:])
-    return ConvergenceTable(entries, deltas, converged, delta_tol)

@@ -161,16 +161,20 @@ def anchor_times(params: ModelParams, grid: np.ndarray, families) -> dict[str, n
     index bounds, computed in floats before any int or array is built.
     """
     t_max = float(grid[-1])
+    # omega0 t + theta = offset + k pi  <=>  |omega0| t + s theta = s (offset + k pi), s the
+    # sign of omega0, and s (offset + k pi) runs over the same family (-pi/2 = pi/2 mod pi):
+    # the phase passes every anchor whenever omega0 != 0, in either direction
+    omega0, theta = abs(params.omega0), math.copysign(1.0, params.omega0) * params.theta
     bounds = {}
     for family in set(families) - {GRID}:
         if family == CONVERSION:  # t_k = (k + 1/2) pi / omega_r
             bounds[family] = (0.0, t_max * params.omega_r / math.pi)
-        elif params.omega0 <= 0.0:  # the rotation phase never advances
+        elif omega0 == 0.0:  # the rotation phase never advances
             bounds[family] = (0.0, -1.0)
         else:  # t_k = (offset + k pi - theta) / omega0 in [-1e-12, t_max + 1e-12]
             offset = _PHASE_OFFSET[family]
-            lo = (params.theta - offset - 1e-12 * params.omega0) / math.pi
-            hi = ((t_max + 1e-12) * params.omega0 + params.theta - offset) / math.pi
+            lo = (theta - offset - 1e-12 * omega0) / math.pi
+            hi = ((t_max + 1e-12) * omega0 + theta - offset) / math.pi
             bounds[family] = (max(lo, 0.0), hi)
     count = sum(max(hi - lo + 1.0, 0.0) for lo, hi in bounds.values())
     if not count <= MAX_ANCHOR_TIMES:
@@ -187,7 +191,7 @@ def anchor_times(params: ModelParams, grid: np.ndarray, families) -> dict[str, n
         # one index of margin on each side; the exact bounds are applied to t
         start = max(math.floor(lo) - 1, 0)
         k = start + np.arange(max(math.floor(hi) + 2 - start, 0), dtype=float)
-        t = (_PHASE_OFFSET[family] + k * math.pi - params.theta) / params.omega0
+        t = (_PHASE_OFFSET[family] + k * math.pi - theta) / omega0
         t = t[(t >= -1e-12) & (t <= t_max + 1e-12)]
         anchors[family] = np.maximum(t[np.sin(params.omega_r * t) ** 2 >= _MIN_SIGNAL_SIN2], 0.0)
     return anchors

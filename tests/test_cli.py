@@ -103,6 +103,30 @@ def test_config_file_with_flag_override(tmp_path):
     assert abs(float(rows[0]["na_mean"]) - math.sinh(0.4) ** 2) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("# scenario\nr 0.4\n", 2, "expected 'key = value'"),
+        ("r = 0.4\nphi = half\n", 2, "bad float for phi: 'half'"),
+        ("steps = 3.5\n", 1, "bad integer for steps: '3.5'"),
+        (None, None, "cannot read config"),
+        ("r = 0.4\n\nvolume = 2  # no such key\n", 3, "unknown key 'volume'"),
+    ],
+    ids=["no-equals", "bad-float", "bad-integer", "missing-file", "unknown-key"],
+)
+def test_config_file_errors_name_the_file_and_line(tmp_path, capsys, text, line, message):
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    assert run("simulate", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert message in err[0]
+    assert (str(cfg) if line is None else f"{cfg}:{line}:") in err[0]
+    assert not out.exists()
+
+
 def test_verify_default_scenario(tmp_path):
     out = tmp_path / "verify.txt"
     assert run("verify", "--out", str(out)) == 0
@@ -259,6 +283,37 @@ def test_converge_insufficient_truncation(tmp_path):
     text = out.read_text()
     assert "truncation-insufficient" in text
     assert "not-converged" in text
+    _, rows = read_rows(out)
+    values = [row for row in rows if row["kind"] == "value"]
+    assert values and all(row["status"] == "truncation-insufficient" for row in values)
+
+
+@pytest.mark.parametrize(
+    "argv, statuses, result, last_delta",
+    [
+        # the vacuum: every cutoff holds it exactly
+        (("--r", "0", "--values", "8,16"), ["ok", "ok"], "converged", 1e-12),
+        # Poisson tails are light: |m| = 1 is already converged at n_max = 16
+        (("--r", "0", "--m-re", "1", "--values", "16,24"), ["ok", "ok"], "converged", 1e-8),
+        # squeezed tails are geometric: each 8 more levels cut the delta, but not to 1e-8
+        (("--r", "1", "--values", "40,48,56,64"), ["truncation-insufficient"] * 3 + ["ok"],
+         "not-converged", 1e-4),
+        # converged needs the last two deltas at most 1e-8, not just the last one
+        (("--r", "0.3", "--values", "16,32,48"), ["ok"] * 3, "not-converged", 1e-8),
+    ],
+    ids=["vacuum", "coherent", "squeezed", "one-small-delta"],
+)
+def test_converge_deltas_follow_the_input_tails(tmp_path, argv, statuses, result, last_delta):
+    out = tmp_path / "conv.csv"
+    code = 0 if result == "converged" else 2
+    assert run("converge", *argv, "--steps", "5", "--out", str(out)) == code
+    _, rows = read_rows(out)
+    # five rows, one per time, for each cutoff
+    assert [row["status"] for row in rows if row["kind"] == "value"][::5] == statuses
+    assert rows[-1]["kind"] == "result" and rows[-1]["status"] == result
+    deltas = [float(row["max_delta"]) for row in rows if row["kind"] == "delta"]
+    assert all(b < a for a, b in zip(deltas, deltas[1:]))
+    assert deltas[-1] < last_delta
 
 
 def test_converge_with_no_input_that_fits_writes_the_table_and_exits_2(tmp_path):
@@ -488,7 +543,7 @@ def test_converge_checks_every_cutoff_against_the_moment_map(tmp_path, capsys, m
     def rotated(params, lights, times):
         return [turn_b_squared(result) for result in evolve_many(params, lights, times)]
 
-    monkeypatch.setattr(oracle_module, "evolve_many", rotated)
+    monkeypatch.setattr(cli, "evolve_many", rotated)
     out = tmp_path / "conv.csv"
     assert run("converge", "--r", "0.3", "--steps", "4", "--values", "24,32", "--out", str(out)) == 3
     err = capsys.readouterr().err.splitlines()
@@ -577,7 +632,9 @@ def test_an_explicit_cutoff_above_the_ceiling_is_a_config_error(
     def must_not_run(*args):
         raise AssertionError("the oracle ran past the cutoff ceiling")
 
+    # sweep and converge call cli's own binding, simulate reaches the oracle's through evolve
     monkeypatch.setattr(oracle_module, "evolve_many", must_not_run)
+    monkeypatch.setattr(cli, "evolve_many", must_not_run)
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
         argv += ("--config", str(tmp_path / "run.cfg"))

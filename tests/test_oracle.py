@@ -1,4 +1,4 @@
-"""Block evolution against a dense reference, and convergence sweeps."""
+"""Block evolution against a dense reference and the moment map."""
 
 import dataclasses
 import math
@@ -30,7 +30,6 @@ from atomlaser.observables import (
 from atomlaser.oracle import (
     _block_phases,
     _grid_order,
-    convergence_sweep,
     evolve,
     evolve_many,
 )
@@ -345,51 +344,6 @@ def test_evolve_many_gauges_each_light_by_its_own_theta():
 
 def test_evolve_many_of_no_lights_is_empty():
     assert evolve_many(RESONANT, [], [0.0, 1.0]) == []
-
-
-def sweep_cfg(r, m=0j, n_max=64):
-    return ScenarioConfig(RESONANT, SqueezedInput(r, 0.0, m), Truncation(n_max))
-
-
-def test_convergence_sweep_vacuum_trivial():
-    times = np.linspace(0.0, 2 * math.pi, 5)
-    table = convergence_sweep(sweep_cfg(0.0), times, [8, 16])
-    assert table.converged
-    assert all(e.status == "ok" for e in table.entries)
-    assert table.deltas[0] < 1e-12
-
-
-def test_convergence_sweep_coherent_converges_early():
-    # Poisson tails are light: |m| = 1 is already converged at n_max = 16
-    times = np.linspace(0.0, 2 * math.pi, 5)
-    table = convergence_sweep(sweep_cfg(0.0, m=1.0), times, [16, 24])
-    assert table.converged
-    assert table.entries[0].status == "ok"
-
-
-def test_convergence_sweep_moderate_squeezing():
-    times = np.linspace(0.0, 2 * math.pi, 5)
-    table = convergence_sweep(sweep_cfg(0.3), times, [24, 32, 48])
-    assert table.converged
-    assert all(d < 1e-8 for d in table.deltas[-2:])
-
-
-def test_convergence_sweep_insufficient_truncation():
-    times = np.linspace(0.0, 2 * math.pi, 5)
-    table = convergence_sweep(sweep_cfg(2.0), times, [16, 24])
-    assert not table.converged
-    assert all(e.status == "truncation-insufficient" for e in table.entries)
-
-
-def test_convergence_sweep_deltas_shrink_monotonically():
-    times = np.linspace(0.0, 2 * math.pi, 5)
-    table = convergence_sweep(sweep_cfg(1.0), times, [40, 48, 56, 64])
-    assert all(b < a for a, b in zip(table.deltas, table.deltas[1:]))
-
-
-def test_convergence_sweep_requires_increasing_list():
-    with pytest.raises(ValueError):
-        convergence_sweep(sweep_cfg(0.5), [0.0, 1.0], [32, 32])
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

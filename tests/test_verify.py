@@ -218,3 +218,33 @@ def test_anchor_times_match_the_walk_over_k(params, t_max):
     assert np.array_equal(anchors[CROSSED], walk_phase_anchors(params, t_max, 0.5 * math.pi))
     conv = conversion_times(params, 1 + int(t_max * params.omega_r / math.pi))
     assert np.array_equal(anchors[CONVERSION], conv[conv <= t_max + 1e-12])
+
+
+@pytest.mark.parametrize(
+    "omega0, theta, t_max",
+    [
+        (4.0, 0.0, DEFAULT_GRID[-1]),
+        (4.0, 0.3, math.pi),
+        (7.3, -2.1, 20.0),
+        (1e3, 11.0, 2 * math.pi),
+    ],
+)
+def test_a_negative_omega0_takes_the_anchors_of_minus_theta(omega0, theta, t_max):
+    # omega0 t + theta passes every n pi whichever way the phase turns
+    grid = np.linspace(0.0, t_max, 7)
+    families = {CONVERSION, ALIGNED, CROSSED}
+    negative = anchor_times(ModelParams(-omega0, -omega0, 1.0, theta), grid, families)
+    mirror = anchor_times(ModelParams(omega0, omega0, 1.0, -theta), grid, families)
+    for family, sign in ((ALIGNED, 1.0), (CROSSED, -1.0)):
+        assert len(negative[family]) and np.array_equal(negative[family], mirror[family])
+        phase = 2.0 * (-omega0 * negative[family] + theta)
+        assert np.allclose(np.cos(phase), sign, rtol=0.0, atol=1e-9)
+    assert np.array_equal(negative[CONVERSION], mirror[CONVERSION])
+
+
+def test_verify_at_a_negative_omega0_reports_every_formula(tmp_path, capsys):
+    out = tmp_path / "v.txt"
+    assert main(["verify", "--omega0", "-4", "--omega-a", "-4", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote verdicts for 13 formulas to {out}\n"
+    rows = out.read_text().split("\n\n")[1].splitlines()[2:-2]
+    assert {row.split()[0]: row.split()[1] for row in rows} == EXPECTED_DEFAULT_VERDICTS
