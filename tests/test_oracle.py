@@ -1,4 +1,4 @@
-"""Block evolution against a dense reference and the moment map."""
+"""Block evolution against a dense reference and the moment map, and the cutoff study."""
 
 import dataclasses
 import math
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from atomlaser.cli import main
 from atomlaser.fock import (
     ModeVector,
     MomentSet,
@@ -344,6 +345,34 @@ def test_evolve_many_gauges_each_light_by_its_own_theta():
 
 def test_evolve_many_of_no_lights_is_empty():
     assert evolve_many(RESONANT, [], [0.0, 1.0]) == []
+
+
+def convergence_sweep(tmp_path, *argv):
+    """Run the cutoff study (cli converge) on five times; return its exit code and rows."""
+    out = tmp_path / "conv.csv"
+    code = main(["converge", *argv, "--steps", "5", "--out", str(out)])
+    lines = out.read_text().splitlines() if out.exists() else []
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    return code, rows
+
+
+def test_convergence_sweep_moderate_squeezing(tmp_path):
+    code, rows = convergence_sweep(tmp_path, "--r", "0.3", "--values", "24,32,48")
+    assert code == 0 and rows[-1]["status"] == "converged"
+    deltas = [float(row["max_delta"]) for row in rows if row["kind"] == "delta"]
+    assert len(deltas) == 2 and all(d < 1e-8 for d in deltas)
+
+
+def test_convergence_sweep_insufficient_truncation(tmp_path):
+    code, rows = convergence_sweep(tmp_path, "--r", "2", "--values", "16,24")
+    assert code == 2 and rows[-1]["status"] == "not-converged"
+    values = [row for row in rows if row["kind"] == "value"]
+    assert values and all(row["status"] == "truncation-insufficient" for row in values)
+
+
+def test_convergence_sweep_requires_increasing_list(tmp_path):
+    code, rows = convergence_sweep(tmp_path, "--r", "0.5", "--values", "32,32")
+    assert code == 1 and rows == []
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
