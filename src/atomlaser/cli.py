@@ -10,12 +10,19 @@ byte-identical files.  Undefined values (vacuum Mandel Q, closed forms
 outside their domain) are written as the token ``NA``; any other value that
 is not finite is an invariant violation (exit 3).  Every table is computed
 before the output file is opened, so a failed run leaves no file.
+
+Each CSV field is exactly ``'%.17g' % x``, computed in numpy.  Where
+``1e-4 <= |x| < 1e16`` (fixed notation) the digits are the exact product
+``|x| * 10**(16 - e)``, a two-product, rounded half to even as dtoa rounds it.
+Zero, NaN (``NA``), the infinities and every other ``|x|`` are formatted by
+``%`` itself, once per distinct value in a chunk of rows.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -65,6 +72,12 @@ CONVERGED_DELTA = 1e-8
 
 # CSV lines are formatted and written this many grid times at a time
 _CHUNK_ROWS = 1000
+
+# bytes of one field: '-0.000' and 17 digits, or '-1.2345678901234567e-308'
+_FIELD = 24
+# _POW10[k + 5] is 10**k: exact for k >= 0, and just above it for k = -4..-1,
+# so that |x| >= _POW10[k + 5] holds exactly when |x| >= 10**k
+_POW10 = np.array([float(f"1e{k}") for k in range(-5, 22)])  # float() rounds to nearest
 
 SWEEP_AXES = ("r", "phi", "m_re", "m_im", "theta", "omega0", "omega_a", "omega_r")
 
@@ -230,16 +243,93 @@ def _fmt(value: float) -> str:
     return "NA" if math.isnan(value) else format(value + 0.0, ".17g")
 
 
-def _write_rows(handle, template: str, table: np.ndarray) -> None:
-    """Write ``template % row`` for each row of ``table``, NaN as NA.
+def _times_pow10(a: np.ndarray, s: np.ndarray):
+    """hi + lo == a * 10**s exactly: Dekker's two-product over Veltkamp's splits."""
+    b = _POW10[s + 5]
+    ca, cb = 134217729.0 * a, 134217729.0 * b  # 2**27 + 1
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl, hi = a - ah, b - bh, a * b
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
 
-    Adding 0.0 turns -0.0 into 0.  The fixed text in the templates (source
-    names, axis names, cutoffs) never contains "nan", so the token swap only
-    touches the formatted floats.
+
+@functools.cache
+def _digit_tables():
+    """Digits of 0000-9999 in ASCII, their trailing zeros, masks of n leading bytes."""
+    v = np.arange(10000, dtype=np.uint16)
+    digits = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], axis=1).astype(np.uint8)
+    zeros = sum(v % 10**i == 0 for i in range(1, 5))
+    keep = np.arange(_FIELD) < np.arange(_FIELD + 1)[:, None]
+    return (digits + 48).view(np.uint32).ravel(), zeros, (keep * np.uint8(255)).view(np.uint64)
+
+
+def _format_fields(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` for each v of the flat array x, NaN as NA and -0.0 as 0,
+    as rows of _FIELD bytes padded with zero bytes."""
+    digits4, zeros4, keep = _digit_tables()  # built on the first write, not on import
+    ax = np.abs(x)
+    fast = (ax >= 1e-4) & (ax < 1e16)
+    ax = np.where(fast, ax, 1.0)
+    # 10**e <= |x| < 10**(e+1), where log10 may be one off next to a power of ten
+    e = np.floor(np.log10(ax)).astype(np.intp)
+    e += (ax >= _POW10[e + 6]).astype(np.intp) - (ax < _POW10[e + 5])
+    hi, lo = _times_pow10(ax, 16 - e)
+    # hi is an even integer in [1e16, 1e17) (its ulp is at least 2): adding the
+    # rounded lo rounds half to even; no double here rounds up to 10**17
+    rest = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # where the digits go depends on e alone: lay them out by runs of equal e
+    order = np.argsort(e.astype(np.int8), kind="stable")
+    e, rest = e[order], rest[order]
+    groups = np.empty((5, len(x)), np.int64)  # the leading digit, then 4 digits each
+    for i in range(4, -1, -1):
+        rest, groups[i] = np.divmod(rest, 10**4)
+    digits = np.take(digits4, groups.T).view(np.uint8)[:, 3:]
+    zeros = zeros4[groups[4]]
+    for i in (3, 2, 1):  # the groups after group i are all zeros
+        more = np.flatnonzero(zeros == 16 - 4 * i)
+        zeros[more] += zeros4[groups[i, more]]
+    # byte 0 holds the sign, and the text ends after the last nonzero digit
+    fields = np.zeros((len(x), _FIELD), np.uint8)
+    bounds = [0, *(np.flatnonzero(np.diff(e)) + 1), len(x)]
+    for a, b in zip(bounds, bounds[1:]):
+        k, f, d = int(e[a]), fields[a:b], digits[a:b]
+        if k < 0:  # 0.000ddd
+            f[:, 1 : 2 - k] = np.frombuffer(b"0.000"[: 1 - k], np.uint8)
+            f[:, 2 - k : 19 - k] = d
+        else:  # ddd.ddd
+            f[:, 1 : k + 2], f[:, k + 3 : 19] = d[:, : k + 1], d[:, k + 1 :]
+            f[:, k + 2] = ord(".")
+    # and no '.' without a digit after it
+    length = np.where(e < 0, 19 - e - zeros, np.where(zeros < 16 - e, 19 - zeros, e + 2))
+    fields.view(np.uint64)[...] &= np.take(keep, length, axis=0)
+    rows = fields.view(f"V{_FIELD}")  # a field as one item: back to the order of x
+    rows[order] = rows.copy()
+    fields[:, 0] = (x < 0) * np.uint8(ord("-"))
+    slow = np.flatnonzero(~fast)
+    values, inverse = np.unique(x[slow], return_inverse=True)
+    texts = np.array([_fmt(v).encode() for v in values.tolist()], f"S{_FIELD}")
+    fields[slow] = texts.view(np.uint8).reshape(-1, _FIELD)[inverse]
+    return fields
+
+
+def _write_rows(handle, template: str, table: np.ndarray) -> None:
+    """Write ``template % row`` for each row of ``table``, NaN as NA, -0.0 as 0.
+
+    Each ``%.17g`` of the template is one field of ``_format_fields``.  A chunk
+    of rows is laid out as one byte matrix, the template's fixed text and the
+    zero-padded fields in their columns, and written with the zero bytes dropped.
     """
-    for start in range(0, len(table), _CHUNK_ROWS):
-        rows = (table[start : start + _CHUNK_ROWS] + 0.0).tolist()
-        handle.write("".join(template % tuple(row) for row in rows).replace("nan", "NA"))
+    pieces = [np.frombuffer(p.encode(), np.uint8) for p in template.split("%.17g")]
+    starts = np.cumsum([len(p) + _FIELD for p in pieces]) - _FIELD  # of each field
+    lines = np.empty((min(_CHUNK_ROWS, len(table)), starts[-1]), np.uint8)
+    for piece, start in zip(pieces, starts):
+        lines[:, start - len(piece) : start] = piece
+    for first in range(0, len(table), _CHUNK_ROWS):
+        chunk = table[first : first + _CHUNK_ROWS]
+        fields = _format_fields(chunk.ravel()).reshape(len(chunk), -1, _FIELD)
+        block = lines[: len(chunk)]
+        for j, start in enumerate(starts[:-1]):
+            block[:, start : start + _FIELD] = fields[:, j]
+        handle.write(block.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _open_output(path: str):
@@ -274,9 +364,9 @@ def simulate_rows(run: RunConfig, light, result, prefix: str = "") -> tuple[str,
 
     physics = ",%.17g" * len(PHYSICS_COLUMNS)
     n_max = scenario.truncation.n_max
-    template = "".join(f"{prefix}%.17g,{source}{physics},{n_max},%.17g\n" for source in tables)
-    tail = np.full(len(grid), light.tail_mass)
-    return template, np.hstack([np.column_stack((grid, t, tail)) for t in tables.values()])
+    tail = _fmt(light.tail_mass)
+    template = "".join(f"{prefix}%.17g,{source}{physics},{n_max},{tail}\n" for source in tables)
+    return template, np.hstack([np.column_stack((grid, t)) for t in tables.values()])
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -371,6 +461,9 @@ def _max_delta(previous, current) -> float:
 
 def cmd_converge(args: argparse.Namespace) -> int:
     n_max_list = _parse_values(args.values, int)
+    # the verdict compares successive cutoffs, so one cutoff could only fail
+    if len(n_max_list) < 2:
+        raise UsageError("converge needs at least two n_max values to compare")
     if any(b <= a for a, b in zip(n_max_list, n_max_list[1:])):
         raise UsageError("n_max values must be strictly increasing")
     if n_max_list[0] < 1:
@@ -394,8 +487,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     ok = {n for n, light in lights.items() if light.norm_deficit <= DEFAULT_DEFICIT_THRESHOLD}
     pairs = list(zip(n_max_list, n_max_list[1:]))
     deltas = [_max_delta(physics.get(prev), physics.get(curr)) for prev, curr in pairs]
-    converged = n_max_list[-1] in ok and bool(deltas)
-    converged = converged and all(delta <= CONVERGED_DELTA for delta in deltas[-2:])
+    converged = n_max_list[-1] in ok and all(delta <= CONVERGED_DELTA for delta in deltas[-2:])
     out = settings["out"] or "converge.csv"
 
     no_physics = ["NA"] * len(PHYSICS_COLUMNS)

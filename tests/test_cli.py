@@ -336,6 +336,19 @@ def test_converge_rejects_non_increasing_values(tmp_path):
     )
 
 
+def test_converge_refuses_a_single_cutoff_before_any_work(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("converge started work it could never use")
+
+    monkeypatch.setattr(cli, "squeezed_coherent_state", must_not_run)
+    monkeypatch.setattr(cli, "evolve_many", must_not_run)
+    out = tmp_path / "c.csv"
+    assert run("converge", "--values", "64", "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
 def test_float_formatting_is_17_significant_digits(tmp_path):
     out = tmp_path / "fmt.csv"
     assert run(
