@@ -34,6 +34,12 @@ CASES = {
     "sweep-deep-squeeze.csv": (
         ("sweep", "--axis", "r", "--values", "0.75,1.25", "--n-max", "160", *STEPS), 0,
     ),
+    # values that differ only in theta share one oracle pass, each light with its own theta
+    "sweep-theta-m-re-0.5.csv": (
+        ("sweep", "--axis", "theta", "--values", "0,0.7", "--m-re", "0.5", *STEPS), 0,
+    ),
+    # one pass per omega0, the second off resonance
+    "sweep-omega0-4-5.csv": (("sweep", "--axis", "omega0", "--values", "4,5", *STEPS), 0),
     "converge-deep-squeeze.csv": (("converge", "--values", "96,128,160", *STEPS), 0),
     # 32 and 48 levels hold r = 1 only at the permissive deficit: mixed statuses, exit 2
     "converge-low-cutoffs.csv": (("converge", "--values", "32,48,64", "--r", "1", *STEPS), 2),
