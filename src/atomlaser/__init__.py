@@ -26,7 +26,6 @@ from .propagator import (
     PropagatorMatrix,
     ResonanceError,
     conversion_times,
-    detuning_geometry,
     heisenberg_moment_map,
     propagator_at,
 )

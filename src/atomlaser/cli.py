@@ -25,7 +25,7 @@ import contextlib
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .observables import (
     moment_map_table,
     physics_table,
 )
-from .oracle import EvolutionResult, check_oracle, evolve, evolve_many
+from .oracle import evolve_checked
 from .propagator import ModelParams, ResonanceError
 from .verify import discrepancy_report
 
@@ -187,6 +187,9 @@ def build_run_config(settings: dict) -> RunConfig:
     for key in _FLOAT_KEYS:
         if not math.isfinite(settings[key]):
             raise UsageError(f"{key} must be finite, got {settings[key]}")
+    for key in ("tol_algebraic", "tol_oracle"):
+        if settings[key] < 0:
+            raise UsageError(f"{key} must be >= 0, got {settings[key]}")
     try:
         inp = SqueezedInput(
             r=settings["r"],
@@ -339,14 +342,14 @@ def _open_output(path: str):
         raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def simulate_rows(run: RunConfig, light, result, prefix: str = "") -> tuple[str, np.ndarray]:
+def simulate_rows(run: RunConfig, light, oracle, prefix: str = "") -> tuple[str, np.ndarray]:
     """One scenario's CSV rows as a %-template and a float table.
 
-    ``light`` is the scenario's truncated input and ``result`` its oracle
-    evolution (None without the oracle source).  Each selected source's
-    (T, 11) physics table is computed over the time grid and checked.  Row i
-    of the returned table holds every source's line at grid time i, so the
-    output is ordered by (time, source).
+    ``light`` is the scenario's truncated input and ``oracle`` its (light, atom)
+    moments from ``evolve_checked`` (None without the oracle source).  Each
+    selected source's (T, 11) physics table is computed over the time grid and
+    checked.  Row i of the returned table holds every source's line at grid
+    time i, so the output is ordered by (time, source).
     """
     scenario = run.scenario
     grid = run.time_grid()
@@ -356,8 +359,7 @@ def simulate_rows(run: RunConfig, light, result, prefix: str = "") -> tuple[str,
     if SOURCE_MOMENT_MAP in run.sources:
         tables[SOURCE_MOMENT_MAP] = moment_map_table(scenario, grid)
     if SOURCE_ORACLE in run.sources:
-        check_oracle(scenario.params, light, result, grid)
-        tables[SOURCE_ORACLE] = physics_table(*result.moments)
+        tables[SOURCE_ORACLE] = physics_table(*oracle)
     for source, table in tables.items():
         gaps = literal_gaps(scenario) if source == SOURCE_LITERAL else ()
         check_table(table, grid, source, gaps)
@@ -369,18 +371,31 @@ def simulate_rows(run: RunConfig, light, result, prefix: str = "") -> tuple[str,
     return template, np.hstack([np.column_stack((grid, t)) for t in tables.values()])
 
 
+def _write_scenarios(runs: list[RunConfig], prefixes: list[str], header, out: str) -> None:
+    """Write the rows of runs that share sources and time grid, each after its prefix,
+    under one header; the file is opened once every input is built and checked."""
+    if runs[0].sources == (SOURCE_LITERAL,) and all(
+        len(literal_gaps(run.scenario)) == len(PHYSICS_COLUMNS) for run in runs
+    ):
+        raise UsageError("literal-paper fills no column here; select moment-map or oracle too")
+    # the input also supplies the per-row tail diagnostic, which gates nothing
+    lights = [squeezed_coherent_state(run.scenario.input, run.scenario.truncation) for run in runs]
+    oracle = [None] * len(runs)
+    if SOURCE_ORACLE in runs[0].sources:
+        pairs = [(run.scenario.params, light) for run, light in zip(runs, lights)]
+        oracle = [moments for moments, _ in evolve_checked(pairs, runs[0].time_grid())]
+    blocks = [simulate_rows(*scenario) for scenario in zip(runs, lights, oracle, prefixes)]
+    with _open_output(out) as handle:
+        handle.write(",".join(header) + "\n")
+        for template, table in blocks:
+            _write_rows(handle, template, table)
+    total = sum(len(table) * len(run.sources) for (_, table), run in zip(blocks, runs))
+    print(f"wrote {total} rows to {out}")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     run = build_run_config(_resolve_settings(args))
-    # the input also supplies the per-row tail diagnostic, which gates nothing
-    light = squeezed_coherent_state(run.scenario.input, run.scenario.truncation)
-    oracle = SOURCE_ORACLE in run.sources
-    result = evolve(run.scenario.params, light, run.time_grid()) if oracle else None
-    template, table = simulate_rows(run, light, result)
-    out = run.out or "simulate.csv"
-    with _open_output(out) as handle:
-        handle.write(",".join(CSV_COLUMNS) + "\n")
-        _write_rows(handle, template, table)
-    print(f"wrote {len(table) * len(run.sources)} rows to {out}")
+    _write_scenarios([run], [""], CSV_COLUMNS, run.out or "simulate.csv")
     return 0
 
 
@@ -426,28 +441,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = settings["out"] or "sweep.csv"
     # every value is validated, and its input built, before any scenario runs
     runs = [build_run_config({**settings, args.axis: value}) for value in values]
-    lights = [squeezed_coherent_state(run.scenario.input, run.scenario.truncation) for run in runs]
-    # values that differ at most in theta share one oracle pass: no block reads it
-    groups: dict[tuple, list[int]] = {}
-    for i, run in enumerate(runs):
-        if SOURCE_ORACLE in run.sources:
-            key = (replace(run.scenario.params, theta=0.0), run.t_max, run.steps)
-            groups.setdefault(key, []).append(i)
-    results: dict[int, EvolutionResult] = {}
-    for (params, *_), members in groups.items():
-        thetas = [runs[i].scenario.params.theta for i in members]
-        grid = runs[members[0]].time_grid()
-        results.update(zip(members, evolve_many(params, [lights[i] for i in members], grid, thetas)))
-    blocks = [
-        simulate_rows(run, light, results.get(i), f"{args.axis},{_fmt(value)},")
-        for i, (value, run, light) in enumerate(zip(values, runs, lights))
-    ]
-    with _open_output(out) as handle:
-        handle.write(",".join(("axis", "value") + CSV_COLUMNS) + "\n")
-        for template, table in blocks:
-            _write_rows(handle, template, table)
-    total = sum(len(table) * len(run.sources) for (_, table), run in zip(blocks, runs))
-    print(f"wrote {total} rows to {out}")
+    prefixes = [f"{args.axis},{_fmt(value)}," for value in values]
+    _write_scenarios(runs, prefixes, ("axis", "value") + CSV_COLUMNS, out)
     return 0
 
 
@@ -479,11 +474,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
             lights[n_max] = squeezed_coherent_state(
                 run.scenario.input, Truncation(n_max), deficit_threshold=REPORTED_DEFICIT
             )
-    results = evolve_many(params, list(lights.values()), grid)
-    physics = {}
-    for (n_max, light), result in zip(lights.items(), results):
-        check_oracle(params, light, result, grid)
-        physics[n_max] = physics_table(*result.moments)
+    checked = evolve_checked([(params, light) for light in lights.values()], grid)
+    physics = {n_max: physics_table(*moments) for n_max, (moments, _) in zip(lights, checked)}
     ok = {n for n, light in lights.items() if light.norm_deficit <= DEFAULT_DEFICIT_THRESHOLD}
     pairs = list(zip(n_max_list, n_max_list[1:]))
     deltas = [_max_delta(physics.get(prev), physics.get(curr)) for prev, curr in pairs]
@@ -537,11 +529,6 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
         help="comma list from: literal-paper, moment-map, oracle (default all)",
     )
     parser.add_argument("--out", help="output file path")
-    parser.add_argument("--tol-algebraic", type=float, dest="tol_algebraic",
-                        help="largest |closed form - moment map| a CONFIRMED verify "
-                        "verdict allows (default 1e-8)")
-    parser.add_argument("--tol-oracle", type=float, dest="tol_oracle",
-                        help="oracle slack beyond each form's truncation term (default 1e-6)")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -564,6 +551,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="adjudicate the closed forms against the oracle")
     _add_scenario_flags(p_ver)
+    p_ver.add_argument("--tol-algebraic", type=float, dest="tol_algebraic",
+                       help="largest |closed form - moment map| a CONFIRMED verdict "
+                       "allows (default 1e-8)")
+    p_ver.add_argument("--tol-oracle", type=float, dest="tol_oracle",
+                       help="oracle slack beyond each form's truncation term (default 1e-6)")
     p_ver.set_defaults(func=cmd_verify)
 
     p_swp = sub.add_parser("sweep", help="repeat simulate over one parameter axis")

@@ -86,10 +86,6 @@ class MomentSet:
     def number_var(self) -> float:
         return self.number_sq - self.number_mean**2
 
-    @classmethod
-    def vacuum(cls) -> "MomentSet":
-        return cls(0j, 0j, 0.0, 0.0)
-
 
 def top_decile_mass(amplitudes: np.ndarray) -> float:
     """Probability carried by the top 10% of basis indices (tail diagnostic)."""

@@ -53,14 +53,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class DetuningGeometry:
-    """Detuning angle and generalized Rabi frequency."""
-
-    varphi: float  # omega0 - omega_a = 2 omega_r tan(varphi), in (-pi/2, pi/2)
-    big_i: float   # omega_r / cos(varphi) = sqrt(omega_r^2 + ((omega0-omega_a)/2)^2)
-
-
-@dataclass(frozen=True)
 class PropagatorMatrix:
     """Unitary 2x2 transfer matrices for (b, a) plus the overall free phase.
 
@@ -78,11 +70,6 @@ class PropagatorMatrix:
         return self.global_phase[..., None, None] * self.entries
 
 
-def detuning_geometry(params: ModelParams) -> DetuningGeometry:
-    half = 0.5 * (params.omega0 - params.omega_a)
-    return DetuningGeometry(math.atan2(half, params.omega_r), math.hypot(params.omega_r, half))
-
-
 def propagator_at(params: ModelParams, t) -> PropagatorMatrix:
     """Transfer matrix at time(s) t: rows give b(t), a(t) in terms of b(0), a(0).
 
@@ -93,11 +80,12 @@ def propagator_at(params: ModelParams, t) -> PropagatorMatrix:
     this reduces to the plain Rabi rotation cos/sin(omega_r t).
     """
     t = np.asarray(t, dtype=float)
-    geo = detuning_geometry(params)
+    half = 0.5 * (params.omega0 - params.omega_a)
+    big_i = math.hypot(params.omega_r, half)  # I = omega_r / cos(varphi)
     # sin and cos of varphi as ratios: taken of varphi near pi/2 they lose eps / cos(varphi)
-    sin_v, cos_v = 0.5 * (params.omega0 - params.omega_a) / geo.big_i, params.omega_r / geo.big_i
-    cos_it = np.cos(geo.big_i * t)
-    sin_it = np.sin(geo.big_i * t)
+    sin_v, cos_v = half / big_i, params.omega_r / big_i
+    cos_it = np.cos(big_i * t)
+    sin_it = np.sin(big_i * t)
     lam_minus = cos_it - 1j * sin_v * sin_it
     lam_plus = cos_it + 1j * sin_v * sin_it
     eta = cos_v * sin_it

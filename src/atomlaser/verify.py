@@ -40,7 +40,7 @@ from .observables import (
     UsageError,
     input_moments,
 )
-from .oracle import check_oracle, evolve
+from .oracle import evolve_checked
 from .propagator import (
     ModelParams,
     ResonanceError,
@@ -241,9 +241,7 @@ def discrepancy_report(
     all_times = np.unique(np.concatenate(list(anchors.values())))
 
     light = squeezed_coherent_state(scn.input, scn.truncation)
-    result = evolve(scn.params, light, all_times)
-    truncated = check_oracle(scn.params, light, result, all_times)
-    oracle = result.moments
+    [(oracle, truncated)] = evolve_checked([(scn.params, light)], all_times)
     mapped = heisenberg_moment_map(propagator_at(scn.params, all_times), input_moments(scn.input))
 
     checks = []

@@ -44,7 +44,7 @@ from atomlaser.observables import (
     squeeze_coeffs,
 )
 from atomlaser.oracle import evolve
-from atomlaser.propagator import ModelParams, detuning_geometry, propagator_at
+from atomlaser.propagator import ModelParams, propagator_at
 from atomlaser.verify import CONFIRMED, TYPO_SUSPECT
 
 RESONANT = ModelParams(4.0, 4.0, 1.0, 0.0)
@@ -190,8 +190,8 @@ def test_criterion_5_invariant_suite():
             worst_unitarity,
             float(np.max(np.abs(u.entries @ u.entries.conj().T - np.eye(2)))),
         )
-        geo = detuning_geometry(params)
-        eta = math.cos(geo.varphi) * math.sin(geo.big_i * t)
+        big_i = math.hypot(params.omega_r, 0.5 * (params.omega0 - params.omega_a))
+        eta = params.omega_r / big_i * math.sin(big_i * t)  # cos(varphi) sin(I t)
         worst_identity = max(
             worst_identity, abs(abs(u.entries[0, 0]) ** 2 + eta**2 - 1.0)
         )

@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 
 from atomlaser import cli
 from atomlaser import oracle as oracle_module
-from atomlaser import verify as verify_module
 from atomlaser.cli import DEFAULT_N_MAX_FLOOR, auto_n_max, main
 from atomlaser.fock import SqueezedInput, Truncation, TruncationError, squeezed_coherent_state
-from atomlaser.observables import CSV_COLUMNS
-from atomlaser.oracle import evolve, evolve_many
+from atomlaser.observables import CSV_COLUMNS, PHYSICS_COLUMNS
+from atomlaser.oracle import evolve_many
 
 
 def run(*argv):
@@ -237,6 +236,35 @@ def test_sweep_detuned_value_routes_literal_to_na(tmp_path):
     assert all(r["na_mean"] != "NA" for r in detuned_map)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("simulate", "--omega0", "5"), ("sweep", "--axis", "omega0", "--values", "5,6")],
+    ids=["simulate", "sweep"],
+)
+def test_a_table_of_only_na_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an input was built for a table that could hold only NA")
+
+    # off resonance no literal-paper form is in its domain
+    monkeypatch.setattr(cli, "squeezed_coherent_state", must_not_run)
+    out = tmp_path / "na.csv"
+    assert run(*argv, "--sources", "literal-paper", "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
+def test_a_literal_sweep_with_one_resonant_value_runs(tmp_path):
+    out = tmp_path / "lit.csv"
+    argv = ("sweep", "--axis", "omega0", "--values", "4,5", "--sources", "literal-paper")
+    assert run(*argv, "--steps", "4", "--out", str(out)) == 0
+    _, rows = read_rows(out)
+    filled = {value: {k for r in rows if r["value"] == value for k in r if r[k] != "NA"}
+              for value in ("4", "5")}
+    assert filled["4"] >= set(PHYSICS_COLUMNS)
+    assert not filled["5"] & set(PHYSICS_COLUMNS)
+
+
 @pytest.mark.parametrize("values", ["0.5,nan", "0.5,0.6,0.7,-1"])
 def test_sweep_validates_every_value_before_running_any(tmp_path, capsys, monkeypatch, values):
     def must_not_run(*args):
@@ -341,7 +369,7 @@ def test_converge_refuses_a_single_cutoff_before_any_work(tmp_path, capsys, monk
         raise AssertionError("converge started work it could never use")
 
     monkeypatch.setattr(cli, "squeezed_coherent_state", must_not_run)
-    monkeypatch.setattr(cli, "evolve_many", must_not_run)
+    monkeypatch.setattr(oracle_module, "evolve_many", must_not_run)
     out = tmp_path / "c.csv"
     assert run("converge", "--values", "64", "--out", str(out)) == 1
     err = capsys.readouterr().err.splitlines()
@@ -401,7 +429,7 @@ def test_auto_n_max_stops_at_the_ceiling(tmp_path, capsys):
         ("simulate", "--omega0", "inf"),
         ("simulate", "--t-max", "nan"),
         ("simulate", "--theta", "nan"),
-        ("simulate", "--tol-oracle", "nan"),
+        ("verify", "--tol-oracle", "nan"),
         ("verify", "--phi", "inf"),
         ("sweep", "--axis", "r", "--values", "0.5,nan"),
         ("converge", "--values", "16,24", "--omega-r", "nan"),
@@ -411,6 +439,9 @@ def test_auto_n_max_stops_at_the_ceiling(tmp_path, capsys):
         ("verify", "--steps", "many"),
         ("sweep", "--axis", "r"),
         ("transmogrify",),
+        # only verify reads the tolerances, and none is negative
+        ("simulate", "--tol-oracle", "1"),
+        ("verify", "--tol-oracle", "-1"),
         # a cutoff below 1 that is not the last of converge's list
         ("converge", "--values", "0,40"),
     ],
@@ -425,7 +456,7 @@ def test_non_finite_settings_are_config_errors(tmp_path, capsys, argv):
 
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        run("simulate", "--help")
+        run("verify", "--help")
     assert exc.value.code == 0
     assert "--tol-oracle" in capsys.readouterr().out
 
@@ -483,31 +514,6 @@ def test_oracle_matches_the_moment_map_far_off_resonance(tmp_path, argv):
     assert run("simulate", *argv, "--steps", "20", "--out", str(tmp_path / "far.csv")) == 0
 
 
-def rotated_b_squared(params, light, times):
-    """evolve, with the atom-mode <b^2> turned by e^{0.1 i}: an oracle fault."""
-    return turn_b_squared(evolve(params, light, times))
-
-
-def turn_b_squared(result):
-    light_t, atom_t = result.moments
-    atom_t = dataclasses.replace(atom_t, sq_amp=atom_t.sq_amp * np.exp(0.1j))
-    return dataclasses.replace(result, moments=(light_t, atom_t))
-
-
-@pytest.mark.parametrize("command", ["simulate", "verify"])
-def test_oracle_that_leaves_the_moment_map_is_an_invariant_violation(
-    tmp_path, capsys, monkeypatch, command
-):
-    monkeypatch.setattr(cli, "evolve", rotated_b_squared)
-    monkeypatch.setattr(verify_module, "evolve", rotated_b_squared)
-    out = tmp_path / "out.txt"
-    assert run(command, "--out", str(out)) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("invariant violation:")
-    assert "atom sq_amp" in err[0]
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "argv, where",
     [
@@ -542,26 +548,13 @@ def test_sweep_builds_every_input_before_any_oracle_runs(tmp_path, capsys, monke
     def must_not_run(*args):
         raise AssertionError("the oracle ran before every input was built")
 
-    monkeypatch.setattr(cli, "evolve_many", must_not_run)
+    monkeypatch.setattr(oracle_module, "evolve_many", must_not_run)
     out = tmp_path / "sweep.csv"
     argv = ("sweep", "--axis", "r", "--values", "0.5,3", "--n-max", "64", "--out", str(out))
     assert run(*argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("truncation-insufficient:")
     assert "r=3" in err[0] and "n_max=64" in err[0]
-    assert not out.exists()
-
-
-def test_converge_checks_every_cutoff_against_the_moment_map(tmp_path, capsys, monkeypatch):
-    def rotated(params, lights, times):
-        return [turn_b_squared(result) for result in evolve_many(params, lights, times)]
-
-    monkeypatch.setattr(cli, "evolve_many", rotated)
-    out = tmp_path / "conv.csv"
-    assert run("converge", "--r", "0.3", "--steps", "4", "--values", "24,32", "--out", str(out)) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("invariant violation:")
-    assert "atom sq_amp" in err[0]
     assert not out.exists()
 
 
@@ -612,20 +605,46 @@ def test_tol_algebraic_gates_confirmed_verdicts(tmp_path, extra):
     assert ("conversion-number-transfer", "CONFIRMED") in after  # |lit-map| is 0 there
 
 
-def drifting(name):
-    """evolve, with its norm or occupation drift set to 1e-6: an oracle fault that
-    leaves every moment in place."""
-    return lambda *args: dataclasses.replace(evolve(*args), **{name: 1e-6})
+def turn_b_squared(result):
+    """The atom-mode <b^2> turned by e^{0.1 i}: the oracle leaves the moment map."""
+    light_t, atom_t = result.moments
+    atom_t = dataclasses.replace(atom_t, sq_amp=atom_t.sq_amp * np.exp(0.1j))
+    return dataclasses.replace(result, moments=(light_t, atom_t))
 
 
-@pytest.mark.parametrize("name, where", [("norm_drift", "norm"), ("ntotal_drift", "occupation")])
-def test_verify_gates_the_oracle_drift(tmp_path, capsys, monkeypatch, name, where):
-    monkeypatch.setattr(verify_module, "evolve", drifting(name))
-    out = tmp_path / "verify.txt"
-    assert run("verify", "--out", str(out)) == 3
+# oracle faults, each with the words its one-line message must hold
+ORACLE_FAULTS = {
+    "b-squared-turned": (turn_b_squared, "atom sq_amp"),
+    "norm-drift": (
+        lambda result: dataclasses.replace(result, norm_drift=1e-6), "norm drift 1.000e-06"
+    ),
+    "ntotal-drift": (
+        lambda result: dataclasses.replace(result, ntotal_drift=1e-6), "occupation drift 1.000e-06"
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ORACLE_FAULTS))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate",),
+        ("sweep", "--axis", "theta", "--values", "0,1"),
+        ("converge", "--r", "0.3", "--values", "24,32"),
+        ("verify",),
+    ],
+    ids=["simulate", "sweep", "converge", "verify"],
+)
+def test_every_command_checks_the_oracle_it_reaches(tmp_path, capsys, monkeypatch, argv, fault):
+    # every command reaches the oracle through evolve_many, so one patch faults all four
+    turn, where = ORACLE_FAULTS[fault]
+    faulty = lambda *args: list(map(turn, evolve_many(*args)))  # noqa: E731
+    monkeypatch.setattr(oracle_module, "evolve_many", faulty)
+    out = tmp_path / "out.txt"
+    assert run(*argv, "--steps", "4", "--out", str(out)) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("invariant violation:")
-    assert f"{where} drift 1.000e-06" in err[0]
+    assert where in err[0]
     assert not out.exists()
 
 
@@ -645,9 +664,7 @@ def test_an_explicit_cutoff_above_the_ceiling_is_a_config_error(
     def must_not_run(*args):
         raise AssertionError("the oracle ran past the cutoff ceiling")
 
-    # sweep and converge call cli's own binding, simulate reaches the oracle's through evolve
     monkeypatch.setattr(oracle_module, "evolve_many", must_not_run)
-    monkeypatch.setattr(cli, "evolve_many", must_not_run)
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
         argv += ("--config", str(tmp_path / "run.cfg"))

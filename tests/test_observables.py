@@ -140,7 +140,7 @@ def test_mandel_q_number_state():
 
 
 def test_mandel_q_vacuum_undefined():
-    assert math.isnan(mandel_q(MomentSet.vacuum()))
+    assert math.isnan(mandel_q(MomentSet(0j, 0j, 0.0, 0.0)))
     # elementwise on array moments: only the vacuum entry is undefined
     q = mandel_q(MomentSet(np.zeros(2), np.zeros(2), np.array([0.0, 2.0]), np.array([0.0, 6.0])))
     assert math.isnan(q[0]) and q[1] == 0.0
@@ -171,7 +171,7 @@ def test_literal_q_pair_numerator_disagrees_with_vacuum_limit():
 
 
 def test_squeeze_coeffs_vacuum():
-    assert squeeze_coeffs(MomentSet.vacuum()) == (0.0, 0.0)
+    assert squeeze_coeffs(MomentSet(0j, 0j, 0.0, 0.0)) == (0.0, 0.0)
 
 
 def test_squeeze_coeffs_squeezed_vacuum_pair():
@@ -374,14 +374,14 @@ def test_literal_record_vacuum_input_full():
 
 
 def test_physics_table_q_nan_for_vacuum_mode():
-    rec = columns(physics_table(MomentSet(0j, 0j, 1.0, 2.0), MomentSet.vacuum()))
+    rec = columns(physics_table(MomentSet(0j, 0j, 1.0, 2.0), MomentSet(0j, 0j, 0.0, 0.0)))
     assert math.isnan(rec["q_b"][0])
     assert rec["q_a"][0] == 0.0
 
 
 def test_check_table_flags_negative_variance():
     times = np.array([0.0])
-    good = physics_table(MomentSet(0j, 0j, 1.0, 2.0), MomentSet.vacuum())
+    good = physics_table(MomentSet(0j, 0j, 1.0, 2.0), MomentSet(0j, 0j, 0.0, 0.0))
     check_table(good, times, "oracle")  # fine: the vacuum atom Q is a domain gap
     bad = good.copy()
     bad[0, PHYSICS_COLUMNS.index("na_var")] = -0.5

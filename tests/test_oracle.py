@@ -170,7 +170,7 @@ def test_grid_plus_extra_phases_match_direct_exponentials(times, grid):
 def test_evolve_at_time_zero_returns_input():
     light = coherent_state(1.0, Truncation(24))
     a, b = evolve(RESONANT, light, [0.0]).moments
-    for got, want in ((a, mode_moments(light)), (b, MomentSet.vacuum())):
+    for got, want in ((a, mode_moments(light)), (b, MomentSet(0j, 0j, 0.0, 0.0))):
         assert abs(got.mean_amp[0] - want.mean_amp) < 1e-14
         assert abs(got.sq_amp[0] - want.sq_amp) < 1e-14
         assert abs(got.number_mean[0] - want.number_mean) < 1e-14

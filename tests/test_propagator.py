@@ -11,7 +11,6 @@ from atomlaser.propagator import (
     ModelParams,
     ResonanceError,
     conversion_times,
-    detuning_geometry,
     heisenberg_moment_map,
     propagator_at,
 )
@@ -36,30 +35,39 @@ def random_params(rng):
     )
 
 
+def quarter_turn(params):
+    """(I, entries at I t = pi/2), I = sqrt(omega_r^2 + ((omega0 - omega_a)/2)^2).
+
+    There lam_minus = -i sin(varphi) and |eta| = cos(varphi) = omega_r / I.
+    """
+    big_i = math.sqrt(params.omega_r**2 + 0.25 * (params.omega0 - params.omega_a) ** 2)
+    return big_i, propagator_at(params, math.pi / (2.0 * big_i)).entries
+
+
 def test_geometry_resonance():
-    geo = detuning_geometry(ModelParams(4.0, 4.0, 1.0))
-    assert geo.varphi == 0.0
-    assert geo.big_i == 1.0
+    big_i, entries = quarter_turn(ModelParams(4.0, 4.0, 1.0))
+    assert big_i == 1.0
+    assert entries[0, 0].imag == 0.0  # varphi = 0
+    assert abs(entries[0, 1]) == 1.0
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_geometry_quarter_angle(sign):
-    # omega0 - omega_a = sign * 2 omega_r  ->  varphi = sign * pi/4
-    geo = detuning_geometry(ModelParams(4.0 + sign * 2.0, 4.0, 1.0))
-    assert abs(geo.varphi - sign * math.pi / 4) < 1e-14
-    assert abs(geo.big_i - math.sqrt(2.0)) < 1e-14
+    # omega0 - omega_a = sign * 2 omega_r  ->  varphi = sign * pi/4, I = sqrt(2)
+    big_i, entries = quarter_turn(ModelParams(4.0 + sign * 2.0, 4.0, 1.0))
+    assert abs(big_i - math.sqrt(2.0)) < 1e-14
+    assert abs(entries[0, 0] + 1j * math.sin(sign * math.pi / 4)) < 1e-14
+    assert abs(abs(entries[0, 1]) - math.cos(math.pi / 4)) < 1e-14
 
 
 def test_geometry_identity():
     rng = np.random.default_rng(7)
     for _ in range(50):
         params = random_params(rng)
-        geo = detuning_geometry(params)
-        expected = math.sqrt(
-            params.omega_r**2 + 0.25 * (params.omega0 - params.omega_a) ** 2
-        )
-        assert abs(geo.big_i - expected) < 1e-12
-        assert geo.big_i >= params.omega_r
+        big_i, entries = quarter_turn(params)
+        sin_varphi = 0.5 * (params.omega0 - params.omega_a) / big_i
+        assert abs(entries[0, 0] + 1j * sin_varphi) < 1e-12
+        assert abs(abs(entries[0, 1]) - params.omega_r / big_i) < 1e-12
 
 
 def test_params_require_positive_coupling():
@@ -85,10 +93,7 @@ def test_propagator_resonant_quarter_period():
 
 def test_propagator_detuned_decoupling_time():
     # varphi = pi/4, I = sqrt(2): at I t = pi the modes decouple up to phase
-    params = ModelParams(5.0, 3.0, 1.0)
-    geo = detuning_geometry(params)
-    assert abs(geo.varphi - math.pi / 4) < 1e-14
-    u = propagator_at(params, math.pi / geo.big_i)
+    u = propagator_at(ModelParams(5.0, 3.0, 1.0), math.pi / math.sqrt(2.0))
     np.testing.assert_allclose(u.entries, -np.eye(2), atol=1e-13)
 
 
@@ -101,9 +106,9 @@ def test_unitarity_and_coefficient_identity():
         np.testing.assert_allclose(
             u.entries @ u.entries.conj().T, np.eye(2), atol=1e-12
         )
-        geo = detuning_geometry(params)
+        big_i = math.hypot(params.omega_r, 0.5 * (params.omega0 - params.omega_a))
         lam_minus = u.entries[0, 0]
-        eta = math.cos(geo.varphi) * math.sin(geo.big_i * t)
+        eta = params.omega_r / big_i * math.sin(big_i * t)  # cos(varphi) sin(I t)
         assert abs(abs(lam_minus) ** 2 + eta**2 - 1.0) < 1e-12
 
 
