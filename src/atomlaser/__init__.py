@@ -24,7 +24,6 @@ from .oracle import EvolutionResult, evolve, evolve_many
 from .propagator import (
     ModelParams,
     PropagatorMatrix,
-    ResonanceError,
     conversion_times,
     heisenberg_moment_map,
     propagator_at,

@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 unusable configuration, 2 truncation-insufficient
 (or a convergence run that did not converge), 3 invariant violation during a
 run, 4 unresolved formula verdicts from verify.
 
+Each setting's type, default and help text are in ``_SETTINGS``.  A config
+file may set any key for any command, but each command has flags only for the
+keys it reads: the scenario keys, plus ``n_max`` and ``sources`` (simulate,
+sweep) or ``n_max`` and the tolerances (verify); converge reads its cutoffs
+from ``--values`` and always runs the oracle.
+
 All numeric output is written with 17 significant digits, '.' decimal
 separator and '\n' line endings, so identical configurations produce
 byte-identical files.  Undefined values (vacuum Mandel Q, closed forms
@@ -55,7 +61,7 @@ from .observables import (
     physics_table,
 )
 from .oracle import evolve_checked
-from .propagator import ModelParams, ResonanceError
+from .propagator import ModelParams
 from .verify import discrepancy_report
 
 # bounds of the auto cutoff; the ceiling also caps an explicit cutoff, and so
@@ -81,27 +87,36 @@ _POW10 = np.array([float(f"1e{k}") for k in range(-5, 22)])  # float() rounds to
 
 SWEEP_AXES = ("r", "phi", "m_re", "m_im", "theta", "omega0", "omega_a", "omega_r")
 
-_DEFAULTS = {
-    "r": 1.0,
-    "phi": 0.0,
-    "m_re": 0.0,
-    "m_im": 0.0,
-    "theta": 0.0,
-    "omega0": 4.0,
-    "omega_a": 4.0,
-    "omega_r": 1.0,
-    "t_max": 2.0 * math.pi,
-    "steps": 200,
-    "n_max": None,  # auto: see auto_n_max
-    "sources": ",".join(SOURCES),
-    "out": None,
-    "tol_algebraic": 1e-8,
-    "tol_oracle": 1e-6,
+# key: (type, default, --help text)
+_SETTINGS = {
+    "r": (float, 1.0, "squeeze magnitude r >= 0"),
+    "phi": (float, 0.0, "squeeze angle (rad)"),
+    "m_re": (float, 0.0, "Re of coherent amplitude"),
+    "m_im": (float, 0.0, "Im of coherent amplitude"),
+    "theta": (float, 0.0, "condensate phase (rad)"),
+    "omega0": (float, 4.0, "level splitting (rad/time)"),
+    "omega_a": (float, 4.0, "optical frequency (rad/time)"),
+    "omega_r": (float, 1.0, "collective coupling (rad/time)"),
+    "t_max": (float, 2.0 * math.pi, "time grid upper edge (exclusive)"),
+    "steps": (int, 200, "number of grid points (>= 2)"),
+    "n_max": (
+        int,
+        None,  # auto: see auto_n_max
+        f"Fock cutoff per mode, at most {DEFAULT_N_MAX_CEILING} (default: the smallest "
+        f"n_max from {DEFAULT_N_MAX_FLOOR} that holds the input to a norm deficit of "
+        f"{DEFAULT_DEFICIT_THRESHOLD:.0e})",
+    ),
+    "sources": (str, ",".join(SOURCES), "comma list from: " + ", ".join(SOURCES)),
+    "out": (str, None, "output file path"),
+    "tol_algebraic": (float, 1e-8, "largest |closed form - moment map| a CONFIRMED verdict allows"),
+    "tol_oracle": (float, 1e-6, "oracle slack beyond each form's truncation term"),
 }
+_DEFAULTS = {key: default for key, (_, default, _) in _SETTINGS.items()}
 
-_FLOAT_KEYS = tuple(key for key, value in _DEFAULTS.items() if isinstance(value, float))
-_INT_KEYS = ("steps", "n_max")
-_STR_KEYS = ("sources", "out")
+# the keys that set the scenario, its time grid and the output path
+_SCENARIO_KEYS = (
+    "r", "phi", "m_re", "m_im", "theta", "omega0", "omega_a", "omega_r", "t_max", "steps", "out"
+)
 
 
 @dataclass(frozen=True)
@@ -141,20 +156,14 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _FLOAT_KEYS:
-            try:
-                settings[key] = float(value)
-            except ValueError as exc:
-                raise UsageError(f"{path}:{line_no}: bad float for {key}: {value!r}") from exc
-        elif key in _INT_KEYS:
-            try:
-                settings[key] = int(value)
-            except ValueError as exc:
-                raise UsageError(f"{path}:{line_no}: bad integer for {key}: {value!r}") from exc
-        elif key in _STR_KEYS:
-            settings[key] = value
-        else:
+        if key not in _SETTINGS:
             raise UsageError(f"{path}:{line_no}: unknown key {key!r}")
+        cast = _SETTINGS[key][0]
+        try:
+            settings[key] = cast(value)
+        except ValueError as exc:
+            kind = "integer" if cast is int else "float"
+            raise UsageError(f"{path}:{line_no}: bad {kind} for {key}: {value!r}") from exc
     return settings
 
 
@@ -162,7 +171,7 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
     settings = dict(_DEFAULTS)
     if getattr(args, "config", None):
         settings.update(parse_config_file(args.config))
-    for key in (*_FLOAT_KEYS, *_INT_KEYS, *_STR_KEYS):
+    for key in _SETTINGS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
@@ -184,8 +193,8 @@ def auto_n_max(inp: SqueezedInput) -> int:
 
 
 def build_run_config(settings: dict) -> RunConfig:
-    for key in _FLOAT_KEYS:
-        if not math.isfinite(settings[key]):
+    for key, (cast, _, _) in _SETTINGS.items():
+        if cast is float and not math.isfinite(settings[key]):
             raise UsageError(f"{key} must be finite, got {settings[key]}")
     for key in ("tol_algebraic", "tol_oracle"):
         if settings[key] < 0:
@@ -401,10 +410,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     run = build_run_config(_resolve_settings(args))
-    if set(run.sources) != set(SOURCES):
-        raise UsageError(
-            "verify needs all three sources (literal-paper, moment-map, oracle)"
-        )
     report = discrepancy_report(
         run.scenario,
         run.time_grid(),
@@ -436,6 +441,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(
             f"unknown sweep axis {args.axis!r}; choose from {', '.join(SWEEP_AXES)}"
         )
+    if getattr(args, args.axis) is not None:
+        raise UsageError(f"{args.axis} is the sweep axis: set its values in --values, not its flag")
     values = _parse_values(args.values, float)
     settings = _resolve_settings(args)
     out = settings["out"] or "sweep.csv"
@@ -476,6 +483,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
             )
     checked = evolve_checked([(params, light) for light in lights.values()], grid)
     physics = {n_max: physics_table(*moments) for n_max, (moments, _) in zip(lights, checked)}
+    for table in physics.values():
+        check_table(table, grid, SOURCE_ORACLE)
     ok = {n for n, light in lights.items() if light.norm_deficit <= DEFAULT_DEFICIT_THRESHOLD}
     pairs = list(zip(n_max_list, n_max_list[1:]))
     deltas = [_max_delta(physics.get(prev), physics.get(curr)) for prev, curr in pairs]
@@ -504,33 +513,6 @@ def cmd_converge(args: argparse.Namespace) -> int:
     return 0 if converged else 2
 
 
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file; flags win")
-    parser.add_argument("--r", type=float, help="squeeze magnitude r >= 0")
-    parser.add_argument("--phi", type=float, help="squeeze angle (rad)")
-    parser.add_argument("--m-re", type=float, dest="m_re", help="Re of coherent amplitude")
-    parser.add_argument("--m-im", type=float, dest="m_im", help="Im of coherent amplitude")
-    parser.add_argument("--theta", type=float, help="condensate phase (rad)")
-    parser.add_argument("--omega0", type=float, help="level splitting (rad/time)")
-    parser.add_argument("--omega-a", type=float, dest="omega_a", help="optical frequency (rad/time)")
-    parser.add_argument("--omega-r", type=float, dest="omega_r", help="collective coupling (rad/time)")
-    parser.add_argument("--t-max", type=float, dest="t_max", help="time grid upper edge (exclusive)")
-    parser.add_argument("--steps", type=int, help="number of grid points (>= 2)")
-    parser.add_argument(
-        "--n-max",
-        type=int,
-        dest="n_max",
-        help=f"Fock cutoff per mode, at most {DEFAULT_N_MAX_CEILING} (default: the smallest "
-        f"n_max from {DEFAULT_N_MAX_FLOOR} that holds the input to a norm deficit of "
-        f"{DEFAULT_DEFICIT_THRESHOLD:.0e})",
-    )
-    parser.add_argument(
-        "--sources",
-        help="comma list from: literal-paper, moment-map, oracle (default all)",
-    )
-    parser.add_argument("--out", help="output file path")
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 with one line; subparsers inherit this
         raise UsageError(message)
@@ -544,31 +526,32 @@ def _build_parser() -> argparse.ArgumentParser:
         "convergence studies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="write the observable time series as CSV")
-    _add_scenario_flags(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_ver = sub.add_parser("verify", help="adjudicate the closed forms against the oracle")
-    _add_scenario_flags(p_ver)
-    p_ver.add_argument("--tol-algebraic", type=float, dest="tol_algebraic",
-                       help="largest |closed form - moment map| a CONFIRMED verdict "
-                       "allows (default 1e-8)")
-    p_ver.add_argument("--tol-oracle", type=float, dest="tol_oracle",
-                       help="oracle slack beyond each form's truncation term (default 1e-6)")
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_swp = sub.add_parser("sweep", help="repeat simulate over one parameter axis")
-    _add_scenario_flags(p_swp)
-    p_swp.add_argument("--axis", required=True, help=f"one of: {', '.join(SWEEP_AXES)}")
-    p_swp.add_argument("--values", required=True, help="comma list of axis values")
-    p_swp.set_defaults(func=cmd_sweep)
-
-    p_cnv = sub.add_parser("converge", help="truncation convergence study")
-    _add_scenario_flags(p_cnv)
-    p_cnv.add_argument("--values", required=True, help="comma list of increasing n_max values")
-    p_cnv.set_defaults(func=cmd_converge)
-
+    # each command's function, help and the keys it reads besides the scenario's
+    commands = {
+        "simulate": (cmd_simulate, "write the observable time series as CSV", ("n_max", "sources")),
+        "verify": (
+            cmd_verify,
+            "adjudicate the closed forms against the oracle",
+            ("n_max", "tol_algebraic", "tol_oracle"),
+        ),
+        "sweep": (cmd_sweep, "repeat simulate over one parameter axis", ("n_max", "sources")),
+        "converge": (cmd_converge, "truncation convergence study", ()),
+    }
+    parsers = {}
+    for name, (func, about, keys) in commands.items():
+        parsers[name] = command = sub.add_parser(name, help=about)
+        command.add_argument("--config", help="flat key = value config file; flags win")
+        for key in (*_SCENARIO_KEYS, *keys):
+            cast, default, text = _SETTINGS[key]
+            if default is not None:
+                text += f" (default: {default})"
+            command.add_argument("--" + key.replace("_", "-"), type=cast, dest=key, help=text)
+        command.set_defaults(func=func)
+    parsers["sweep"].add_argument("--axis", required=True, help=f"one of: {', '.join(SWEEP_AXES)}")
+    parsers["sweep"].add_argument("--values", required=True, help="comma list of axis values")
+    parsers["converge"].add_argument(
+        "--values", required=True, help="comma list of increasing n_max values"
+    )
     return parser
 
 
@@ -579,7 +562,7 @@ def main(argv=None) -> int:
         # a numpy warning
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (UsageError, ResonanceError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TruncationError as exc:

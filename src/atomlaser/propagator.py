@@ -16,10 +16,6 @@ import numpy as np
 from .fock import MomentSet
 
 
-class ResonanceError(ValueError):
-    """Operation is only defined at resonance (omega0 == omega_a)."""
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Reduced two-mode model parameters.
@@ -102,18 +98,9 @@ def propagator_at(params: ModelParams, t) -> PropagatorMatrix:
 
 
 def conversion_times(params: ModelParams, count: int) -> np.ndarray:
-    """Times t_n = (n + 1/2) pi / omega_r of complete statistics transfer.
-
-    Complete conversion only happens at resonance; detuned parameters raise
-    ResonanceError.
-    """
+    """Times t_n = (n + 1/2) pi / omega_r of complete statistics transfer at resonance."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if not params.resonant:
-        raise ResonanceError(
-            f"complete conversion requires omega0 == omega_a, got "
-            f"{params.omega0} != {params.omega_a}"
-        )
     return (np.arange(count) + 0.5) * math.pi / params.omega_r
 
 

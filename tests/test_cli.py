@@ -5,6 +5,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import time
 
 import numpy as np
@@ -176,11 +177,36 @@ def test_verify_refuses_unbounded_anchor_sets(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_verify_requires_all_sources(tmp_path):
-    assert (
-        run("verify", "--sources", "moment-map,oracle", "--out", str(tmp_path / "v.txt"))
-        == 1
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("converge", "--values", "24,32", "--n-max", "40"),
+        ("converge", "--values", "24,32", "--sources", "oracle"),
+        ("verify", "--sources", "literal-paper,moment-map,oracle"),
+        ("sweep", "--axis", "r", "--values", "0.5", "--r", "1"),
+    ],
+    ids=["converge-n-max", "converge-sources", "verify-sources", "sweep-own-axis"],
+)
+def test_each_command_takes_only_the_flags_it_reads(tmp_path, capsys, monkeypatch, argv):
+    def must_not_run(settings):
+        raise AssertionError("a run was configured despite a flag the command does not read")
+
+    monkeypatch.setattr(cli, "build_run_config", must_not_run)
+    out = tmp_path / "out.txt"
+    assert run(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
+def test_one_config_file_serves_every_command(tmp_path):
+    # verify reads no sources and simulate no tolerances, yet each accepts both keys
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sources = oracle\ntol_oracle = 1e-6\nsteps = 8\n")
+    assert run("verify", "--config", str(cfg), "--out", str(tmp_path / "v.txt")) == 0
+    assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")) == 0
+    _, rows = read_rows(tmp_path / "s.csv")
+    assert {row["source"] for row in rows} == {"oracle"}
 
 
 def test_verify_detuned_scenario_is_config_error(tmp_path):
@@ -455,10 +481,21 @@ def test_non_finite_settings_are_config_errors(tmp_path, capsys, argv):
 
 
 def test_help_still_exits_0(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run("verify", "--help")
-    assert exc.value.code == 0
-    assert "--tol-oracle" in capsys.readouterr().out
+    scenario = {
+        "--help", "--config", "--r", "--phi", "--m-re", "--m-im", "--theta", "--omega0",
+        "--omega-a", "--omega-r", "--t-max", "--steps", "--out",
+    }
+    own = {
+        "simulate": {"--n-max", "--sources"},
+        "verify": {"--n-max", "--tol-algebraic", "--tol-oracle"},
+        "sweep": {"--n-max", "--sources", "--axis", "--values"},
+        "converge": {"--values"},
+    }
+    for command, flags in own.items():
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--help")
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) == scenario | flags
 
 
 @pytest.mark.parametrize(
@@ -645,6 +682,34 @@ def test_every_command_checks_the_oracle_it_reaches(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("invariant violation:")
     assert where in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate",),
+        ("sweep", "--axis", "theta", "--values", "0,1"),
+        ("converge", "--r", "0.3", "--values", "24,32"),
+    ],
+    ids=["simulate", "sweep", "converge"],
+)
+def test_every_oracle_table_is_checked(tmp_path, capsys, monkeypatch, argv):
+    # a light <n^2> of <n>^2 - 1 passes the drift checks; with check_dynamics
+    # out of the way, only the table check sees the negative variance
+    def negative_variance(result):
+        light_t, atom_t = result.moments
+        light_t = dataclasses.replace(light_t, number_sq=light_t.number_mean**2 - 1.0)
+        return dataclasses.replace(result, moments=(light_t, atom_t))
+
+    faulty = lambda *args: list(map(negative_variance, evolve_many(*args)))  # noqa: E731
+    monkeypatch.setattr(oracle_module, "evolve_many", faulty)
+    monkeypatch.setattr(oracle_module, "check_dynamics", lambda *args: None)
+    out = tmp_path / "out.txt"
+    assert run(*argv, "--steps", "4", "--out", str(out)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invariant violation:")
+    assert "na_var = -1 < 0 at t = 0 (oracle)" in err[0]
     assert not out.exists()
 
 

@@ -17,13 +17,13 @@ from atomlaser.observables import (
     FORMULAS,
     FormulaSpec,
     ScenarioConfig,
+    UsageError,
     input_moments,
     literal_input_number_mean,
     resonant,
 )
 from atomlaser.propagator import (
     ModelParams,
-    ResonanceError,
     conversion_times,
     heisenberg_moment_map,
     propagator_at,
@@ -158,10 +158,11 @@ def test_real_input_scenario_flags_q_numerator():
 
 
 def test_report_requires_resonance():
+    # off resonance no registered formula is in its domain
     scn = ScenarioConfig(
         ModelParams(5.0, 4.0, 1.0, 0.0), SqueezedInput(1.0), Truncation(64)
     )
-    with pytest.raises(ResonanceError):
+    with pytest.raises(UsageError, match="no registered formula applies"):
         discrepancy_report(scn, DEFAULT_GRID)
 
 
