@@ -40,6 +40,12 @@ CASES = {
     ),
     # one pass per omega0, the second off resonance
     "sweep-omega0-4-5.csv": (("sweep", "--axis", "omega0", "--values", "4,5", *STEPS), 0),
+    # every block populated, off resonance, complex pair weights; 17 steps make the
+    # coarse-by-fine phase span (20) wider than the time count
+    "simulate-detuned-complex-m.csv": (
+        ("simulate", "--steps", "17", "--omega0", "5", "--theta", "0.3", "--m-re", "0.4",
+         "--m-im", "0.2", "--phi", "0.2"), 0,
+    ),
     "converge-deep-squeeze.csv": (("converge", "--values", "96,128,160", *STEPS), 0),
     # 32 and 48 levels hold r = 1 only at the permissive deficit: mixed statuses, exit 2
     "converge-low-cutoffs.csv": (("converge", "--values", "32,48,64", "--r", "1", *STEPS), 2),
