@@ -16,12 +16,14 @@ n_tot <= n_max, and block n_tot starts on the single basis vector
 one pass over the blocks serves every light evolved under one Hamiltonian and
 time grid (the cutoffs of ``converge``, the inputs of ``sweep``): each
 block is eigensolved and folded into unit moment sums once, and each light
-scales those sums by its coefficients.  No two-mode state is held: memory is
-O(times * n_max) per light, whose result is one pair of (light, atom) moment
-sets with one array entry per time.  The evolution uses neither the transfer
-matrix nor any closed form; ``evolve_checked``, every command's way in,
-compares its result with the moment map only afterwards, at run time.  Comparing
-cutoffs is the ``converge`` command's job (``cli.cmd_converge``), not this module's.
+scales those sums by its coefficients.  No two-mode state is held: a pass
+allocates four (n_max + 1) x T complex buffers once, the phases (also the fold's
+scratch) and a ring of three blocks' amplitudes, and each light's result is one
+pair of (light, atom) moment sets with one array entry per time.  The evolution
+uses neither the transfer matrix nor any closed form; ``evolve_checked``, every
+command's way in, compares its result with the moment map only afterwards, at
+run time.  Comparing cutoffs is the ``converge`` command's job
+(``cli.cmd_converge``), not this module's.
 
 Blocks run on the times reordered: first the grid part arange(G) * times[1], whose
 phases e^{-i E t} are W = isqrt(G - 1) + 1 fine offsets times ceil(G / W) coarse
@@ -75,25 +77,30 @@ def _grid_order(times: np.ndarray) -> tuple[np.ndarray, int]:
     return np.concatenate((grid, np.delete(np.arange(count), grid))), len(grid)
 
 
-def _block_phases(energies: np.ndarray, scale: np.ndarray, times: np.ndarray, grid: int):
-    """scale[k] e^{-i E_k t} as a real (len(E), 2T) view; see _unit_block."""
-    rows, count, width = len(energies), len(times), math.isqrt(max(grid, 1) - 1) + 1
+def _split(grid: int) -> tuple[int, int]:
+    """(W, span): W = isqrt(grid - 1) + 1 fine offsets and span = ceil(grid / W) W >= grid
+    phases, whose excess past grid the extras overwrite."""
+    width = math.isqrt(max(grid, 1) - 1) + 1
+    return width, -(-grid // width) * width
+
+
+def _block_phases(energies: np.ndarray, scale: np.ndarray, times: np.ndarray, grid: int, out):
+    """Write scale[k] e^{-i E_k t} into out; return its real (len(E), 2T) view (see _unit_block)."""
+    rows, count, (width, span) = len(energies), len(times), _split(grid)
     coarse = np.exp(-1j * np.outer(energies, times[:grid:width]))
     fine = np.exp(-1j * np.outer(energies, times[:width])) * scale[:, None]
-    span = coarse.shape[1] * width  # >= grid; the extras overwrite the excess
-    phases = np.empty((rows, max(span, count)), dtype=complex)
-    np.multiply(coarse[:, :, None], fine[:, None, :], out=phases[:, :span].reshape(rows, -1, width))
-    phases[:, grid:count] = np.exp(-1j * np.outer(energies, times[grid:])) * scale[:, None]
-    return phases.view(float)[:, : 2 * count]
+    np.multiply(coarse[:, :, None], fine[:, None, :], out=out[:, :span].reshape(rows, -1, width))
+    out[:, grid:count] = np.exp(-1j * np.outer(energies, times[grid:])) * scale[:, None]
+    return out.view(float)[:, : 2 * count]
 
 
-def _unit_block(params: ModelParams, n_tot: int, times: np.ndarray, grid: int) -> np.ndarray:
+def _unit_block(params: ModelParams, n_tot: int, times, grid: int, phases, out) -> np.ndarray:
     """Gauged amplitudes u[n_b, t] of block n_tot, started as 1 on (0, n_tot).
 
     u = modes diag(e^{-i E t}) modes[0].  On times[:grid] = arange(grid) * times[1],
     e^{-i E t_{j W + i}} is coarse[j] fine[i], W = isqrt(grid - 1) + 1, with modes[0]
-    folded into fine; each later time takes its own exponential in the same buffer.
-    One real matmul of the eigenvectors with its real view yields u in place.
+    folded into fine; each later time takes its own exponential, all into ``phases``.
+    One real matmul of the eigenvectors with their real view writes u into ``out``.
     """
     nb = np.arange(n_tot + 1)
     na = n_tot - nb
@@ -105,7 +112,8 @@ def _unit_block(params: ModelParams, n_tot: int, times: np.ndarray, grid: int) -
         energies, modes = diag, np.ones((1, 1))
     else:
         energies, modes = eigh_tridiagonal(diag, off)
-    return (modes @ _block_phases(energies, modes[0], times, grid)).view(complex)
+    real = _block_phases(energies, modes[0], times, grid, phases[: n_tot + 1])
+    return np.matmul(modes, real, out=out[: n_tot + 1]).view(complex)
 
 
 def evolve_many(params: ModelParams, lights, times, thetas=None) -> list[EvolutionResult]:
@@ -137,23 +145,30 @@ def evolve_many(params: ModelParams, lights, times, thetas=None) -> list[Evoluti
     ladders = np.zeros((len(lights), 2, 2, len(times)), dtype=complex)  # <a^k>, <b^k> at k - 1
     older, old = None, None  # conjugated unit blocks n_tot - 2 and n_tot - 1, if solved
     order, grid = _grid_order(times)  # every block runs on the grid part first
+    # allocated once: the phases, the fold's scratch once u is formed, and a ring of 3 blocks
+    phases = np.empty((n_top + 1, max(_split(grid)[1], len(times))), dtype=complex)
+    scratch, ring = phases.reshape(-1), np.empty((3, n_top + 1, 2 * len(times)))
     for n_tot in range(n_top + 1):
         c = coeffs[:, n_tot]
         u = None
         if np.any(c):
-            u = _unit_block(params, n_tot, times[order], grid)
+            u = _unit_block(params, n_tot, times[order], grid, phases, ring[n_tot % 3])
             nb = np.arange(n_tot + 1.0)  # row j of the block is n_b
             na = n_tot - nb
             weights = np.stack((np.ones_like(nb), na, na * na, nb, nb * nb))
-            numbers += (c.real**2 + c.imag**2)[:, None, None] * (weights @ np.abs(u) ** 2)
+            density = np.abs(u, out=scratch.view(float)[: u.size].reshape(u.shape))
+            np.square(density, out=density)
+            numbers += (c.real**2 + c.imag**2)[:, None, None] * (weights @ density)
             # a^k: (n_b, n_a - k) sits at j; b^k: (n_b - k, n_a) sits at j - k
             for k, back, fa, fb in ((1, old, na, nb), (2, older, na * (na - 1), nb * (nb - 1))):
                 if back is None:
                     continue
-                ends = np.sqrt(fa[:-k]) @ (back * u[:-k]), np.sqrt(fb[k:]) @ (back * u[k:])
+                prod = scratch[: back.size].reshape(back.shape)
+                ends = (np.sqrt(fa[:-k]) @ np.multiply(back, u[:-k], out=prod),
+                        np.sqrt(fb[k:]) @ np.multiply(back, u[k:], out=prod))
                 pair = np.conj(coeffs[:, n_tot - k]) * c
                 ladders[:, k - 1] += pair[:, None, None] * np.stack(ends)
-        older, old = old, None if u is None else np.conj(u)
+        older, old = old, None if u is None else np.conjugate(u, out=u)
     ladders[:, :, 0] *= np.exp(1j * thetas[:, None, None] * np.array([[1.0], [2.0]]))
     numbers, ladders = (sums[..., np.argsort(order)] for sums in (numbers, ladders))
 

@@ -1,5 +1,6 @@
 """CLI contract: commands, exit codes, CSV schema and determinism."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -778,13 +779,29 @@ _REQUIRED = {
 }
 
 
+def _own_flags():
+    """Each command's optional flags, read from its parser; "x" is no command and
+    draws from every flag."""
+    parser = cli._build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {"x": sorted(_FUZZ_VALUES)}
+    for name, command in commands.choices.items():
+        own = {flag for action in command._actions for flag in action.option_strings}
+        flags[name] = sorted(own - {"-h", "--help", *_REQUIRED.get(name, ())})
+        assert set(flags[name]) <= set(_FUZZ_VALUES), f"{name} has a flag with no fuzz values"
+    return flags
+
+
+_OWN_FLAGS = _own_flags()
+
+
 @st.composite
 def fuzz_argv(draw):
     command = draw(st.sampled_from(["simulate", "verify", "sweep", "converge"] * 2 + ["x"]))
     argv = [command]
     for flag, values in _REQUIRED.get(command, {}).items():
         argv += [flag, draw(values)]
-    for flag in draw(st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), max_size=4)):
+    for flag in draw(st.lists(st.sampled_from(_OWN_FLAGS[command]), max_size=4)):
         argv += [flag, draw(_FUZZ_VALUES[flag])]
     return argv
 

@@ -31,6 +31,7 @@ from atomlaser.observables import (
 from atomlaser.oracle import (
     _block_phases,
     _grid_order,
+    _split,
     evolve,
     evolve_many,
 )
@@ -122,7 +123,8 @@ def split_phases_error(times):
     phases from scale e^{-iEt}, as a share of 8 eps max|E| max(t)."""
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         order, grid = _grid_order(times)
-        got = _block_phases(BLOCK_ENERGIES, BLOCK_SCALE, times[order], grid).view(complex)
+        out = np.empty((len(BLOCK_ENERGIES), max(_split(grid)[1], len(times))), dtype=complex)
+        got = _block_phases(BLOCK_ENERGIES, BLOCK_SCALE, times[order], grid, out).view(complex)
     assert np.array_equal(np.sort(order), np.arange(len(times)))
     assert np.array_equal(times[order[:grid]], np.arange(grid) * times[1])
     want = BLOCK_SCALE[:, None] * np.exp(-1j * np.outer(BLOCK_ENERGIES, times[order]))
@@ -277,18 +279,27 @@ def test_evolve_rejects_blocks_that_are_not_finite():
         evolve(ModelParams(1e308, 1e308, 1.0), light, [0.0, 1.0])
 
 
-def test_evolve_memory_stays_linear_in_times():
-    # the moments stream block by block, so 2000 times at n_max = 64 need only
-    # a few (times, n_max) arrays; holding every state would take 262 MB
-    light = squeezed_coherent_state(SqueezedInput(1.0), Truncation(64))
-    times = np.linspace(0.0, 2 * math.pi, 2000)
+def evolve_peak(light, times):
+    """tracemalloc peak, in bytes, of one evolve of ``light`` at ``times``."""
     tracemalloc.start()
     try:
         evolve(RESONANT, light, times)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+
+
+def test_evolve_memory_stays_linear_in_times():
+    # the moments stream block by block, so 2000 times at n_max = 64 need only
+    # a few (times, n_max) arrays; holding every state would take 262 MB
+    times = np.linspace(0.0, 2 * math.pi, 2000)
+    vacuum = squeezed_coherent_state(SqueezedInput(1.0), Truncation(64))
+    assert evolve_peak(vacuum, times) < 32 * 2**20
+    # a pass holds one phase buffer and a ring of three amplitude blocks, each about
+    # one unit, even when every block is populated and both ladder folds run
+    unit = 65 * len(times) * 16
+    filled = squeezed_coherent_state(SqueezedInput(0.6, 0.0, 0.5 - 0.4j), Truncation(64))
+    assert evolve_peak(filled, times) <= 4.5 * unit
 
 
 MIXED_LIGHTS = [
