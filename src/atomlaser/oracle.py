@@ -6,8 +6,10 @@ The coupling Hamiltonian
 
 conserves n_a + n_b, so it splits into tridiagonal blocks of dimension
 n_tot + 1.  After gauging the condensate phase out of the light mode the
-blocks are real symmetric, and one eigendecomposition per block gives the
-exact evolution (within the truncated space) at every requested time.
+blocks are real symmetric, and their eigendecompositions give the exact
+evolution (within the truncated space) at every requested time.  At resonance
+each block commutes with the reversal n_b <-> n_tot - n_b, a symmetry of the
+matrix, and is solved as two half-size tridiagonals (``_unit_block``).
 
 The preparation is always the atom vacuum times a light state with
 amplitudes c_0 .. c_{n_max}.  It populates only the complete blocks
@@ -55,15 +57,25 @@ class EvolutionResult:
 
 
 def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray):
-    """scipy.linalg.eigh_tridiagonal, imported on the first block solve.
+    """(energies, modes) of the symmetric tridiagonal (diag, off) by LAPACK dstevd.
 
-    Loading scipy.linalg costs about 0.2 s, more than the rest of the
-    package's import; a run that solves no block (closed forms only, --help,
-    a usage error) never loads it.
+    dstevd (divide and conquer) is the driver scipy.linalg.eigh_tridiagonal
+    picks for a full solve, called without that wrapper's checks, which cost
+    more than the solve on the small halves of a split block.  Dimension 1
+    needs no solve.  A nonzero LAPACK info is an InvariantViolationError.
+    scipy.linalg is imported on the first solve: loading it costs about 0.2 s,
+    more than the rest of the package's import, so a run that solves no block
+    (closed forms only, --help, a usage error) never loads it.
     """
-    from scipy.linalg import eigh_tridiagonal as solve
+    if len(diag) == 1:
+        return diag, np.ones((1, 1))
+    from scipy.linalg.lapack import dstevd
 
-    return solve(diag, off)
+    energies, modes, info = dstevd(diag, off)
+    if info != 0:
+        raise InvariantViolationError(f"LAPACK dstevd failed on a block of dimension "
+                                      f"{len(diag)} (info = {info})")
+    return energies, modes
 
 
 def _grid_order(times: np.ndarray) -> tuple[np.ndarray, int]:
@@ -100,7 +112,16 @@ def _unit_block(params: ModelParams, n_tot: int, times, grid: int, phases, out) 
     u = modes diag(e^{-i E t}) modes[0].  On times[:grid] = arange(grid) * times[1],
     e^{-i E t_{j W + i}} is coarse[j] fine[i], W = isqrt(grid - 1) + 1, with modes[0]
     folded into fine; each later time takes its own exponential, all into ``phases``.
-    One real matmul of the eigenvectors with their real view writes u into ``out``.
+    A real matmul of the eigenvectors with their real view writes u into ``out``.
+
+    A block whose diag and off read the same backwards, bitwise (every block at
+    resonance), commutes with the reversal J: n_b -> n_tot - n_b.  (v ± J v)/sqrt 2
+    splits its dimension 2m + odd into tridiagonals on rows :m + odd and :m: T[:m, :m]
+    with last diagonal entry ± off[m - 1] if odd = 0, else T[:m + 1, :m + 1] with last
+    off-diagonal entry sqrt 2 off[m - 1], and T[:m, :m].  Each half is solved and
+    multiplied as above with scale modes[0] / 2, into A on rows :m + odd and B below;
+    then u[:m] = A[:m] + B, u[mirror] = J(A[:m] - B), formed through the phase rows,
+    and the middle row is sqrt 2 A[m].  Any other block is solved whole.
     """
     nb = np.arange(n_tot + 1)
     na = n_tot - nb
@@ -108,12 +129,30 @@ def _unit_block(params: ModelParams, n_tot: int, times, grid: int, phases, out) 
     off = params.omega_r * np.sqrt(na[:-1] * (nb[:-1] + 1.0))
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
         raise InvariantViolationError(f"block n_tot = {n_tot} has entries that are not finite")
-    if n_tot == 0:
-        energies, modes = diag, np.ones((1, 1))
+    m, odd = divmod(n_tot + 1, 2)
+    if n_tot == 0 or not (np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])):
+        m, halves = 0, [(slice(0, n_tot + 1), diag, off, 1.0)]
     else:
-        energies, modes = eigh_tridiagonal(diag, off)
-    real = _block_phases(energies, modes[0], times, grid, phases[: n_tot + 1])
-    return np.matmul(modes, real, out=out[: n_tot + 1]).view(complex)
+        d_even, d_odd, o_even = diag[: m + odd].copy(), diag[:m].copy(), off[: m - 1 + odd].copy()
+        if odd:
+            o_even[-1] *= math.sqrt(2.0)
+        else:
+            d_even[-1] += off[m - 1]
+            d_odd[-1] -= off[m - 1]
+        halves = [(slice(0, m + odd), d_even, o_even, 0.5),
+                  (slice(m + odd, n_tot + 1), d_odd, off[: m - 1], 0.5)]
+    for rows, d, e, scale in halves:  # LAPACK's names for a tridiagonal's diagonals
+        energies, modes = eigh_tridiagonal(d, e) if n_tot else (diag, np.ones((1, 1)))
+        real = _block_phases(energies, scale * modes[0], times, grid, phases[rows])
+        np.matmul(modes, real, out=out[rows])
+    if m:
+        a, b = out[:m], out[m + odd : n_tot + 1]
+        diff = np.subtract(a, b, out=phases.view(float)[:m, : out.shape[1]])
+        np.add(a, b, out=a)
+        if odd:
+            out[m] *= math.sqrt(2.0)
+        b[::-1] = diff
+    return out[: n_tot + 1].view(complex)
 
 
 def evolve_many(params: ModelParams, lights, times, thetas=None) -> list[EvolutionResult]:

@@ -599,17 +599,21 @@ def test_sweep_builds_every_input_before_any_oracle_runs(tmp_path, capsys, monke
 @pytest.mark.parametrize(
     "commands, solves",
     [
-        # the cutoffs share one pass over the 80 even blocks up to 160
-        ([("converge", "--values", "96,128,160", "--steps", "40")], 80),
+        # the cutoffs share one pass over the 80 even blocks up to 160, each resonant
+        # block split into two half-size solves
+        ([("converge", "--values", "96,128,160", "--steps", "40")], 160),
         # input axes share one pass
         ([("sweep", "--axis", "r", "--values", "0.75,1.25", "--n-max", "160", "--steps", "40")],
-         80),
+         160),
         # the blocks never read theta: both values share one pass over 32 even blocks
-        ([("sweep", "--axis", "theta", "--values", "0,1", "--n-max", "64")], 32),
+        ([("sweep", "--axis", "theta", "--values", "0,1", "--n-max", "64")], 64),
+        # detuned blocks are not split: two passes (one per omega_r) of 32 whole solves
+        ([("sweep", "--axis", "omega_r", "--values", "1,2", "--omega0", "5", "--n-max", "64")],
+         64),
         # no eigensolve is kept from one command to the next
-        ([("converge", "--values", "96,128,160", "--steps", "40")] * 2, 160),
+        ([("converge", "--values", "96,128,160", "--steps", "40")] * 2, 320),
     ],
-    ids=["converge", "sweep-r", "sweep-theta", "converge-twice"],
+    ids=["converge", "sweep-r", "sweep-theta", "sweep-detuned", "converge-twice"],
 )
 def test_eigensolves_per_command(tmp_path, monkeypatch, commands, solves):
     calls = []
@@ -686,6 +690,19 @@ def test_every_command_checks_the_oracle_it_reaches(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("detuning", [(), ("--omega0", "5")], ids=["resonant", "detuned"])
+def test_a_failed_block_solve_is_an_invariant_violation(tmp_path, capsys, monkeypatch, detuning):
+    from scipy.linalg import lapack
+
+    monkeypatch.setattr(lapack, "dstevd", lambda diag, off: (diag, np.eye(len(diag)), 1))
+    out = tmp_path / "out.csv"
+    assert run("simulate", *detuning, "--steps", "4", "--out", str(out)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invariant violation:")
+    assert "dstevd" in err[0] and "info = 1" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -749,33 +766,31 @@ def test_the_ceiling_itself_is_an_allowed_cutoff():
 
 # argv fragments for the fuzz test below.  Grids stay at most 64 steps and
 # explicit cutoffs at most 40 levels, so no example needs much time or memory.
+# An argv takes at most one value from _BAD, so most argvs reach the run paths.
 _BAD = ["nan", "inf", "-inf", "-1", "0", "1e308", "-1e308", "x", ""]
 
 
-def _mostly(*valid):
-    """A value from ``valid`` three times in four, else one from _BAD."""
-    return st.one_of(*[st.sampled_from(valid)] * 3, st.sampled_from(_BAD))
-
-
-def _value_list(*valid):
-    return st.lists(_mostly(*valid), min_size=1, max_size=3).map(",".join)
-
-
 _FUZZ_VALUES = {
-    **{flag: _mostly("0.5", "1") for flag in ("--r", "--phi", "--m-re", "--m-im", "--theta")},
-    **{flag: _mostly("0.5", "1", "4") for flag in ("--omega0", "--omega-a", "--omega-r")},
-    "--t-max": _mostly("1", "6"),
-    "--tol-algebraic": _mostly("1e-8", "1"),
-    "--tol-oracle": _mostly("1e-6", "1"),
-    "--steps": _mostly("2", "3", "17", "64"),
-    "--n-max": _mostly(*map(str, range(24, 41)), "513"),
-    "--sources": _mostly("oracle", "literal-paper,moment-map", "moment-map,x"),
-    "--config": _mostly("run.cfg", "."),
-    "--out": _mostly("out.csv", ".", "missing/out.csv"),
+    **{flag: st.sampled_from(["0.5", "1"])
+       for flag in ("--r", "--phi", "--m-re", "--m-im", "--theta")},
+    **{flag: st.sampled_from(["0.5", "1", "4"]) for flag in ("--omega0", "--omega-a", "--omega-r")},
+    "--t-max": st.sampled_from(["1", "6"]),
+    "--tol-algebraic": st.sampled_from(["1e-8", "1"]),
+    "--tol-oracle": st.sampled_from(["1e-6", "1"]),
+    "--steps": st.sampled_from(["2", "3", "17", "64"]),
+    "--n-max": st.sampled_from([*map(str, range(24, 41)), "513"]),
+    "--sources": st.sampled_from(["oracle", "literal-paper,moment-map", "moment-map,x"]),
+    "--config": st.sampled_from(["run.cfg", "."]),
+    "--out": st.sampled_from(["out.csv", ".", "missing/out.csv"]),
 }
+_CUTOFFS = st.lists(st.sampled_from([24, 32, 40, 513]), min_size=2, max_size=3, unique=True)
 _REQUIRED = {
-    "sweep": {"--axis": _mostly(*cli.SWEEP_AXES), "--values": _value_list("0.5", "1")},
-    "converge": {"--values": _value_list(*map(str, range(24, 41, 8)), "513")},
+    "sweep": {
+        "--axis": st.sampled_from(cli.SWEEP_AXES),
+        "--values": st.lists(st.sampled_from(["0.5", "1"]), min_size=1, max_size=3).map(",".join),
+    },
+    # strictly increasing, at least two cutoffs: the lists converge accepts
+    "converge": {"--values": _CUTOFFS.map(lambda cutoffs: ",".join(map(str, sorted(cutoffs))))},
 }
 
 
@@ -798,11 +813,13 @@ _OWN_FLAGS = _own_flags()
 @st.composite
 def fuzz_argv(draw):
     command = draw(st.sampled_from(["simulate", "verify", "sweep", "converge"] * 2 + ["x"]))
+    values = {**_FUZZ_VALUES, **_REQUIRED.get(command, {})}
+    flags = [*_REQUIRED.get(command, ()),
+             *draw(st.lists(st.sampled_from(_OWN_FLAGS[command]), max_size=4))]
+    bad = draw(st.sampled_from(range(len(flags)))) if flags and draw(st.booleans()) else None
     argv = [command]
-    for flag, values in _REQUIRED.get(command, {}).items():
-        argv += [flag, draw(values)]
-    for flag in draw(st.lists(st.sampled_from(_OWN_FLAGS[command]), max_size=4)):
-        argv += [flag, draw(_FUZZ_VALUES[flag])]
+    for i, flag in enumerate(flags):
+        argv += [flag, draw(st.sampled_from(_BAD) if i == bad else values[flag])]
     return argv
 
 

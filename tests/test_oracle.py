@@ -1,8 +1,13 @@
 """Block evolution against a dense reference and the moment map, and the cutoff study."""
 
 import dataclasses
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from atomlaser import oracle as oracle_module
 from atomlaser.cli import main
 from atomlaser.fock import (
     ModeVector,
@@ -32,6 +38,8 @@ from atomlaser.oracle import (
     _block_phases,
     _grid_order,
     _split,
+    _unit_block,
+    eigh_tridiagonal,
     evolve,
     evolve_many,
 )
@@ -39,6 +47,7 @@ from atomlaser.propagator import ModelParams, heisenberg_moment_map, propagator_
 from test_fock import coherent_state, ladder_matrix
 
 RESONANT = ModelParams(4.0, 4.0, 1.0, 0.0)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def dense_reference(params, light, times):
@@ -85,6 +94,10 @@ DENSE_TIMES = [0.0, 0.37, 1.9, 5.2]
     "params, n_max, times",
     [
         (RESONANT, 8, DENSE_TIMES),
+        # an odd cutoff: the top block, of even dimension, is split too
+        (RESONANT, 9, DENSE_TIMES),
+        # one ulp off resonance no block is palindromic, so none is split
+        (ModelParams(np.nextafter(4.0, 5.0), 4.0, 1.0, 0.0), 8, DENSE_TIMES),
         (ModelParams(5.0, 3.0, 1.4, 0.0), 8, DENSE_TIMES),
         (ModelParams(4.0, 4.0, 1.0, 0.9), 6, DENSE_TIMES),
         (ModelParams(2.5, 6.0, 0.7, 2.3), 8, DENSE_TIMES),
@@ -99,8 +112,8 @@ DENSE_TIMES = [0.0, 0.37, 1.9, 5.2]
         (ModelParams(5.0, 3.0, 1.4, 0.9), 8,
          np.union1d(0.4 * np.arange(16), [np.nextafter(2.0, 3.0), 3.1, 6.3, 9.5])),
     ],
-    ids=["resonant", "detuned", "resonant-theta", "detuned-theta", "sorted-times",
-         "shifted-grid", "grid", "grid-plus-anchors"],
+    ids=["resonant", "resonant-odd-cutoff", "one-ulp-detuned", "detuned", "resonant-theta",
+         "detuned-theta", "sorted-times", "shifted-grid", "grid", "grid-plus-anchors"],
 )
 def test_evolve_matches_dense_expm_reference(params, n_max, times):
     light = random_light(n_max, seed=n_max + int(10 * params.theta))
@@ -110,6 +123,41 @@ def test_evolve_matches_dense_expm_reference(params, n_max, times):
         [[m.mean_amp, m.sq_amp, m.number_mean, m.number_sq] for m in result.moments]
     ).transpose(2, 0, 1)
     assert np.max(np.abs(got - reference)) < 1e-12
+
+
+@pytest.mark.parametrize("n_tot", [*range(1, 25), 383, 384, 448])
+def test_split_block_matches_the_whole_block_solve(monkeypatch, n_tot):
+    sizes = []
+
+    def sized(diag, off):
+        sizes.append(len(diag))
+        return eigh_tridiagonal(diag, off)
+
+    monkeypatch.setattr(oracle_module, "eigh_tridiagonal", sized)
+    times = 0.1 * np.arange(8)
+    order, grid = _grid_order(times)
+    phases = np.empty((n_tot + 1, max(_split(grid)[1], len(times))), dtype=complex)
+    out = np.empty((n_tot + 1, 2 * len(times)))
+    got = _unit_block(RESONANT, n_tot, times[order], grid, phases, out)[:, np.argsort(order)]
+    assert sizes == [n_tot // 2 + 1, (n_tot + 1) // 2]  # the even half, then the odd
+    nb = np.arange(n_tot)
+    energies, modes = eigh_tridiagonal(np.full(n_tot + 1, 4.0 * n_tot),
+                                       np.sqrt((n_tot - nb) * (nb + 1.0)))
+    want = modes @ (modes[0][:, None] * np.exp(-1j * np.outer(energies, times)))
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_resonant_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # 448 levels: whole blocks from dimension 385 up gave other bytes at 2 threads
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(SRC)}
+        out = tmp_path / f"threads-{threads}.csv"
+        argv = ["simulate", "--r", "2", "--steps", "16", "--sources", "oracle", "--out", str(out)]
+        subprocess.run([sys.executable, "-m", "atomlaser", *argv], env=env, cwd=tmp_path,
+                       capture_output=True, timeout=300, check=True)
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 # the eigenvalues of block 64 at omega0 = omega_a = 4, omega_r = 1.4, which are
