@@ -34,6 +34,8 @@ starts, then the extras (verify's off-grid anchors), one exponential per energy 
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -56,25 +58,46 @@ class EvolutionResult:
     ntotal_drift: float
 
 
+@functools.cache
+def _numpy_dstevd():
+    """LAPACKE dstevd (64-bit ints) in the OpenBLAS numpy loaded, or None if it has none."""
+    try:
+        solve = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_LAPACKE_dstevd64_
+    except (AttributeError, OSError):
+        return None
+    int64, pointer = ctypes.c_int64, ctypes.c_void_p
+    solve.argtypes = [ctypes.c_int, ctypes.c_char, int64, pointer, pointer, pointer, int64]
+    solve.restype = int64
+    return solve
+
+
 def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray):
     """(energies, modes) of the symmetric tridiagonal (diag, off) by LAPACK dstevd.
 
-    dstevd (divide and conquer) is the driver scipy.linalg.eigh_tridiagonal
-    picks for a full solve, called without that wrapper's checks, which cost
-    more than the solve on the small halves of a split block.  Dimension 1
-    needs no solve.  A nonzero LAPACK info is an InvariantViolationError.
-    scipy.linalg is imported on the first solve: loading it costs about 0.2 s,
-    more than the rest of the package's import, so a run that solves no block
-    (closed forms only, --help, a usage error) never loads it.
+    dstevd (divide and conquer) is the driver scipy.linalg.eigh_tridiagonal picks
+    for a full solve.  numpy's wheels link it in their scipy-openblas64, so it is
+    called there, column-major into one buffer of the F-ordered modes, the energies
+    and a copy of off: no run loads scipy and its second OpenBLAS.  Where numpy has
+    none (MKL, a system LAPACK), scipy.linalg.lapack.dstevd is imported on the first
+    solve.  Dimension 1 needs no solve.  A nonzero info is an InvariantViolationError.
     """
-    if len(diag) == 1:
+    n = len(diag)
+    if n == 1:
         return diag, np.ones((1, 1))
-    from scipy.linalg.lapack import dstevd
+    solve = _numpy_dstevd()
+    if solve is None:
+        from scipy.linalg.lapack import dstevd
 
-    energies, modes, info = dstevd(diag, off)
+        energies, modes, info = dstevd(diag, off)
+    else:
+        work = np.empty(n * (n + 2) - 1)
+        modes, energies = work[: n * n].reshape(n, n, order="F"), work[n * n : n * (n + 1)]
+        energies[:], work[n * (n + 1) :] = diag, off
+        col_major, at = 102, work.ctypes.data
+        info = solve(col_major, b"V", n, at + 8 * n * n, at + 8 * n * (n + 1), at, n)
     if info != 0:
         raise InvariantViolationError(f"LAPACK dstevd failed on a block of dimension "
-                                      f"{len(diag)} (info = {info})")
+                                      f"{n} (info = {info})")
     return energies, modes
 
 

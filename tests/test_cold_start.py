@@ -1,7 +1,10 @@
-"""scipy loads only when the oracle solves its first Fock block.
+"""scipy stays unloaded, and a run maps one OpenBLAS.
 
-Each case runs in a fresh isolated interpreter, so no module this test
-session already imported can hide an eager import.
+The oracle solves its blocks with the LAPACK dstevd of the OpenBLAS numpy
+already loaded, so where numpy exports it no run loads scipy (and its second
+OpenBLAS).  Where numpy does not, scipy.linalg loads on the first block solve
+and writes the same bytes.  Each case runs in a fresh isolated interpreter, so
+no module this test session already imported can hide an import.
 """
 
 import subprocess
@@ -10,23 +13,31 @@ from pathlib import Path
 
 import pytest
 
+from atomlaser.cli import main
+from atomlaser.oracle import _numpy_dstevd
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+needs_numpy_dstevd = pytest.mark.skipif(
+    _numpy_dstevd() is None, reason="numpy's LAPACK exports no scipy_LAPACKE_dstevd64_"
+)
 
-def loaded_modules(tmp_path, code):
-    """Run ``code`` after putting the checkout first on sys.path; return the
-    names in sys.modules that start with 'scipy'."""
-    script = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(SRC)!r})\n"
-        f"{code}\n"
-        "print(' '.join(sorted(name for name in sys.modules if name.startswith('scipy'))))\n"
-    )
+
+def isolated_output(tmp_path, code):
+    """Run ``code`` in ``python -I`` after putting the checkout first on sys.path;
+    return its last line of stdout."""
+    script = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
     done = subprocess.run(
         [sys.executable, "-I", "-c", script], capture_output=True, text=True,
         cwd=tmp_path, timeout=120, check=True,
     )
-    return done.stdout.splitlines()[-1].split()
+    return done.stdout.splitlines()[-1]
+
+
+def loaded_modules(tmp_path, code):
+    """The names in sys.modules that start with 'scipy' after ``code`` ran."""
+    report = "print(' '.join(sorted(name for name in sys.modules if name.startswith('scipy'))))"
+    return isolated_output(tmp_path, f"{code}\n{report}").split()
 
 
 def after_main(argv):
@@ -54,6 +65,35 @@ def test_a_run_that_solves_no_block_never_loads_scipy(tmp_path, code):
     assert loaded_modules(tmp_path, code) == []
 
 
-def test_a_run_with_the_oracle_loads_scipy_linalg(tmp_path):
-    code = after_main(["simulate", "--steps", "8"])
+@needs_numpy_dstevd
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_an_oracle_run_loads_no_scipy(tmp_path, command):
+    code = after_main([command, "--out", str(tmp_path / "out.txt")])
+    assert loaded_modules(tmp_path, code) == []
+    assert (tmp_path / "out.txt").stat().st_size > 0
+
+
+def test_without_numpy_dstevd_scipy_solves_the_blocks_to_the_same_bytes(tmp_path):
+    fast, fallback = tmp_path / "fast.csv", tmp_path / "fallback.csv"
+    assert main(["simulate", "--steps", "8", "--out", str(fast)]) == 0
+    # the lookup opens the linalg extension's file: point it at none
+    code = (
+        "import numpy.linalg._umath_linalg as extension\n"
+        f"extension.__file__ = {str(tmp_path / 'missing.so')!r}\n"
+        + after_main(["simulate", "--steps", "8", "--out", str(fallback)])
+    )
     assert "scipy.linalg" in loaded_modules(tmp_path, code)
+    assert fallback.read_bytes() == fast.read_bytes()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+@needs_numpy_dstevd
+def test_an_oracle_run_maps_one_openblas(tmp_path):
+    code = after_main(["simulate", "--out", str(tmp_path / "out.csv")]) + (
+        "\nwith open('/proc/self/maps') as maps:\n"
+        "    fields = [line.split(maxsplit=5) for line in maps]\n"
+        "print('|'.join(sorted({f[5].strip() for f in fields if len(f) == 6})))"
+    )
+    names = isolated_output(tmp_path, code).split("|")
+    openblas = [name for name in names if "openblas" in Path(name).name]
+    assert len(openblas) == 1, openblas

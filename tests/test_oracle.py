@@ -147,6 +147,42 @@ def test_split_block_matches_the_whole_block_solve(monkeypatch, n_tot):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def solved_blocks(params, n_tots):
+    """Copies of each (diag, off) that _unit_block solves for the blocks n_tots."""
+    blocks = []
+
+    def recorded(diag, off):
+        blocks.append((diag.copy(), off.copy()))
+        return eigh_tridiagonal(diag, off)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle_module, "eigh_tridiagonal", recorded)
+        for n_tot in n_tots:
+            _unit_block(params, n_tot, np.zeros(1), 0, np.empty((n_tot + 1, 1), dtype=complex),
+                        np.empty((n_tot + 1, 2)))
+    return blocks
+
+
+@pytest.mark.skipif(oracle_module._numpy_dstevd() is None,
+                    reason="numpy's LAPACK exports no scipy_LAPACKE_dstevd64_")
+def test_numpy_dstevd_matches_scipy_bitwise():
+    from scipy.linalg.lapack import dstevd
+
+    # resonant halves up to 257 rows (n_tot 512) and detuned whole blocks up to 300
+    blocks = solved_blocks(RESONANT, [*range(1, 25), 63, 64, 127, 128, 255, 256, 383, 384,
+                                      447, 448, 511, 512])
+    blocks += solved_blocks(ModelParams(5.0, 3.0, 1.4, 0.0), [*range(1, 17), 64, 127, 128, 199,
+                                                              255, 299])
+    assert max(len(diag) for diag, _ in blocks) == 300
+    for diag, off in blocks:
+        if len(diag) == 1:  # solved without LAPACK
+            continue
+        want_energies, want_modes, info = dstevd(diag, off)
+        energies, modes = eigh_tridiagonal(diag, off)
+        assert info == 0 and modes.flags.f_contiguous
+        assert np.array_equal(energies, want_energies) and np.array_equal(modes, want_modes)
+
+
 def test_resonant_output_does_not_depend_on_the_blas_thread_count(tmp_path):
     # 448 levels: whole blocks from dimension 385 up gave other bytes at 2 threads
     digests = []
