@@ -112,24 +112,38 @@ def _grid_order(times: np.ndarray) -> tuple[np.ndarray, int]:
     return np.concatenate((grid, np.delete(np.arange(count), grid))), len(grid)
 
 
-def _split(grid: int) -> tuple[int, int]:
-    """(W, span): W = isqrt(grid - 1) + 1 fine offsets and span = ceil(grid / W) W >= grid
-    phases, whose excess past grid the extras overwrite."""
+@dataclass(frozen=True)
+class _Clock:
+    """A pass's times as every block runs them, built once per pass by _clock."""
+
+    order: np.ndarray  # times[order]: the grid part arange(grid) * times[1], then the extras
+    grid: int
+    width: int  # W = isqrt(grid - 1) + 1 fine offsets
+    span: int  # ceil(grid / W) W >= grid phases, whose excess past grid the extras overwrite
+    stamps: np.ndarray  # the ceil(grid / W) coarse starts, the W fine offsets, the extras
+
+
+def _clock(times: np.ndarray) -> _Clock:
+    order, grid = _grid_order(times)
     width = math.isqrt(max(grid, 1) - 1) + 1
-    return width, -(-grid // width) * width
+    ordered = times[order]
+    stamps = np.concatenate((ordered[:grid:width], ordered[:width], ordered[grid:]))
+    return _Clock(order, grid, width, -(-grid // width) * width, stamps)
 
 
-def _block_phases(energies: np.ndarray, scale: np.ndarray, times: np.ndarray, grid: int, out):
+def _block_phases(energies: np.ndarray, scale: np.ndarray, clock: _Clock, out):
     """Write scale[k] e^{-i E_k t} into out; return its real (len(E), 2T) view (see _unit_block)."""
-    rows, count, (width, span) = len(energies), len(times), _split(grid)
-    coarse = np.exp(-1j * np.outer(energies, times[:grid:width]))
-    fine = np.exp(-1j * np.outer(energies, times[:width])) * scale[:, None]
-    np.multiply(coarse[:, :, None], fine[:, None, :], out=out[:, :span].reshape(rows, -1, width))
-    out[:, grid:count] = np.exp(-1j * np.outer(energies, times[grid:])) * scale[:, None]
+    rows, width, count = len(energies), clock.width, len(clock.order)
+    starts = clock.span // width
+    turns = np.exp(-1j * np.outer(energies, clock.stamps))  # one exponential per energy and stamp
+    turns[:, starts:] *= scale[:, None]
+    np.multiply(turns[:, :starts, None], turns[:, None, starts : starts + width],
+                out=out[:, : clock.span].reshape(rows, -1, width))
+    out[:, clock.grid : count] = turns[:, starts + width :]
     return out.view(float)[:, : 2 * count]
 
 
-def _unit_block(params: ModelParams, n_tot: int, times, grid: int, phases, out) -> np.ndarray:
+def _unit_block(params: ModelParams, n_tot: int, clock: _Clock, phases, out) -> np.ndarray:
     """Gauged amplitudes u[n_b, t] of block n_tot, started as 1 on (0, n_tot).
 
     u = modes diag(e^{-i E t}) modes[0].  On times[:grid] = arange(grid) * times[1],
@@ -154,7 +168,7 @@ def _unit_block(params: ModelParams, n_tot: int, times, grid: int, phases, out) 
         raise InvariantViolationError(f"block n_tot = {n_tot} has entries that are not finite")
     m, odd = divmod(n_tot + 1, 2)
     if n_tot == 0 or not (np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])):
-        m, halves = 0, [(slice(0, n_tot + 1), diag, off, 1.0)]
+        m, halves, scale = 0, [(diag, off)], 1.0
     else:
         d_even, d_odd, o_even = diag[: m + odd].copy(), diag[:m].copy(), off[: m - 1 + odd].copy()
         if odd:
@@ -162,12 +176,15 @@ def _unit_block(params: ModelParams, n_tot: int, times, grid: int, phases, out) 
         else:
             d_even[-1] += off[m - 1]
             d_odd[-1] -= off[m - 1]
-        halves = [(slice(0, m + odd), d_even, o_even, 0.5),
-                  (slice(m + odd, n_tot + 1), d_odd, off[: m - 1], 0.5)]
-    for rows, d, e, scale in halves:  # LAPACK's names for a tridiagonal's diagonals
-        energies, modes = eigh_tridiagonal(d, e) if n_tot else (diag, np.ones((1, 1)))
-        real = _block_phases(energies, scale * modes[0], times, grid, phases[rows])
-        np.matmul(modes, real, out=out[rows])
+        halves, scale = [(d_even, o_even), (d_odd, off[: m - 1])], 0.5
+    # LAPACK's names for a tridiagonal's diagonals
+    solved = [eigh_tridiagonal(d, e) for d, e in halves] if n_tot else [(diag, np.ones((1, 1)))]
+    energies = np.concatenate([energies for energies, _ in solved])
+    scales = scale * np.concatenate([modes[0] for _, modes in solved])
+    real, row = _block_phases(energies, scales, clock, phases[: n_tot + 1]), 0
+    for _, modes in solved:  # the halves sit in consecutive rows
+        rows, row = slice(row, row + len(modes)), row + len(modes)
+        np.matmul(modes, real[rows], out=out[rows])
     if m:
         a, b = out[:m], out[m + odd : n_tot + 1]
         diff = np.subtract(a, b, out=phases.view(float)[:m, : out.shape[1]])
@@ -206,33 +223,40 @@ def evolve_many(params: ModelParams, lights, times, thetas=None) -> list[Evoluti
     numbers = np.zeros((len(lights), 5, len(times)))  # norm^2, <n_a>, <n_a^2>, <n_b>, <n_b^2>
     ladders = np.zeros((len(lights), 2, 2, len(times)), dtype=complex)  # <a^k>, <b^k> at k - 1
     older, old = None, None  # conjugated unit blocks n_tot - 2 and n_tot - 1, if solved
-    order, grid = _grid_order(times)  # every block runs on the grid part first
+    clock = _clock(times)  # every block runs on the grid part first
     # allocated once: the phases, the fold's scratch once u is formed, and a ring of 3 blocks
-    phases = np.empty((n_top + 1, max(_split(grid)[1], len(times))), dtype=complex)
+    phases = np.empty((n_top + 1, max(clock.span, len(times))), dtype=complex)
     scratch, ring = phases.reshape(-1), np.empty((3, n_top + 1, 2 * len(times)))
-    for n_tot in range(n_top + 1):
-        c = coeffs[:, n_tot]
+    ends = np.empty((2, len(times)), dtype=complex)
+    # built once: row j of block n_tot is n_b = j, n_a = n_tot - j, so an n_a vector is a
+    # tail of the levels counted down, stored forwards (matmul leaves BLAS on a negative stride)
+    up, down = np.arange(n_top + 1.0), np.arange(n_top, -1.0, -1.0)
+    weights = np.stack((np.ones_like(up), down, down * down, up, up * up))  # n_a rows refilled
+    falling = weights[1:3].copy()
+    roots = np.sqrt(np.stack((up, up * (up - 1), down, down * (down - 1))))  # n_b rows, n_a rows
+    power = coeffs.real**2 + coeffs.imag**2
+    pairs = [np.conj(coeffs[:, :-k]) * coeffs[:, k:] for k in (1, 2)]  # conj(c_{n-k}) c_n
+    for n_tot, populated in enumerate(np.any(coeffs, axis=0)):
         u = None
-        if np.any(c):
-            u = _unit_block(params, n_tot, times[order], grid, phases, ring[n_tot % 3])
-            nb = np.arange(n_tot + 1.0)  # row j of the block is n_b
-            na = n_tot - nb
-            weights = np.stack((np.ones_like(nb), na, na * na, nb, nb * nb))
+        if populated:
+            u = _unit_block(params, n_tot, clock, phases, ring[n_tot % 3])
+            weights[1:3, : n_tot + 1] = falling[:, n_top - n_tot :]
             density = np.abs(u, out=scratch.view(float)[: u.size].reshape(u.shape))
             np.square(density, out=density)
-            numbers += (c.real**2 + c.imag**2)[:, None, None] * (weights @ density)
+            numbers += power[:, n_tot, None, None] * (weights[:, : n_tot + 1] @ density)
             # a^k: (n_b, n_a - k) sits at j; b^k: (n_b - k, n_a) sits at j - k
-            for k, back, fa, fb in ((1, old, na, nb), (2, older, na * (na - 1), nb * (nb - 1))):
+            for k, back in ((1, old), (2, older)):
                 if back is None:
                     continue
                 prod = scratch[: back.size].reshape(back.shape)
-                ends = (np.sqrt(fa[:-k]) @ np.multiply(back, u[:-k], out=prod),
-                        np.sqrt(fb[k:]) @ np.multiply(back, u[k:], out=prod))
-                pair = np.conj(coeffs[:, n_tot - k]) * c
-                ladders[:, k - 1] += pair[:, None, None] * np.stack(ends)
+                np.matmul(roots[k + 1, n_top - n_tot : n_top + 1 - k],
+                          np.multiply(back, u[:-k], out=prod), out=ends[0])
+                np.matmul(roots[k - 1, k : n_tot + 1], np.multiply(back, u[k:], out=prod),
+                          out=ends[1])
+                ladders[:, k - 1] += pairs[k - 1][:, n_tot - k, None, None] * ends
         older, old = old, None if u is None else np.conjugate(u, out=u)
     ladders[:, :, 0] *= np.exp(1j * thetas[:, None, None] * np.array([[1.0], [2.0]]))
-    numbers, ladders = (sums[..., np.argsort(order)] for sums in (numbers, ladders))
+    numbers, ladders = (sums[..., np.argsort(clock.order)] for sums in (numbers, ladders))
 
     results = []
     for light, number, ladder in zip(lights, numbers, ladders):

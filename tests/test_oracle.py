@@ -36,8 +36,7 @@ from atomlaser.observables import (
 )
 from atomlaser.oracle import (
     _block_phases,
-    _grid_order,
-    _split,
+    _clock,
     _unit_block,
     eigh_tridiagonal,
     evolve,
@@ -135,10 +134,10 @@ def test_split_block_matches_the_whole_block_solve(monkeypatch, n_tot):
 
     monkeypatch.setattr(oracle_module, "eigh_tridiagonal", sized)
     times = 0.1 * np.arange(8)
-    order, grid = _grid_order(times)
-    phases = np.empty((n_tot + 1, max(_split(grid)[1], len(times))), dtype=complex)
+    clock = _clock(times)
+    phases = np.empty((n_tot + 1, max(clock.span, len(times))), dtype=complex)
     out = np.empty((n_tot + 1, 2 * len(times)))
-    got = _unit_block(RESONANT, n_tot, times[order], grid, phases, out)[:, np.argsort(order)]
+    got = _unit_block(RESONANT, n_tot, clock, phases, out)[:, np.argsort(clock.order)]
     assert sizes == [n_tot // 2 + 1, (n_tot + 1) // 2]  # the even half, then the odd
     nb = np.arange(n_tot)
     energies, modes = eigh_tridiagonal(np.full(n_tot + 1, 4.0 * n_tot),
@@ -158,8 +157,8 @@ def solved_blocks(params, n_tots):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle_module, "eigh_tridiagonal", recorded)
         for n_tot in n_tots:
-            _unit_block(params, n_tot, np.zeros(1), 0, np.empty((n_tot + 1, 1), dtype=complex),
-                        np.empty((n_tot + 1, 2)))
+            _unit_block(params, n_tot, _clock(np.zeros(1)),
+                        np.empty((n_tot + 1, 1), dtype=complex), np.empty((n_tot + 1, 2)))
     return blocks
 
 
@@ -206,9 +205,10 @@ def split_phases_error(times):
     """Grid size of the split of ``times`` and the largest deviation of the split's
     phases from scale e^{-iEt}, as a share of 8 eps max|E| max(t)."""
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        order, grid = _grid_order(times)
-        out = np.empty((len(BLOCK_ENERGIES), max(_split(grid)[1], len(times))), dtype=complex)
-        got = _block_phases(BLOCK_ENERGIES, BLOCK_SCALE, times[order], grid, out).view(complex)
+        clock = _clock(times)
+        order, grid = clock.order, clock.grid
+        out = np.empty((len(BLOCK_ENERGIES), max(clock.span, len(times))), dtype=complex)
+        got = _block_phases(BLOCK_ENERGIES, BLOCK_SCALE, clock, out).view(complex)
     assert np.array_equal(np.sort(order), np.arange(len(times)))
     assert np.array_equal(times[order[:grid]], np.arange(grid) * times[1])
     want = BLOCK_SCALE[:, None] * np.exp(-1j * np.outer(BLOCK_ENERGIES, times[order]))

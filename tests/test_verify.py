@@ -124,9 +124,9 @@ def test_verify_runs_every_block_on_its_grid_part(tmp_path, monkeypatch, argv, e
     # come by angle addition on the grid part, one exponential per extra only
     calls, block_phases = [], oracle._block_phases
 
-    def spy(energies, scale, times, grid, out):
-        calls.append((len(times) - grid, grid))
-        return block_phases(energies, scale, times, grid, out)
+    def spy(energies, scale, clock, out):
+        calls.append((len(clock.order) - clock.grid, clock.grid))
+        return block_phases(energies, scale, clock, out)
 
     monkeypatch.setattr(oracle, "_block_phases", spy)
     with contextlib.redirect_stdout(io.StringIO()):
