@@ -65,7 +65,7 @@ from .propagator import ModelParams
 from .verify import discrepancy_report
 
 # bounds of the auto cutoff; the ceiling also caps an explicit cutoff, and so
-# bounds the oracle's eigensolve time, which grows as about n_max^2.7
+# bounds the oracle's eigensolve time, which grows as about n_max^2.6
 DEFAULT_N_MAX_FLOOR = 64
 DEFAULT_N_MAX_CEILING = 512
 

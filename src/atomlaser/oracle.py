@@ -7,9 +7,9 @@ The coupling Hamiltonian
 conserves n_a + n_b, so it splits into tridiagonal blocks of dimension
 n_tot + 1.  After gauging the condensate phase out of the light mode the
 blocks are real symmetric, and their eigendecompositions give the exact
-evolution (within the truncated space) at every requested time.  At resonance
-each block commutes with the reversal n_b <-> n_tot - n_b, a symmetry of the
-matrix, and is solved as two half-size tridiagonals (``_unit_block``).
+evolution (within the truncated space) at every requested time.  At resonance each block
+commutes with the reversal n_b <-> n_tot - n_b and is split in two (``_unit_block``); at even
+n_tot each half has a constant diagonal and is solved as a quarter-size SVD (``eigh_chiral``).
 
 The preparation is always the atom vacuum times a light state with
 amplitudes c_0 .. c_{n_max}.  It populates only the complete blocks
@@ -27,9 +27,9 @@ command's way in, compares its result with the moment map only afterwards, at
 run time.  Comparing cutoffs is the ``converge`` command's job
 (``cli.cmd_converge``), not this module's.
 
-Blocks run on the times reordered: first the grid part arange(G) * times[1], whose
-phases e^{-i E t} are W = isqrt(G - 1) + 1 fine offsets times ceil(G / W) coarse
-starts, then the extras (verify's off-grid anchors), one exponential per energy each.
+Blocks run on the times reordered once per pass (``_clock``): first the grid part
+arange(G) * times[1], whose phases e^{-i E t} are W = isqrt(G - 1) + 1 fine offsets times
+ceil(G / W) coarse starts, then the extras (verify's off-grid anchors), one exponential each.
 """
 
 from __future__ import annotations
@@ -58,17 +58,20 @@ class EvolutionResult:
     ntotal_drift: float
 
 
-@functools.cache
-def _numpy_dstevd():
-    """LAPACKE dstevd (64-bit ints) in the OpenBLAS numpy loaded, or None if it has none."""
+def _lapacke(name: str, *argtypes):
+    """LAPACKE ``name`` (64-bit ints) in the OpenBLAS numpy loaded, or None if it has none."""
     try:
-        solve = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_LAPACKE_dstevd64_
+        routine = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), f"scipy_LAPACKE_{name}64_")
     except (AttributeError, OSError):
         return None
-    int64, pointer = ctypes.c_int64, ctypes.c_void_p
-    solve.argtypes = [ctypes.c_int, ctypes.c_char, int64, pointer, pointer, pointer, int64]
-    solve.restype = int64
-    return solve
+    routine.argtypes, routine.restype = [ctypes.c_int, *argtypes], ctypes.c_int64
+    return routine
+
+
+_INT, _PTR, _CHAR = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
+_numpy_dstevd = functools.cache(lambda: _lapacke("dstevd", _CHAR, _INT, _PTR, _PTR, _PTR, _INT))
+_numpy_dbdsdc = functools.cache(lambda: _lapacke("dbdsdc", _CHAR, _CHAR, _INT, _PTR, _PTR, _PTR,
+                                                 _INT, _PTR, _INT, _PTR, _PTR))
 
 
 def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray):
@@ -99,6 +102,36 @@ def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray):
         raise InvariantViolationError(f"LAPACK dstevd failed on a block of dimension "
                                       f"{n} (info = {info})")
     return energies, modes
+
+
+def eigh_chiral(c: float, off: np.ndarray):
+    """(energies, modes) of the tridiagonal with constant diagonal c, as eigh_tridiagonal's.
+
+    Its k sites, even then odd, make it c + [[0, B], [B^T, 0]] with B lower bidiagonal
+    of ceil(k / 2) rows, diagonal off[0::2] (a 0 appended for odd k) and subdiagonal
+    off[1::2] (Golub and Kahan 1965).  B = U S V^T, by LAPACK dbdsdc in numpy's OpenBLAS
+    (_numpy_dbdsdc, called only where it exists), gives the energies c -+ s with modes
+    (u, -+v) / sqrt 2, and for odd k the energy c with mode (u, 0) of the appended 0's
+    s = 0, which dbdsdc sorts last.  A nonzero info is an InvariantViolationError.
+    """
+    k = len(off) + 1
+    p, q = (k + 1) // 2, k // 2  # B's rows, and the pairs c -+ s
+    # U, then V^T, column-major (so V row-major); B's diagonal, then S; its subdiagonal
+    work, diagonal = np.zeros(2 * p * (p + 1)), 2 * p * p
+    work[diagonal : diagonal + q], work[diagonal + p : -1] = off[0::2], off[1::2]
+    at = work.ctypes.data
+    info = _numpy_dbdsdc()(102, b"L", b"I", p, at + 8 * diagonal, at + 8 * (diagonal + p), at, p,
+                           at + 8 * p * p, p, None, None)
+    if info != 0:
+        raise InvariantViolationError(f"LAPACK dbdsdc failed on a block of dimension "
+                                      f"{k} (info = {info})")
+    u, v = work[: p * p].reshape(p, p, order="F"), work[p * p : diagonal].reshape(p, p)
+    sigma, half = work[diagonal : diagonal + q], math.sqrt(0.5)
+    modes = np.zeros((k, k), order="F")
+    modes[0::2, :q] = modes[0::2, q : 2 * q] = half * u[:, :q]
+    modes[1::2, :q], modes[1::2, q : 2 * q] = -half * v[:q, :q], half * v[:q, :q]
+    modes[0::2, 2 * q :] = u[:, q:]  # the mode (u, 0) of odd k
+    return np.concatenate((c - sigma, c + sigma, np.full(k % 2, c))), modes
 
 
 def _grid_order(times: np.ndarray) -> tuple[np.ndarray, int]:
@@ -155,10 +188,10 @@ def _unit_block(params: ModelParams, n_tot: int, clock: _Clock, phases, out) -> 
     resonance), commutes with the reversal J: n_b -> n_tot - n_b.  (v ± J v)/sqrt 2
     splits its dimension 2m + odd into tridiagonals on rows :m + odd and :m: T[:m, :m]
     with last diagonal entry ± off[m - 1] if odd = 0, else T[:m + 1, :m + 1] with last
-    off-diagonal entry sqrt 2 off[m - 1], and T[:m, :m].  Each half is solved and
-    multiplied as above with scale modes[0] / 2, into A on rows :m + odd and B below;
-    then u[:m] = A[:m] + B, u[mirror] = J(A[:m] - B), formed through the phase rows,
-    and the middle row is sqrt 2 A[m].  Any other block is solved whole.
+    off-diagonal entry sqrt 2 off[m - 1], and T[:m, :m].  Each half is solved (by eigh_chiral
+    where its diagonal is constant, as if odd) and multiplied as above with scale modes[0] / 2
+    into A on rows :m + odd and B below; then u[:m] = A[:m] + B, u[mirror] = J(A[:m] - B),
+    through the phase rows, and the middle row is sqrt 2 A[m].  Any other block is solved whole.
     """
     nb = np.arange(n_tot + 1)
     na = n_tot - nb
@@ -178,7 +211,9 @@ def _unit_block(params: ModelParams, n_tot: int, clock: _Clock, phases, out) -> 
             d_odd[-1] -= off[m - 1]
         halves, scale = [(d_even, o_even), (d_odd, off[: m - 1])], 0.5
     # LAPACK's names for a tridiagonal's diagonals
-    solved = [eigh_tridiagonal(d, e) for d, e in halves] if n_tot else [(diag, np.ones((1, 1)))]
+    chiral = _numpy_dbdsdc() is not None  # then a constant diagonal takes eigh_chiral
+    solved = [eigh_chiral(d[0], e) if chiral and np.all(d == d[0]) else eigh_tridiagonal(d, e)
+              for d, e in halves] if n_tot else [(diag, np.ones((1, 1)))]
     energies = np.concatenate([energies for energies, _ in solved])
     scales = scale * np.concatenate([modes[0] for _, modes in solved])
     real, row = _block_phases(energies, scales, clock, phases[: n_tot + 1]), 0

@@ -617,13 +617,14 @@ def test_sweep_builds_every_input_before_any_oracle_runs(tmp_path, capsys, monke
 )
 def test_eigensolves_per_command(tmp_path, monkeypatch, commands, solves):
     calls = []
-    solve = oracle_module.eigh_tridiagonal
+    for entry in ("eigh_tridiagonal", "eigh_chiral"):  # a half takes one of the two
+        solve = getattr(oracle_module, entry)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
+        def counted(*args, solve=solve):
+            calls.append(args)
+            return solve(*args)
 
-    monkeypatch.setattr(oracle_module, "eigh_tridiagonal", counted)
+        monkeypatch.setattr(oracle_module, entry, counted)
     for argv in commands:
         assert run(*argv, "--out", str(tmp_path / "out.csv")) == 0
     assert len(calls) == solves
@@ -691,25 +692,33 @@ def test_every_command_checks_the_oracle_it_reaches(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "detuning, fallback",
-    [((), False), (("--omega0", "5"), False), ((), True)],
-    ids=["resonant", "detuned", "fallback"],
+    "argv, routine, fallback",
+    [
+        # a coherent part populates the odd blocks, whose halves dstevd solves
+        (("--m-re", "0.5"), "dstevd", False),
+        (("--omega0", "5"), "dstevd", False),
+        # the even blocks' constant-diagonal halves go to dbdsdc
+        ((), "dbdsdc", False),
+        ((), "dstevd", True),
+    ],
+    ids=["resonant", "detuned", "chiral", "fallback"],
 )
 def test_a_failed_block_solve_is_an_invariant_violation(
-    tmp_path, capsys, monkeypatch, detuning, fallback
+    tmp_path, capsys, monkeypatch, argv, routine, fallback
 ):
-    if fallback:  # numpy exports no dstevd, so scipy's is called
+    if fallback:  # numpy exports no LAPACKE, so scipy's dstevd solves every half
         from scipy.linalg import lapack
 
         monkeypatch.setattr(oracle_module, "_numpy_dstevd", lambda: None)
+        monkeypatch.setattr(oracle_module, "_numpy_dbdsdc", lambda: None)
         monkeypatch.setattr(lapack, "dstevd", lambda diag, off: (diag, np.eye(len(diag)), 1))
     else:  # the LAPACKE entry point in numpy's OpenBLAS returns info = 1
-        monkeypatch.setattr(oracle_module, "_numpy_dstevd", lambda: lambda *args: 1)
+        monkeypatch.setattr(oracle_module, f"_numpy_{routine}", lambda: lambda *args: 1)
     out = tmp_path / "out.csv"
-    assert run("simulate", *detuning, "--steps", "4", "--out", str(out)) == 3
+    assert run("simulate", *argv, "--steps", "4", "--out", str(out)) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("invariant violation:")
-    assert "dstevd" in err[0] and "info = 1" in err[0]
+    assert routine in err[0] and "info = 1" in err[0]
     assert not out.exists()
 
 

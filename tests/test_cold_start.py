@@ -1,9 +1,9 @@
 """scipy stays unloaded, and a run maps one OpenBLAS.
 
-The oracle solves its blocks with the LAPACK dstevd of the OpenBLAS numpy
-already loaded, so where numpy exports it no run loads scipy (and its second
-OpenBLAS).  Where numpy does not, scipy.linalg loads on the first block solve
-and writes the same bytes.  Each case runs in a fresh isolated interpreter, so
+The oracle solves its blocks with the LAPACK dstevd and dbdsdc of the OpenBLAS
+numpy already loaded, so where numpy exports them no run loads scipy (and its
+second OpenBLAS).  Where numpy does not, scipy.linalg loads on the first block
+solve and writes the bytes of numpy's dstevd.  Each case runs in a fresh isolated interpreter, so
 no module this test session already imported can hide an import.
 """
 
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from atomlaser import oracle
 from atomlaser.cli import main
 from atomlaser.oracle import _numpy_dstevd
 
@@ -73,8 +74,11 @@ def test_an_oracle_run_loads_no_scipy(tmp_path, command):
     assert (tmp_path / "out.txt").stat().st_size > 0
 
 
-def test_without_numpy_dstevd_scipy_solves_the_blocks_to_the_same_bytes(tmp_path):
+def test_without_numpy_dstevd_scipy_solves_the_blocks_to_the_same_bytes(tmp_path, monkeypatch):
     fast, fallback = tmp_path / "fast.csv", tmp_path / "fallback.csv"
+    # without numpy's LAPACKE no half goes to dbdsdc either: the reference solves every
+    # half with numpy's dstevd
+    monkeypatch.setattr(oracle, "_numpy_dbdsdc", lambda: None)
     assert main(["simulate", "--steps", "8", "--out", str(fast)]) == 0
     # the lookup opens the linalg extension's file: point it at none
     code = (

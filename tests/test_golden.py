@@ -6,12 +6,14 @@ apart from a fault.  ``python tests/update_golden.py`` rewrites the files; a
 change that moves them says which ones and why.
 """
 
+import hashlib
 import math
 import re
 from pathlib import Path
 
 import pytest
 
+from atomlaser import oracle
 from atomlaser.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -117,3 +119,14 @@ def test_mismatch_report_names_the_place_and_the_size():
     report = describe_mismatch("f.csv", expected, actual)
     assert "row 2, column 2" in report
     assert "relative to 1 + |x|: 1.11e-16" in report
+
+
+# sha256 of simulate-default.csv as it was while every resonant half took dstevd
+DSTEVD_SIMULATE_DEFAULT = "45fa049932c0c7cbeb9ffd346a09df9011352b5817dae74994a3141d026c94d3"
+
+
+def test_without_numpy_dbdsdc_the_halves_take_dstevd_and_its_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(oracle, "_numpy_dbdsdc", lambda: None)
+    monkeypatch.setattr(oracle, "eigh_chiral", None)  # a call would raise
+    data = regenerate("simulate-default.csv", tmp_path)
+    assert hashlib.sha256(data).hexdigest() == DSTEVD_SIMULATE_DEFAULT

@@ -38,6 +38,7 @@ from atomlaser.oracle import (
     _block_phases,
     _clock,
     _unit_block,
+    eigh_chiral,
     eigh_tridiagonal,
     evolve,
     evolve_many,
@@ -126,19 +127,26 @@ def test_evolve_matches_dense_expm_reference(params, n_max, times):
 
 @pytest.mark.parametrize("n_tot", [*range(1, 25), 383, 384, 448])
 def test_split_block_matches_the_whole_block_solve(monkeypatch, n_tot):
-    sizes = []
+    sizes, entries = [], []
+    for entry in ("eigh_tridiagonal", "eigh_chiral"):
+        solve = getattr(oracle_module, entry)
 
-    def sized(diag, off):
-        sizes.append(len(diag))
-        return eigh_tridiagonal(diag, off)
+        def sized(diag_or_c, off, solve=solve, entry=entry):
+            sizes.append(len(off) + 1)
+            entries.append(entry)
+            return solve(diag_or_c, off)
 
-    monkeypatch.setattr(oracle_module, "eigh_tridiagonal", sized)
+        monkeypatch.setattr(oracle_module, entry, sized)
     times = 0.1 * np.arange(8)
     clock = _clock(times)
     phases = np.empty((n_tot + 1, max(clock.span, len(times))), dtype=complex)
     out = np.empty((n_tot + 1, 2 * len(times)))
     got = _unit_block(RESONANT, n_tot, clock, phases, out)[:, np.argsort(clock.order)]
     assert sizes == [n_tot // 2 + 1, (n_tot + 1) // 2]  # the even half, then the odd
+    if oracle_module._numpy_dbdsdc() is not None:
+        # an even n_tot's halves keep the constant diagonal; an odd one's end on +- off[m - 1],
+        # except n_tot = 1's, which are 1 x 1
+        assert entries == ["eigh_tridiagonal" if n_tot % 2 and n_tot > 1 else "eigh_chiral"] * 2
     nb = np.arange(n_tot)
     energies, modes = eigh_tridiagonal(np.full(n_tot + 1, 4.0 * n_tot),
                                        np.sqrt((n_tot - nb) * (nb + 1.0)))
@@ -146,16 +154,19 @@ def test_split_block_matches_the_whole_block_solve(monkeypatch, n_tot):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-def solved_blocks(params, n_tots):
-    """Copies of each (diag, off) that _unit_block solves for the blocks n_tots."""
-    blocks = []
+def solved_blocks(params, n_tots, entry="eigh_tridiagonal", chiral=True):
+    """Copies of the arguments of each call of oracle.<entry> that _unit_block makes for
+    the blocks n_tots; with chiral=False no half goes to eigh_chiral, as without dbdsdc."""
+    blocks, solve = [], getattr(oracle_module, entry)
 
-    def recorded(diag, off):
-        blocks.append((diag.copy(), off.copy()))
-        return eigh_tridiagonal(diag, off)
+    def recorded(*args):
+        blocks.append(tuple(np.copy(arg) for arg in args))
+        return solve(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle_module, "eigh_tridiagonal", recorded)
+        patch.setattr(oracle_module, entry, recorded)
+        if not chiral:
+            patch.setattr(oracle_module, "_numpy_dbdsdc", lambda: None)
         for n_tot in n_tots:
             _unit_block(params, n_tot, _clock(np.zeros(1)),
                         np.empty((n_tot + 1, 1), dtype=complex), np.empty((n_tot + 1, 2)))
@@ -167,9 +178,10 @@ def solved_blocks(params, n_tots):
 def test_numpy_dstevd_matches_scipy_bitwise():
     from scipy.linalg.lapack import dstevd
 
-    # resonant halves up to 257 rows (n_tot 512) and detuned whole blocks up to 300
+    # resonant halves up to 257 rows (n_tot 512), as numpy's dstevd solves them where
+    # numpy has no dbdsdc, and detuned whole blocks up to 300
     blocks = solved_blocks(RESONANT, [*range(1, 25), 63, 64, 127, 128, 255, 256, 383, 384,
-                                      447, 448, 511, 512])
+                                      447, 448, 511, 512], chiral=False)
     blocks += solved_blocks(ModelParams(5.0, 3.0, 1.4, 0.0), [*range(1, 17), 64, 127, 128, 199,
                                                               255, 299])
     assert max(len(diag) for diag, _ in blocks) == 300
@@ -180,6 +192,23 @@ def test_numpy_dstevd_matches_scipy_bitwise():
         energies, modes = eigh_tridiagonal(diag, off)
         assert info == 0 and modes.flags.f_contiguous
         assert np.array_equal(energies, want_energies) and np.array_equal(modes, want_modes)
+
+
+@pytest.mark.skipif(oracle_module._numpy_dbdsdc() is None,
+                    reason="numpy's LAPACK exports no scipy_LAPACKE_dbdsdc64_")
+def test_chiral_solve_is_an_accurate_eigendecomposition():
+    # every constant-diagonal half _unit_block solves up to 512 levels: both halves of
+    # each even block (the split test checks that no odd block's half is one)
+    halves = solved_blocks(RESONANT, range(2, 513, 2), entry="eigh_chiral")
+    assert len(halves) == 512 and max(len(off) + 1 for _, off in halves) == 257
+    for c, off in halves:
+        k = len(off) + 1
+        energies, modes = eigh_chiral(c, off)
+        half = np.diag(np.full(k, float(c))) + np.diag(off, 1) + np.diag(off, -1)
+        assert energies.shape == (k,) and modes.shape == (k, k)
+        residual = np.linalg.norm(half @ modes - modes * energies)
+        assert residual <= 1e-13 * np.linalg.norm(half), k
+        assert np.linalg.norm(modes.T @ modes - np.eye(k)) <= 1e-13, k
 
 
 def test_resonant_output_does_not_depend_on_the_blas_thread_count(tmp_path):
