@@ -7,9 +7,10 @@ The coupling Hamiltonian
 conserves n_a + n_b, so it splits into tridiagonal blocks of dimension
 n_tot + 1.  After gauging the condensate phase out of the light mode the
 blocks are real symmetric, and their eigendecompositions give the exact
-evolution (within the truncated space) at every requested time.  At resonance each block
-commutes with the reversal n_b <-> n_tot - n_b and is split in two (``_unit_block``); at even
-n_tot each half has a constant diagonal and is solved as a quarter-size SVD (``eigh_chiral``).
+evolution (within the truncated space) at every requested time.  At resonance
+each block commutes with the reversal n_b <-> n_tot - n_b, a symmetry of the
+matrix, and is solved as two half-size tridiagonals (``_unit_block``); at even
+n_tot each half has a constant diagonal, solved by a quarter-size bidiagonal SVD (``eigh_chiral``).
 
 The preparation is always the atom vacuum times a light state with
 amplitudes c_0 .. c_{n_max}.  It populates only the complete blocks
@@ -28,8 +29,8 @@ run time.  Comparing cutoffs is the ``converge`` command's job
 (``cli.cmd_converge``), not this module's.
 
 Blocks run on the times reordered once per pass (``_clock``): first the grid part
-arange(G) * times[1], whose phases e^{-i E t} are W = isqrt(G - 1) + 1 fine offsets times
-ceil(G / W) coarse starts, then the extras (verify's off-grid anchors), one exponential each.
+arange(G) * times[1], whose phases e^{-i E t} are W = isqrt(G - 1) + 1 fine offsets
+times ceil(G / W) coarse starts, then each extra (verify's off-grid anchors) on its own.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def eigh_chiral(c: float, off: np.ndarray):
     Its k sites, even then odd, make it c + [[0, B], [B^T, 0]] with B lower bidiagonal
     of ceil(k / 2) rows, diagonal off[0::2] (a 0 appended for odd k) and subdiagonal
     off[1::2] (Golub and Kahan 1965).  B = U S V^T, by LAPACK dbdsdc in numpy's OpenBLAS
-    (_numpy_dbdsdc, called only where it exists), gives the energies c -+ s with modes
+    (callers check _numpy_dbdsdc first), gives the energies c -+ s with modes
     (u, -+v) / sqrt 2, and for odd k the energy c with mode (u, 0) of the appended 0's
     s = 0, which dbdsdc sorts last.  A nonzero info is an InvariantViolationError.
     """
@@ -210,8 +211,7 @@ def _unit_block(params: ModelParams, n_tot: int, clock: _Clock, phases, out) -> 
             d_even[-1] += off[m - 1]
             d_odd[-1] -= off[m - 1]
         halves, scale = [(d_even, o_even), (d_odd, off[: m - 1])], 0.5
-    # LAPACK's names for a tridiagonal's diagonals
-    chiral = _numpy_dbdsdc() is not None  # then a constant diagonal takes eigh_chiral
+    chiral = _numpy_dbdsdc() is not None  # d, e: LAPACK's names; a constant d takes eigh_chiral
     solved = [eigh_chiral(d[0], e) if chiral and np.all(d == d[0]) else eigh_tridiagonal(d, e)
               for d, e in halves] if n_tot else [(diag, np.ones((1, 1)))]
     energies = np.concatenate([energies for energies, _ in solved])

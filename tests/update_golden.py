@@ -28,8 +28,8 @@ def main(names) -> None:
                 print(f"{name}: unchanged")
                 continue
             (GOLDEN / name).write_bytes(data)
-            report = [] if old is None else describe_mismatch(name, old.decode(), data.decode())
-            print(f"{name}: written", *report.splitlines()[1:] if report else [], sep="\n")
+            report = "" if old is None else describe_mismatch(name, old.decode(), data.decode())
+            print(f"{name}: written", *report.splitlines()[1:], sep="\n")
 
 
 if __name__ == "__main__":
