@@ -28,9 +28,9 @@ command's way in, compares its result with the moment map only afterwards, at
 run time.  Comparing cutoffs is the ``converge`` command's job
 (``cli.cmd_converge``), not this module's.
 
-Blocks run on the times reordered once per pass (``_clock``): first the grid part
-arange(G) * times[1], whose phases e^{-i E t} are W = isqrt(G - 1) + 1 fine offsets
-times ceil(G / W) coarse starts, then each extra (verify's off-grid anchors) on its own.
+Blocks run on the times as given (``_clock``): their leading run times[k] = k * times[1]
+is the grid part, whose phases e^{-i E t} are W = isqrt(G - 1) + 1 fine offsets times
+ceil(G / W) coarse starts, then each later time (verify's off-grid anchors) on its own.
 """
 
 from __future__ import annotations
@@ -135,22 +135,11 @@ def eigh_chiral(c: float, off: np.ndarray):
     return np.concatenate((c - sigma, c + sigma, np.full(k % 2, c))), modes
 
 
-def _grid_order(times: np.ndarray) -> tuple[np.ndarray, int]:
-    """(order, G): times[order[:G]] is arange(G) * times[1], order[G:] the rest in order."""
-    count = len(times)
-    if count < 2 or times[0] != 0.0 or not times[1] > 0.0:
-        return np.arange(count), 0
-    index = np.rint(np.minimum(times, count * times[1]) / times[1])  # capped before rounding
-    on = np.flatnonzero(index * times[1] == times)
-    grid = on[np.logical_and.accumulate(index[on] == np.arange(len(on)))]
-    return np.concatenate((grid, np.delete(np.arange(count), grid))), len(grid)
-
-
 @dataclass(frozen=True)
 class _Clock:
-    """A pass's times as every block runs them, built once per pass by _clock."""
+    """A pass's times in the caller's order, split once per pass by _clock."""
 
-    order: np.ndarray  # times[order]: the grid part arange(grid) * times[1], then the extras
+    count: int  # the times: their leading grid part arange(grid) * times[1], then the extras
     grid: int
     width: int  # W = isqrt(grid - 1) + 1 fine offsets
     span: int  # ceil(grid / W) W >= grid phases, whose excess past grid the extras overwrite
@@ -158,16 +147,19 @@ class _Clock:
 
 
 def _clock(times: np.ndarray) -> _Clock:
-    order, grid = _grid_order(times)
+    grid = 0
+    if len(times) > 1 and times[1] > 0.0:
+        with np.errstate(over="ignore"):  # k times[1] past the largest float is off the grid
+            on = np.arange(len(times)) * times[1] == times
+        grid = int(np.argmin(np.append(on, False)))  # the leading run on the grid
     width = math.isqrt(max(grid, 1) - 1) + 1
-    ordered = times[order]
-    stamps = np.concatenate((ordered[:grid:width], ordered[:width], ordered[grid:]))
-    return _Clock(order, grid, width, -(-grid // width) * width, stamps)
+    stamps = np.concatenate((times[:grid:width], times[:width], times[grid:]))
+    return _Clock(len(times), grid, width, -(-grid // width) * width, stamps)
 
 
 def _block_phases(energies: np.ndarray, scale: np.ndarray, clock: _Clock, out):
     """Write scale[k] e^{-i E_k t} into out; return its real (len(E), 2T) view (see _unit_block)."""
-    rows, width, count = len(energies), clock.width, len(clock.order)
+    rows, width, count = len(energies), clock.width, clock.count
     starts = clock.span // width
     turns = np.exp(-1j * np.outer(energies, clock.stamps))  # one exponential per energy and stamp
     turns[:, starts:] *= scale[:, None]
@@ -180,19 +172,19 @@ def _block_phases(energies: np.ndarray, scale: np.ndarray, clock: _Clock, out):
 def _unit_block(params: ModelParams, n_tot: int, clock: _Clock, phases, out) -> np.ndarray:
     """Gauged amplitudes u[n_b, t] of block n_tot, started as 1 on (0, n_tot).
 
-    u = modes diag(e^{-i E t}) modes[0].  On times[:grid] = arange(grid) * times[1],
-    e^{-i E t_{j W + i}} is coarse[j] fine[i], W = isqrt(grid - 1) + 1, with modes[0]
-    folded into fine; each later time takes its own exponential, all into ``phases``.
-    A real matmul of the eigenvectors with their real view writes u into ``out``.
+    u = modes diag(e^{-i E t}) modes[0] at the times as given.  On times[:grid] =
+    arange(grid) * times[1], e^{-i E t_{j W + i}} is coarse[j] fine[i], W = isqrt(grid - 1) + 1,
+    with modes[0] folded into fine; each later time takes its own exponential, all into
+    ``phases``.  A real matmul of the eigenvectors with their real view writes u into ``out``.
 
-    A block whose diag and off read the same backwards, bitwise (every block at
-    resonance), commutes with the reversal J: n_b -> n_tot - n_b.  (v ± J v)/sqrt 2
-    splits its dimension 2m + odd into tridiagonals on rows :m + odd and :m: T[:m, :m]
-    with last diagonal entry ± off[m - 1] if odd = 0, else T[:m + 1, :m + 1] with last
-    off-diagonal entry sqrt 2 off[m - 1], and T[:m, :m].  Each half is solved (by eigh_chiral
-    where its diagonal is constant, as if odd) and multiplied as above with scale modes[0] / 2
-    into A on rows :m + odd and B below; then u[:m] = A[:m] + B, u[mirror] = J(A[:m] - B),
-    through the phase rows, and the middle row is sqrt 2 A[m].  Any other block is solved whole.
+    At resonance (params.resonant) each block n_tot > 0 commutes with the reversal J:
+    n_b -> n_tot - n_b.  (v ± J v)/sqrt 2 splits its dimension 2m + odd into tridiagonals
+    on rows :m + odd and :m: T[:m, :m] with last diagonal entry ± off[m - 1] if odd = 0,
+    else T[:m + 1, :m + 1] with last off-diagonal entry sqrt 2 off[m - 1], and T[:m, :m];
+    these two keep the constant diagonal, for eigh_chiral.  Each half is multiplied as above with
+    scale modes[0] / 2 into A on rows :m + odd and B below; then u[:m] = A[:m] + B,
+    u[mirror] = J(A[:m] - B), through the phase rows, and the middle row is sqrt 2 A[m].
+    Any other block is solved whole.
     """
     nb = np.arange(n_tot + 1)
     na = n_tot - nb
@@ -201,7 +193,7 @@ def _unit_block(params: ModelParams, n_tot: int, clock: _Clock, phases, out) -> 
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
         raise InvariantViolationError(f"block n_tot = {n_tot} has entries that are not finite")
     m, odd = divmod(n_tot + 1, 2)
-    if n_tot == 0 or not (np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])):
+    if not (params.resonant and m):
         m, halves, scale = 0, [(diag, off)], 1.0
     else:
         d_even, d_odd, o_even = diag[: m + odd].copy(), diag[:m].copy(), off[: m - 1 + odd].copy()
@@ -211,9 +203,8 @@ def _unit_block(params: ModelParams, n_tot: int, clock: _Clock, phases, out) -> 
             d_even[-1] += off[m - 1]
             d_odd[-1] -= off[m - 1]
         halves, scale = [(d_even, o_even), (d_odd, off[: m - 1])], 0.5
-    chiral = _numpy_dbdsdc() is not None  # d, e: LAPACK's names; a constant d takes eigh_chiral
-    solved = [eigh_chiral(d[0], e) if chiral and np.all(d == d[0]) else eigh_tridiagonal(d, e)
-              for d, e in halves] if n_tot else [(diag, np.ones((1, 1)))]
+    chiral = m and odd and _numpy_dbdsdc() is not None  # d, e: LAPACK's names
+    solved = [eigh_chiral(d[0], e) if chiral else eigh_tridiagonal(d, e) for d, e in halves]
     energies = np.concatenate([energies for energies, _ in solved])
     scales = scale * np.concatenate([modes[0] for _, modes in solved])
     real, row = _block_phases(energies, scales, clock, phases[: n_tot + 1]), 0
@@ -239,12 +230,13 @@ def evolve_many(params: ModelParams, lights, times, thetas=None) -> list[Evoluti
     n_tot - 1 and <c^2> with n_tot - 2.  Each light adds these unit folds
     times |c_n|^2, conj(c_{n-1}) c_n and conj(c_{n-2}) c_n.  Blocks never read
     theta, so light i may carry its own, thetas[i] (default params.theta).
+    ``times`` come in any order, the moments in the same; a caller leads with its grid.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(times)) or np.any(times < 0) or np.any(np.diff(times) < 0):
-        raise ValueError("times must be finite, sorted and nonnegative")
+    if not np.all(np.isfinite(times)) or np.any(times < 0):
+        raise ValueError("times must be finite and nonnegative")
     if not lights:
         return []
     n_top = max(light.truncation.n_max for light in lights)
@@ -258,7 +250,7 @@ def evolve_many(params: ModelParams, lights, times, thetas=None) -> list[Evoluti
     numbers = np.zeros((len(lights), 5, len(times)))  # norm^2, <n_a>, <n_a^2>, <n_b>, <n_b^2>
     ladders = np.zeros((len(lights), 2, 2, len(times)), dtype=complex)  # <a^k>, <b^k> at k - 1
     older, old = None, None  # conjugated unit blocks n_tot - 2 and n_tot - 1, if solved
-    clock = _clock(times)  # every block runs on the grid part first
+    clock = _clock(times)
     # allocated once: the phases, the fold's scratch once u is formed, and a ring of 3 blocks
     phases = np.empty((n_top + 1, max(clock.span, len(times))), dtype=complex)
     scratch, ring = phases.reshape(-1), np.empty((3, n_top + 1, 2 * len(times)))
@@ -291,7 +283,6 @@ def evolve_many(params: ModelParams, lights, times, thetas=None) -> list[Evoluti
                 ladders[:, k - 1] += pairs[k - 1][:, n_tot - k, None, None] * ends
         older, old = old, None if u is None else np.conjugate(u, out=u)
     ladders[:, :, 0] *= np.exp(1j * thetas[:, None, None] * np.array([[1.0], [2.0]]))
-    numbers, ladders = (sums[..., np.argsort(clock.order)] for sums in (numbers, ladders))
 
     results = []
     for light, number, ladder in zip(lights, numbers, ladders):

@@ -237,7 +237,9 @@ def discrepancy_report(
         raise UsageError("no registered formula applies to this scenario")
     anchors = anchor_times(scn.params, grid, {spec.anchors for spec in specs})
     specs = [spec for spec in specs if len(anchors[spec.anchors])]
-    all_times = np.unique(np.concatenate(list(anchors.values())))
+    # the grid first, so the oracle steps through it; then the anchors off it
+    all_times = np.concatenate((grid, np.setdiff1d(np.concatenate(list(anchors.values())), grid)))
+    order = np.argsort(all_times)
 
     light = squeezed_coherent_state(scn.input, scn.truncation)
     [(oracle, truncated)] = evolve_checked([(scn.params, light)], all_times)
@@ -246,7 +248,7 @@ def discrepancy_report(
     checks = []
     for spec in specs:
         times = anchors[spec.anchors]
-        at = np.searchsorted(all_times, times)
+        at = order[np.searchsorted(all_times[order], times)]
         literal = spec.literal(scn, times)
         observed = np.asarray(spec.observable(*oracle))[..., at]
         dev_lo = _max_dev(literal, observed, spec.polar)

@@ -599,19 +599,19 @@ def test_sweep_builds_every_input_before_any_oracle_runs(tmp_path, capsys, monke
 @pytest.mark.parametrize(
     "commands, solves",
     [
-        # the cutoffs share one pass over the 80 even blocks up to 160, each resonant
-        # block split into two half-size solves
-        ([("converge", "--values", "96,128,160", "--steps", "40")], 160),
+        # the cutoffs share one pass over the 81 even blocks up to 160: block 0, a 1 x 1
+        # solve, then each resonant block split into two half-size solves
+        ([("converge", "--values", "96,128,160", "--steps", "40")], 161),
         # input axes share one pass
         ([("sweep", "--axis", "r", "--values", "0.75,1.25", "--n-max", "160", "--steps", "40")],
-         160),
-        # the blocks never read theta: both values share one pass over 32 even blocks
-        ([("sweep", "--axis", "theta", "--values", "0,1", "--n-max", "64")], 64),
-        # detuned blocks are not split: two passes (one per omega_r) of 32 whole solves
+         161),
+        # the blocks never read theta: both values share one pass over 33 even blocks
+        ([("sweep", "--axis", "theta", "--values", "0,1", "--n-max", "64")], 65),
+        # detuned blocks are not split: two passes (one per omega_r) of 33 whole solves
         ([("sweep", "--axis", "omega_r", "--values", "1,2", "--omega0", "5", "--n-max", "64")],
-         64),
+         66),
         # no eigensolve is kept from one command to the next
-        ([("converge", "--values", "96,128,160", "--steps", "40")] * 2, 320),
+        ([("converge", "--values", "96,128,160", "--steps", "40")] * 2, 322),
     ],
     ids=["converge", "sweep-r", "sweep-theta", "sweep-detuned", "converge-twice"],
 )

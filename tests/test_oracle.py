@@ -100,6 +100,8 @@ DENSE_TIMES = [0.0, 0.37, 1.9, 5.2]
         (ModelParams(np.nextafter(4.0, 5.0), 4.0, 1.0, 0.0), 8, DENSE_TIMES),
         (ModelParams(5.0, 3.0, 1.4, 0.0), 8, DENSE_TIMES),
         (ModelParams(4.0, 4.0, 1.0, 0.9), 6, DENSE_TIMES),
+        # resonant where omega j + omega (n - j) does not round to one constant diagonal
+        (ModelParams(3.3, 3.3, 1.0, 0.0), 8, DENSE_TIMES),
         (ModelParams(2.5, 6.0, 0.7, 2.3), 8, DENSE_TIMES),
         # time sets that are no grid and start past 0 take one exponential per
         # energy and time, whose phases must be e^{-iEt}, not e^{-iE(t + t_0)}
@@ -107,13 +109,14 @@ DENSE_TIMES = [0.0, 0.37, 1.9, 5.2]
         (ModelParams(5.0, 3.0, 1.4, 0.9), 8, 0.5 + 0.25 * np.arange(6)),
         # a grid: the phases come by angle addition
         (ModelParams(5.0, 3.0, 1.4, 0.9), 8, 0.4 * np.arange(16)),
-        # a grid plus off-grid anchors, one 1 ulp from a grid point: the blocks run
-        # on the grid part, then the extras, and the moments return in time order
+        # a grid, then off-grid anchors, one 1 ulp from a grid point: the blocks run on
+        # the grid part, then the extras, and the moments return in the given order
         (ModelParams(5.0, 3.0, 1.4, 0.9), 8,
-         np.union1d(0.4 * np.arange(16), [np.nextafter(2.0, 3.0), 3.1, 6.3, 9.5])),
+         np.concatenate((0.4 * np.arange(16), [np.nextafter(2.0, 3.0), 9.5, 3.1, 6.3]))),
     ],
     ids=["resonant", "resonant-odd-cutoff", "one-ulp-detuned", "detuned", "resonant-theta",
-         "detuned-theta", "sorted-times", "shifted-grid", "grid", "grid-plus-anchors"],
+         "resonant-3.3", "detuned-theta", "sorted-times", "shifted-grid", "grid",
+         "grid-plus-anchors"],
 )
 def test_evolve_matches_dense_expm_reference(params, n_max, times):
     light = random_light(n_max, seed=n_max + int(10 * params.theta))
@@ -123,6 +126,22 @@ def test_evolve_matches_dense_expm_reference(params, n_max, times):
         [[m.mean_amp, m.sq_amp, m.number_mean, m.number_sq] for m in result.moments]
     ).transpose(2, 0, 1)
     assert np.max(np.abs(got - reference)) < 1e-12
+
+
+@pytest.mark.parametrize("params", [RESONANT, ModelParams(5.0, 3.0, 1.4, 0.9)],
+                         ids=["resonant", "detuned"])
+def test_evolve_returns_the_moments_in_the_order_of_its_times(params):
+    # a grid, then extras before its end; any permutation of these times permutes
+    # the moments, though it leaves the blocks no grid part to step through
+    times = np.concatenate((0.25 * np.arange(24), [0.1, 5.9, np.nextafter(2.0, 0.0), 3.3]))
+    light = squeezed_coherent_state(SqueezedInput(0.6, 0.2, 0.4 - 0.3j), Truncation(40))
+    order = np.random.default_rng(5).permutation(len(times))
+    given = evolve(params, light, times)
+    permuted = evolve(params, light, times[order])
+    for got, want in zip(permuted.moments, given.moments):
+        for field in dataclasses.fields(MomentSet):
+            want_field = getattr(want, field.name)[order]
+            assert np.max(np.abs(getattr(got, field.name) - want_field)) < 1e-13, field.name
 
 
 @pytest.mark.parametrize("n_tot", [*range(1, 25), 383, 384, 448])
@@ -141,12 +160,11 @@ def test_split_block_matches_the_whole_block_solve(monkeypatch, n_tot):
     clock = _clock(times)
     phases = np.empty((n_tot + 1, max(clock.span, len(times))), dtype=complex)
     out = np.empty((n_tot + 1, 2 * len(times)))
-    got = _unit_block(RESONANT, n_tot, clock, phases, out)[:, np.argsort(clock.order)]
+    got = _unit_block(RESONANT, n_tot, clock, phases, out)
     assert sizes == [n_tot // 2 + 1, (n_tot + 1) // 2]  # the even half, then the odd
     if oracle_module._numpy_dbdsdc() is not None:
-        # an even n_tot's halves keep the constant diagonal; an odd one's end on +- off[m - 1],
-        # except n_tot = 1's, which are 1 x 1
-        assert entries == ["eigh_tridiagonal" if n_tot % 2 and n_tot > 1 else "eigh_chiral"] * 2
+        # an even n_tot's halves keep the constant diagonal; an odd one's end on +- off[m - 1]
+        assert entries == ["eigh_tridiagonal" if n_tot % 2 else "eigh_chiral"] * 2
     nb = np.arange(n_tot)
     energies, modes = eigh_tridiagonal(np.full(n_tot + 1, 4.0 * n_tot),
                                        np.sqrt((n_tot - nb) * (nb + 1.0)))
@@ -211,14 +229,33 @@ def test_chiral_solve_is_an_accurate_eigendecomposition():
         assert np.linalg.norm(modes.T @ modes - np.eye(k)) <= 1e-13, k
 
 
-def test_resonant_output_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # 448 levels: whole blocks from dimension 385 up gave other bytes at 2 threads
+@pytest.mark.skipif(oracle_module._numpy_dbdsdc() is None,
+                    reason="numpy's LAPACK exports no scipy_LAPACKE_dbdsdc64_")
+def test_every_resonant_even_block_half_takes_the_chiral_solve():
+    # at omega = 3.3, omega j + omega (n - j) does not round to one constant, yet each
+    # half of an even n_tot is a constant diagonal plus a zero-diagonal tridiagonal
+    params, even = ModelParams(3.3, 3.3, 1.0, 0.0), range(2, 161, 2)
+    assert solved_blocks(params, even) == []
+    assert len(solved_blocks(params, even, entry="eigh_chiral")) == 160
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 448 levels: whole blocks from dimension 385 up gave other bytes at 2 threads
+        ("--r", "2"),
+        # a coherent part fills the odd blocks too, whose halves take dstevd
+        ("--r", "1.6", "--m-re", "1.5", "--n-max", "512"),
+    ],
+    ids=["vacuum-448", "coherent-512"],
+)
+def test_resonant_output_does_not_depend_on_the_blas_thread_count(tmp_path, argv):
     digests = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(SRC)}
         out = tmp_path / f"threads-{threads}.csv"
-        argv = ["simulate", "--r", "2", "--steps", "16", "--sources", "oracle", "--out", str(out)]
-        subprocess.run([sys.executable, "-m", "atomlaser", *argv], env=env, cwd=tmp_path,
+        command = ["simulate", *argv, "--steps", "16", "--sources", "oracle", "--out", str(out)]
+        subprocess.run([sys.executable, "-m", "atomlaser", *command], env=env, cwd=tmp_path,
                        capture_output=True, timeout=300, check=True)
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     assert digests[0] == digests[1]
@@ -235,12 +272,11 @@ def split_phases_error(times):
     phases from scale e^{-iEt}, as a share of 8 eps max|E| max(t)."""
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         clock = _clock(times)
-        order, grid = clock.order, clock.grid
+        grid = clock.grid
         out = np.empty((len(BLOCK_ENERGIES), max(clock.span, len(times))), dtype=complex)
         got = _block_phases(BLOCK_ENERGIES, BLOCK_SCALE, clock, out).view(complex)
-    assert np.array_equal(np.sort(order), np.arange(len(times)))
-    assert np.array_equal(times[order[:grid]], np.arange(grid) * times[1])
-    want = BLOCK_SCALE[:, None] * np.exp(-1j * np.outer(BLOCK_ENERGIES, times[order]))
+    assert np.array_equal(times[:grid], np.arange(grid) * times[1])
+    want = BLOCK_SCALE[:, None] * np.exp(-1j * np.outer(BLOCK_ENERGIES, times))
     assert got.shape == want.shape
     bound = 8 * np.finfo(float).eps * np.max(np.abs(BLOCK_ENERGIES)) * np.max(times)
     return grid, np.max(np.abs(got - want)) / bound
@@ -262,19 +298,22 @@ GRID_200 = np.arange(200) * STEP
     "times, grid",
     [
         # verify's anchors often sit 1 ulp from a grid point (pi/4 against 25 STEP)
-        (np.union1d(GRID_200, [np.nextafter(GRID_200[25], 0.0), np.nextafter(GRID_200[50], 7.0),
-                               np.nextafter(GRID_200[199], 7.0)]), 200),
-        # an extra inside the first step is times[1]: the grid is 0 and that extra
+        (np.concatenate((GRID_200, [np.nextafter(GRID_200[25], 0.0),
+                                    np.nextafter(GRID_200[50], 7.0),
+                                    np.nextafter(GRID_200[199], 7.0)])), 200),
+        # sorted in, an extra inside the first step is times[1]: the grid is 0 and that
+        # extra, so a caller must lead with its grid
         (np.union1d(GRID_200, [STEP / 3]), 2),
-        (np.union1d(GRID_200, [200.5 * STEP, 1e3, 628318.0]), 200),
+        (np.concatenate((GRID_200, [STEP / 3])), 200),
+        (np.concatenate((GRID_200, [200.5 * STEP, 1e3, 628318.0])), 200),
         (np.array([0.0, 1e-300, 1e6]), 2),
         (np.array([0.0, 5e-324, 1e6]), 2),
         (np.array([0.3, 0.7, 1.9]), 0),
         # a repeated time is an extra, and the grid stops at the first gap
         (np.array([0.0, STEP, STEP, 3 * STEP]), 2),
     ],
-    ids=["ulp-off-grid", "inside-first-step", "past-the-grid", "tiny-step", "denormal-step",
-         "no-grid", "repeated-time"],
+    ids=["ulp-off-grid", "inside-first-step", "inside-first-step-grid-first", "past-the-grid",
+         "tiny-step", "denormal-step", "no-grid", "repeated-time"],
 )
 def test_grid_plus_extra_phases_match_direct_exponentials(times, grid):
     found, error = split_phases_error(times)
@@ -377,8 +416,9 @@ def test_oracle_matches_enlarged_map_at_converged_truncation():
 
 def test_evolve_validates_times():
     light = coherent_state(0.5, Truncation(16))
-    with pytest.raises(ValueError):
-        evolve(RESONANT, light, [1.0, 0.5])
+    for bad in ([], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="1-d"):
+            evolve(RESONANT, light, bad)
     with pytest.raises(ValueError):
         evolve(RESONANT, light, [-1.0])
     for bad in (math.nan, math.inf):

@@ -116,8 +116,10 @@ def test_tolerance_is_tol_oracle_plus_the_exact_truncation_term(default_report):
 
 @pytest.mark.parametrize(
     "argv, extras",
-    [((), 8), (("--m-re", "0.5"), 1), (("--r", "0.5", "--theta", "0.3"), 13)],
-    ids=["vacuum", "real-input", "phase-shifted"],
+    [((), 8), (("--m-re", "0.5"), 1), (("--r", "0.5", "--theta", "0.3"), 13),
+     # the first conversion anchor, pi/102, falls inside the first grid step, pi/100
+     (("--omega-r", "51"), 107)],
+    ids=["vacuum", "real-input", "phase-shifted", "anchor-inside-first-step"],
 )
 def test_verify_runs_every_block_on_its_grid_part(tmp_path, monkeypatch, argv, extras):
     # the 200-point grid plus the off-grid anchors: every block's phases must
@@ -125,7 +127,7 @@ def test_verify_runs_every_block_on_its_grid_part(tmp_path, monkeypatch, argv, e
     calls, block_phases = [], oracle._block_phases
 
     def spy(energies, scale, clock, out):
-        calls.append((len(clock.order) - clock.grid, clock.grid))
+        calls.append((clock.count - clock.grid, clock.grid))
         return block_phases(energies, scale, clock, out)
 
     monkeypatch.setattr(oracle, "_block_phases", spy)
