@@ -8,9 +8,14 @@ conserves n_a + n_b, so it splits into tridiagonal blocks of dimension
 n_tot + 1.  After gauging the condensate phase out of the light mode the
 blocks are real symmetric, and their eigendecompositions give the exact
 evolution (within the truncated space) at every requested time.  At resonance
-each block commutes with the reversal n_b <-> n_tot - n_b, a symmetry of the
-matrix, and is solved as two half-size tridiagonals (``_unit_block``); at even
-n_tot each half has a constant diagonal, solved by a quarter-size bidiagonal SVD (``eigh_chiral``).
+each block is c + A with c = omega_a n_tot and A of zero diagonal, coupling even
+n_b only to odd n_b.  So its amplitudes are e^{-ict} (R_even, -i R_odd) with R
+real, from the bidiagonal SVD of A's coupling (``eigh_chiral``): one solve of
+half the size at odd n_tot, and at even n_tot one of a quarter of the size for
+each half of the reversal n_b <-> n_tot - n_b, a symmetry of the matrix
+(``_unit_block``).  The fold then runs in real arithmetic and applies e^{-ict}
+once per pass.  Detuned blocks, and resonant ones where numpy has no dbdsdc,
+are solved whole in complex arithmetic.
 
 The preparation is always the atom vacuum times a light state with
 amplitudes c_0 .. c_{n_max}.  It populates only the complete blocks
@@ -20,8 +25,9 @@ one pass over the blocks serves every light evolved under one Hamiltonian and
 time grid (the cutoffs of ``converge``, the inputs of ``sweep``): each
 block is eigensolved and folded into unit moment sums once, and each light
 scales those sums by its coefficients.  No two-mode state is held: a pass
-allocates four (n_max + 1) x T complex buffers once, the phases (also the fold's
-scratch) and a ring of three blocks' amplitudes, and each light's result is one
+allocates one (n_max + 1) x T complex buffer once, the phases (also the fold's
+scratch), and a ring of three blocks' amplitudes, each (n_max + 1) x T and
+real at resonance, complex off it; each light's result is one
 pair of (light, atom) moment sets with one array entry per time.  The evolution
 uses neither the transfer matrix nor any closed form; ``evolve_checked``, every
 command's way in, compares its result with the moment map only afterwards, at
@@ -105,18 +111,19 @@ def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray):
     return energies, modes
 
 
-def eigh_chiral(c: float, off: np.ndarray):
-    """(energies, modes) of the tridiagonal with constant diagonal c, as eigh_tridiagonal's.
+def eigh_chiral(off: np.ndarray):
+    """(S, U, V) of the tridiagonal of zero diagonal and off-diagonal off as a bidiagonal SVD.
 
-    Its k sites, even then odd, make it c + [[0, B], [B^T, 0]] with B lower bidiagonal
-    of ceil(k / 2) rows, diagonal off[0::2] (a 0 appended for odd k) and subdiagonal
-    off[1::2] (Golub and Kahan 1965).  B = U S V^T, by LAPACK dbdsdc in numpy's OpenBLAS
-    (callers check _numpy_dbdsdc first), gives the energies c -+ s with modes
-    (u, -+v) / sqrt 2, and for odd k the energy c with mode (u, 0) of the appended 0's
-    s = 0, which dbdsdc sorts last.  A nonzero info is an InvariantViolationError.
+    Its k sites, even then odd, make it [[0, B], [B^T, 0]] with B lower bidiagonal of
+    p = ceil(k / 2) rows, diagonal off[0::2] (a 0 appended for odd k) and subdiagonal
+    off[1::2] (Golub and Kahan 1965).  B = U S V^T by LAPACK dbdsdc in numpy's OpenBLAS
+    (callers check _numpy_dbdsdc first).  Returns the p singular values, of which the
+    appended 0's, sorted last by dbdsdc, is set to exactly 0; U, p x p; and V on the
+    k // 2 odd sites and their nonzero singular values.  A nonzero info is an
+    InvariantViolationError.
     """
     k = len(off) + 1
-    p, q = (k + 1) // 2, k // 2  # B's rows, and the pairs c -+ s
+    p, q = (k + 1) // 2, k // 2  # B's rows, and the odd sites
     # U, then V^T, column-major (so V row-major); B's diagonal, then S; its subdiagonal
     work, diagonal = np.zeros(2 * p * (p + 1)), 2 * p * p
     work[diagonal : diagonal + q], work[diagonal + p : -1] = off[0::2], off[1::2]
@@ -126,13 +133,9 @@ def eigh_chiral(c: float, off: np.ndarray):
     if info != 0:
         raise InvariantViolationError(f"LAPACK dbdsdc failed on a block of dimension "
                                       f"{k} (info = {info})")
-    u, v = work[: p * p].reshape(p, p, order="F"), work[p * p : diagonal].reshape(p, p)
-    sigma, half = work[diagonal : diagonal + q], math.sqrt(0.5)
-    modes = np.zeros((k, k), order="F")
-    modes[0::2, :q] = modes[0::2, q : 2 * q] = half * u[:, :q]
-    modes[1::2, :q], modes[1::2, q : 2 * q] = -half * v[:q, :q], half * v[:q, :q]
-    modes[0::2, 2 * q :] = u[:, q:]  # the mode (u, 0) of odd k
-    return np.concatenate((c - sigma, c + sigma, np.full(k % 2, c))), modes
+    sigma, u = work[diagonal : diagonal + p], work[: p * p].reshape(p, p, order="F")
+    sigma[q:] = 0.0
+    return sigma, u, work[p * p : diagonal].reshape(p, p)[:q, :q]
 
 
 @dataclass(frozen=True)
@@ -158,10 +161,17 @@ def _clock(times: np.ndarray) -> _Clock:
 
 
 def _block_phases(energies: np.ndarray, scale: np.ndarray, clock: _Clock, out):
-    """Write scale[k] e^{-i E_k t} into out; return its real (len(E), 2T) view (see _unit_block)."""
+    """Write scale[k] e^{-i E_k t} into out; return its real (len(E), 2T) view (see _unit_block).
+
+    On times[:grid] = arange(grid) * times[1], e^{-i E t_{j W + i}} is coarse[j] fine[i],
+    W = isqrt(grid - 1) + 1, with scale folded into fine; each later time takes its own
+    exponential.  A phase that is not finite is an InvariantViolationError.
+    """
     rows, width, count = len(energies), clock.width, clock.count
     starts = clock.span // width
     turns = np.exp(-1j * np.outer(energies, clock.stamps))  # one exponential per energy and stamp
+    if not np.isfinite(turns.sum()):  # a sum of finite unit phases is finite
+        raise InvariantViolationError("oracle block phases e^{-iEt} are not finite")
     turns[:, starts:] *= scale[:, None]
     np.multiply(turns[:, :starts, None], turns[:, None, starts : starts + width],
                 out=out[:, : clock.span].reshape(rows, -1, width))
@@ -169,56 +179,68 @@ def _block_phases(energies: np.ndarray, scale: np.ndarray, clock: _Clock, out):
     return out.view(float)[:, : 2 * count]
 
 
-def _unit_block(params: ModelParams, n_tot: int, clock: _Clock, phases, out) -> np.ndarray:
-    """Gauged amplitudes u[n_b, t] of block n_tot, started as 1 on (0, n_tot).
+def _chiral_rows(parts, clock: _Clock, phases) -> None:
+    """For each (off, scale, even, odd) of parts, write R of the zero-diagonal tridiagonal
+    off, started as scale on row 0, into its even rows ``even`` and odd rows ``odd``.
 
-    u = modes diag(e^{-i E t}) modes[0] at the times as given.  On times[:grid] =
-    arange(grid) * times[1], e^{-i E t_{j W + i}} is coarse[j] fine[i], W = isqrt(grid - 1) + 1,
-    with modes[0] folded into fine; each later time takes its own exponential, all into
-    ``phases``.  A real matmul of the eigenvectors with their real view writes u into ``out``.
-
-    At resonance (params.resonant) each block n_tot > 0 commutes with the reversal J:
-    n_b -> n_tot - n_b.  (v ± J v)/sqrt 2 splits its dimension 2m + odd into tridiagonals
-    on rows :m + odd and :m: T[:m, :m] with last diagonal entry ± off[m - 1] if odd = 0,
-    else T[:m + 1, :m + 1] with last off-diagonal entry sqrt 2 off[m - 1], and T[:m, :m];
-    these two keep the constant diagonal, for eigh_chiral.  Each half is multiplied as above with
-    scale modes[0] / 2 into A on rows :m + odd and B below; then u[:m] = A[:m] + B,
-    u[mirror] = J(A[:m] - B), through the phase rows, and the middle row is sqrt 2 A[m].
-    Any other block is solved whole.
+    With eigh_chiral's B = U S V^T, e^{-iAt} e_0 is (R_even, -i R_odd): R_even =
+    U diag(scale U[0]) cos(S t) and R_odd = V diag(scale U[0]) sin(S t).  One e^{iSt} per
+    singular value of all parts, in one _block_phases call, gives both; each part's cosines
+    and sines are copied apart into the phase rows past them, for two real matmuls.
     """
-    nb = np.arange(n_tot + 1)
-    na = n_tot - nb
-    diag = params.omega0 * nb + params.omega_a * na
-    off = params.omega_r * np.sqrt(na[:-1] * (nb[:-1] + 1.0))
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
-        raise InvariantViolationError(f"block n_tot = {n_tot} has entries that are not finite")
-    m, odd = divmod(n_tot + 1, 2)
-    if not (params.resonant and m):
-        m, halves, scale = 0, [(diag, off)], 1.0
+    solved = [eigh_chiral(off) for off, *_ in parts]
+    sigma = np.concatenate([s for s, _, _ in solved])
+    scales = np.concatenate([scale * u[0] for (_, u, _), (_, scale, *_) in zip(solved, parts)])
+    turns = _block_phases(-sigma, scales, clock, phases[: len(sigma)])  # cos, sin interleaved
+    trig, count, row = phases[len(sigma) :].view(float).reshape(-1), clock.count, 0
+    for (s, u, v), (_, _, even, odd) in zip(solved, parts):
+        p, q = len(s), len(v)
+        cos_sin = trig[: (p + q) * count].reshape(p + q, count)
+        np.copyto(cos_sin[:p], turns[row : row + p, 0::2])
+        np.copyto(cos_sin[p:], turns[row : row + q, 1::2])
+        np.matmul(u, cos_sin[:p], out=even)
+        np.matmul(v, cos_sin[p:], out=odd)
+        row += p
+
+
+def _unit_block(off: np.ndarray, diag, clock: _Clock, phases, out) -> np.ndarray:
+    """Amplitudes of the block with off-diagonal off, started as 1 on its row 0 (n_b = 0).
+
+    With a diagonal ``diag``, the complex u = modes diag(e^{-i E t}) modes[0] at the times
+    as given: dstevd's modes times the real view of the phases (_block_phases), written
+    into ``out``, (rows, 2T), and returned as its complex view.
+
+    With diag None the diagonal is a constant c (a resonant block), so the block is c + A
+    with A of zero diagonal, and u = e^{-ict} (R_even, -i R_odd): the real R is written
+    into ``out``, (rows, T), and returned; the fold applies the phases.  Block 0 is R = 1.
+    Of dimension 2m the block is solved whole (_chiral_rows).  Of dimension 2m + 1 it
+    commutes with the reversal J: n_b -> n_tot - n_b, and (v ± J v)/sqrt 2 splits it into
+    zero-diagonal tridiagonals on rows :m + 1, whose last off-diagonal entry is
+    sqrt 2 off[m - 1], and :m.  Each half's R, started as 1/2, goes to rows :m + 1 (A)
+    and below (B); then R[:m] = A[:m] + B, R[mirror] = J(A[:m] - B) through the phase
+    rows, and the middle row is sqrt 2 A[m] (rows n_b and n_tot - n_b share a parity).
+    """
+    k = len(off) + 1
+    if diag is not None:
+        energies, modes = eigh_tridiagonal(diag, off)
+        np.matmul(modes, _block_phases(energies, modes[0], clock, phases[:k]), out=out[:k])
+        return out[:k].view(complex)
+    m, odd = divmod(k, 2)
+    if k == 1:
+        out[0] = 1.0
+    elif not odd:
+        _chiral_rows([(off, 1.0, out[0:k:2], out[1:k:2])], clock, phases)
     else:
-        d_even, d_odd, o_even = diag[: m + odd].copy(), diag[:m].copy(), off[: m - 1 + odd].copy()
-        if odd:
-            o_even[-1] *= math.sqrt(2.0)
-        else:
-            d_even[-1] += off[m - 1]
-            d_odd[-1] -= off[m - 1]
-        halves, scale = [(d_even, o_even), (d_odd, off[: m - 1])], 0.5
-    chiral = m and odd and _numpy_dbdsdc() is not None  # d, e: LAPACK's names
-    solved = [eigh_chiral(d[0], e) if chiral else eigh_tridiagonal(d, e) for d, e in halves]
-    energies = np.concatenate([energies for energies, _ in solved])
-    scales = scale * np.concatenate([modes[0] for _, modes in solved])
-    real, row = _block_phases(energies, scales, clock, phases[: n_tot + 1]), 0
-    for _, modes in solved:  # the halves sit in consecutive rows
-        rows, row = slice(row, row + len(modes)), row + len(modes)
-        np.matmul(modes, real[rows], out=out[rows])
-    if m:
-        a, b = out[:m], out[m + odd : n_tot + 1]
-        diff = np.subtract(a, b, out=phases.view(float)[:m, : out.shape[1]])
+        top = off[:m].copy()
+        top[-1] *= math.sqrt(2.0)
+        _chiral_rows([(top, 0.5, out[0 : m + 1 : 2], out[1 : m + 1 : 2]),
+                      (off[: m - 1], 0.5, out[m + 1 : k : 2], out[m + 2 : k : 2])], clock, phases)
+        a, b = out[:m], out[m + 1 : k]
+        diff = np.subtract(a, b, out=phases.view(float).reshape(-1)[: a.size].reshape(a.shape))
         np.add(a, b, out=a)
-        if odd:
-            out[m] *= math.sqrt(2.0)
+        out[m] *= math.sqrt(2.0)
         b[::-1] = diff
-    return out[: n_tot + 1].view(complex)
+    return out[:k]
 
 
 def evolve_many(params: ModelParams, lights, times, thetas=None) -> list[EvolutionResult]:
@@ -231,6 +253,12 @@ def evolve_many(params: ModelParams, lights, times, thetas=None) -> list[Evoluti
     times |c_n|^2, conj(c_{n-1}) c_n and conj(c_{n-2}) c_n.  Blocks never read
     theta, so light i may carry its own, thetas[i] (default params.theta).
     ``times`` come in any order, the moments in the same; a caller leads with its grid.
+
+    At resonance, where numpy's LAPACK has dbdsdc, the blocks are real R (_unit_block)
+    and the fold is real: the density is R^2, and the a^k and b^k sums turn by
+    e^{-i(c_n - c_{n-k})t} = e^{-ik omega_a t} once per pass, <b> also by
+    conj((-i)^{j mod 2}) (-i)^{(j + 1) mod 2} = -i (-1)^j on n_b = j + 1 (the sign in
+    the roots row).  A block entry or phase that is not finite is an InvariantViolationError.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -240,6 +268,7 @@ def evolve_many(params: ModelParams, lights, times, thetas=None) -> list[Evoluti
     if not lights:
         return []
     n_top = max(light.truncation.n_max for light in lights)
+    real = params.resonant and _numpy_dbdsdc() is not None
 
     # gauge a -> e^{i theta} a: makes every block real symmetric tridiagonal
     coeffs = np.zeros((len(lights), n_top + 1), dtype=complex)
@@ -249,39 +278,56 @@ def evolve_many(params: ModelParams, lights, times, thetas=None) -> list[Evoluti
     coeffs *= np.exp(-1j * thetas[:, None] * np.arange(n_top + 1))
     numbers = np.zeros((len(lights), 5, len(times)))  # norm^2, <n_a>, <n_a^2>, <n_b>, <n_b^2>
     ladders = np.zeros((len(lights), 2, 2, len(times)), dtype=complex)  # <a^k>, <b^k> at k - 1
-    older, old = None, None  # conjugated unit blocks n_tot - 2 and n_tot - 1, if solved
+    older, old = None, None  # unit blocks n_tot - 2 and n_tot - 1 (conjugated), if solved
     clock = _clock(times)
     # allocated once: the phases, the fold's scratch once u is formed, and a ring of 3 blocks
     phases = np.empty((n_top + 1, max(clock.span, len(times))), dtype=complex)
-    scratch, ring = phases.reshape(-1), np.empty((3, n_top + 1, 2 * len(times)))
-    ends = np.empty((2, len(times)), dtype=complex)
+    scratch, ring = phases.reshape(-1), np.empty((3, n_top + 1, (1 if real else 2) * len(times)))
+    ends = np.empty((2, len(times)), dtype=float if real else complex)
     # built once: row j of block n_tot is n_b = j, n_a = n_tot - j, so an n_a vector is a
     # tail of the levels counted down, stored forwards (matmul leaves BLAS on a negative stride)
     up, down = np.arange(n_top + 1.0), np.arange(n_top, -1.0, -1.0)
+    # block n_tot's diagonal is levels[0, :n_tot + 1] + levels[1, n_top - n_tot:]; block
+    # n_top's entries bound every other block's
+    levels = np.stack((params.omega0 * up, params.omega_a * down))
+    if not (np.all(np.isfinite(levels[0] + levels[1]))
+            and np.all(np.isfinite(params.omega_r * np.sqrt(down[:-1] * up[1:])))):
+        raise InvariantViolationError(f"block n_tot = {n_top} has entries that are not finite")
     weights = np.stack((np.ones_like(up), down, down * down, up, up * up))  # n_a rows refilled
     falling = weights[1:3].copy()
     roots = np.sqrt(np.stack((up, up * (up - 1), down, down * (down - 1))))  # n_b rows, n_a rows
+    if real:
+        roots[0, 0::2] *= -1.0  # <b>'s (-1)^{n_b + 1}
+        turn = np.exp(-1j * params.omega_a * np.outer([1.0, 2.0], times))  # e^{-ik omega_a t}
+        if not np.all(np.isfinite(turn)):
+            raise InvariantViolationError("oracle ladder phases e^{-ik omega_a t} are not finite")
     power = coeffs.real**2 + coeffs.imag**2
     pairs = [np.conj(coeffs[:, :-k]) * coeffs[:, k:] for k in (1, 2)]  # conj(c_{n-k}) c_n
     for n_tot, populated in enumerate(np.any(coeffs, axis=0)):
         u = None
         if populated:
-            u = _unit_block(params, n_tot, clock, phases, ring[n_tot % 3])
+            off = params.omega_r * np.sqrt(down[n_top - n_tot : n_top] * up[1 : n_tot + 1])
+            diag = None if real else levels[0, : n_tot + 1] + levels[1, n_top - n_tot :]
+            u = _unit_block(off, diag, clock, phases, ring[n_tot % 3])
             weights[1:3, : n_tot + 1] = falling[:, n_top - n_tot :]
-            density = np.abs(u, out=scratch.view(float)[: u.size].reshape(u.shape))
-            np.square(density, out=density)
+            density = scratch.view(float)[: u.size].reshape(u.shape)
+            np.square(u if real else np.abs(u, out=density), out=density)
             numbers += power[:, n_tot, None, None] * (weights[:, : n_tot + 1] @ density)
             # a^k: (n_b, n_a - k) sits at j; b^k: (n_b - k, n_a) sits at j - k
             for k, back in ((1, old), (2, older)):
                 if back is None:
                     continue
-                prod = scratch[: back.size].reshape(back.shape)
+                prod = scratch.view(u.dtype)[: back.size].reshape(back.shape)
                 np.matmul(roots[k + 1, n_top - n_tot : n_top + 1 - k],
                           np.multiply(back, u[:-k], out=prod), out=ends[0])
                 np.matmul(roots[k - 1, k : n_tot + 1], np.multiply(back, u[k:], out=prod),
                           out=ends[1])
                 ladders[:, k - 1] += pairs[k - 1][:, n_tot - k, None, None] * ends
-        older, old = old, None if u is None else np.conjugate(u, out=u)
+            if not real:
+                np.conjugate(u, out=u)
+        older, old = old, u
+    if real:  # <a^k>, <b^k> turn by e^{-ik omega_a t}, and <b> by -i
+        ladders *= turn[:, None] * np.array([[1.0, -1j], [1.0, 1.0]])[:, :, None]
     ladders[:, :, 0] *= np.exp(1j * thetas[:, None, None] * np.array([[1.0], [2.0]]))
 
     results = []

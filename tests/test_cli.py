@@ -557,13 +557,16 @@ def test_oracle_matches_the_moment_map_far_off_resonance(tmp_path, argv):
     [
         # the moment map's global phase overflows: every field is NaN
         (("--sources", "moment-map", "--omega0", "1e308", "--omega-a", "1e308"), "moment-map"),
-        # the oracle's phases overflow: its norm drift is NaN
+        # the oracle's phases overflow: the turn e^{-i omega_a t} of its ladder sums is NaN
         (("--sources", "oracle", "--t-max", "1e300", "--omega0", "1e10", "--omega-a", "1e10"),
-         "norm drift"),
+         "ladder phases"),
+        # off resonance the blocks' own phases e^{-iEt} overflow
+        (("--sources", "oracle", "--t-max", "1e300", "--omega0", "1e10", "--omega-a", "1e9"),
+         "block phases"),
         # the oracle's block diagonal overflows before any eigensolve
         (("--omega0", "1e308", "--omega-a", "1e308"), "not finite"),
     ],
-    ids=["moment-map-phase", "oracle-phases", "oracle-block"],
+    ids=["moment-map-phase", "oracle-phases", "oracle-block-phases", "oracle-block"],
 )
 def test_results_that_are_not_finite_are_invariant_violations(tmp_path, capsys, argv, where):
     out = tmp_path / "inf.csv"
@@ -599,25 +602,25 @@ def test_sweep_builds_every_input_before_any_oracle_runs(tmp_path, capsys, monke
 @pytest.mark.parametrize(
     "commands, solves",
     [
-        # the cutoffs share one pass over the 81 even blocks up to 160: block 0, a 1 x 1
-        # solve, then each resonant block split into two half-size solves
-        ([("converge", "--values", "96,128,160", "--steps", "40")], 161),
+        # the cutoffs share one pass over the 81 even blocks up to 160: block 0 needs no
+        # solve, and each other one is split into two half-size chiral solves
+        ([("converge", "--values", "96,128,160", "--steps", "40")], 160),
         # input axes share one pass
         ([("sweep", "--axis", "r", "--values", "0.75,1.25", "--n-max", "160", "--steps", "40")],
-         161),
+         160),
         # the blocks never read theta: both values share one pass over 33 even blocks
-        ([("sweep", "--axis", "theta", "--values", "0,1", "--n-max", "64")], 65),
+        ([("sweep", "--axis", "theta", "--values", "0,1", "--n-max", "64")], 64),
         # detuned blocks are not split: two passes (one per omega_r) of 33 whole solves
         ([("sweep", "--axis", "omega_r", "--values", "1,2", "--omega0", "5", "--n-max", "64")],
          66),
         # no eigensolve is kept from one command to the next
-        ([("converge", "--values", "96,128,160", "--steps", "40")] * 2, 322),
+        ([("converge", "--values", "96,128,160", "--steps", "40")] * 2, 320),
     ],
     ids=["converge", "sweep-r", "sweep-theta", "sweep-detuned", "converge-twice"],
 )
 def test_eigensolves_per_command(tmp_path, monkeypatch, commands, solves):
     calls = []
-    for entry in ("eigh_tridiagonal", "eigh_chiral"):  # a half takes one of the two
+    for entry in ("eigh_tridiagonal", "eigh_chiral"):  # a block or half takes one of the two
         solve = getattr(oracle_module, entry)
 
         def counted(*args, solve=solve):
@@ -694,10 +697,10 @@ def test_every_command_checks_the_oracle_it_reaches(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize(
     "argv, routine, fallback",
     [
-        # a coherent part populates the odd blocks, whose halves dstevd solves
-        (("--m-re", "0.5"), "dstevd", False),
+        # detuned blocks are solved whole by dstevd, the odd ones too with a coherent part
+        (("--omega-a", "3", "--m-re", "0.5"), "dstevd", False),
         (("--omega0", "5"), "dstevd", False),
-        # the even blocks' constant-diagonal halves go to dbdsdc
+        # every resonant block goes to dbdsdc
         ((), "dbdsdc", False),
         ((), "dstevd", True),
     ],

@@ -121,12 +121,20 @@ def test_mismatch_report_names_the_place_and_the_size():
     assert "relative to 1 + |x|: 1.11e-16" in report
 
 
-# sha256 of simulate-default.csv as it was while every resonant half took dstevd
-DSTEVD_SIMULATE_DEFAULT = "45fa049932c0c7cbeb9ffd346a09df9011352b5817dae74994a3141d026c94d3"
+# sha256 of simulate-default.csv with every resonant block solved whole by dstevd
+DSTEVD_SIMULATE_DEFAULT = "dc17522ae2c5764390fae4a1326239006daf6765797b14ea10cd9aa76bb83454"
 
 
-def test_without_numpy_dbdsdc_the_halves_take_dstevd_and_its_bytes(tmp_path, monkeypatch):
+def test_without_numpy_dbdsdc_the_blocks_take_dstevd_and_its_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(oracle, "_numpy_dbdsdc", lambda: None)
     monkeypatch.setattr(oracle, "eigh_chiral", None)  # a call would raise
     data = regenerate("simulate-default.csv", tmp_path)
     assert hashlib.sha256(data).hexdigest() == DSTEVD_SIMULATE_DEFAULT
+    # the complex path and the real one agree to roundoff
+    pinned = (GOLDEN / "simulate-default.csv").read_text().splitlines()
+    written = data.decode().splitlines()
+    assert written[0] == pinned[0] and len(written) == len(pinned)
+    moves = [abs(float(b) - float(a)) / (1.0 + abs(float(a)))
+             for old, new in zip(pinned[1:], written[1:])
+             for a, b in zip(old.split(","), new.split(",")) if a != b]
+    assert max(moves, default=0.0) <= 1e-13

@@ -94,9 +94,9 @@ DENSE_TIMES = [0.0, 0.37, 1.9, 5.2]
     "params, n_max, times",
     [
         (RESONANT, 8, DENSE_TIMES),
-        # an odd cutoff: the top block, of even dimension, is split too
+        # an odd cutoff: the top block, of even dimension, takes one chiral solve whole
         (RESONANT, 9, DENSE_TIMES),
-        # one ulp off resonance no block is palindromic, so none is split
+        # one ulp off resonance every block takes the complex path, solved whole
         (ModelParams(np.nextafter(4.0, 5.0), 4.0, 1.0, 0.0), 8, DENSE_TIMES),
         (ModelParams(5.0, 3.0, 1.4, 0.0), 8, DENSE_TIMES),
         (ModelParams(4.0, 4.0, 1.0, 0.9), 6, DENSE_TIMES),
@@ -113,10 +113,14 @@ DENSE_TIMES = [0.0, 0.37, 1.9, 5.2]
         # the grid part, then the extras, and the moments return in the given order
         (ModelParams(5.0, 3.0, 1.4, 0.9), 8,
          np.concatenate((0.4 * np.arange(16), [np.nextafter(2.0, 3.0), 9.5, 3.1, 6.3]))),
+        # the same at resonance: a light on every block, so the fold pairs real odd and
+        # even blocks on the grid and at the extras
+        (ModelParams(4.0, 4.0, 1.0, 0.4), 9,
+         np.concatenate((0.4 * np.arange(16), [np.nextafter(2.0, 3.0), 9.5, 3.1, 6.3]))),
     ],
     ids=["resonant", "resonant-odd-cutoff", "one-ulp-detuned", "detuned", "resonant-theta",
          "resonant-3.3", "detuned-theta", "sorted-times", "shifted-grid", "grid",
-         "grid-plus-anchors"],
+         "grid-plus-anchors", "resonant-grid-plus-anchors"],
 )
 def test_evolve_matches_dense_expm_reference(params, n_max, times):
     light = random_light(n_max, seed=n_max + int(10 * params.theta))
@@ -144,50 +148,53 @@ def test_evolve_returns_the_moments_in_the_order_of_its_times(params):
             assert np.max(np.abs(getattr(got, field.name) - want_field)) < 1e-13, field.name
 
 
-@pytest.mark.parametrize("n_tot", [*range(1, 25), 383, 384, 448])
+@pytest.mark.skipif(oracle_module._numpy_dbdsdc() is None,
+                    reason="numpy's LAPACK exports no scipy_LAPACKE_dbdsdc64_")
+@pytest.mark.parametrize("n_tot", [*range(25), 383, 384, 448])
 def test_split_block_matches_the_whole_block_solve(monkeypatch, n_tot):
-    sizes, entries = [], []
-    for entry in ("eigh_tridiagonal", "eigh_chiral"):
-        solve = getattr(oracle_module, entry)
+    # the real R of a resonant block: one chiral solve at odd n_tot, one per reversal
+    # half at even n_tot > 0, none for block 0; e^{-ict} (R_even, -i R_odd) must be the
+    # evolution of the whole block by dstevd
+    sizes, solve = [], oracle_module.eigh_chiral
 
-        def sized(diag_or_c, off, solve=solve, entry=entry):
-            sizes.append(len(off) + 1)
-            entries.append(entry)
-            return solve(diag_or_c, off)
+    def sized(off):
+        sizes.append(len(off) + 1)
+        return solve(off)
 
-        monkeypatch.setattr(oracle_module, entry, sized)
+    monkeypatch.setattr(oracle_module, "eigh_chiral", sized)
     times = 0.1 * np.arange(8)
     clock = _clock(times)
     phases = np.empty((n_tot + 1, max(clock.span, len(times))), dtype=complex)
-    out = np.empty((n_tot + 1, 2 * len(times)))
-    got = _unit_block(RESONANT, n_tot, clock, phases, out)
-    assert sizes == [n_tot // 2 + 1, (n_tot + 1) // 2]  # the even half, then the odd
-    if oracle_module._numpy_dbdsdc() is not None:
-        # an even n_tot's halves keep the constant diagonal; an odd one's end on +- off[m - 1]
-        assert entries == ["eigh_tridiagonal" if n_tot % 2 else "eigh_chiral"] * 2
+    out = np.empty((n_tot + 1, len(times)))
     nb = np.arange(n_tot)
-    energies, modes = eigh_tridiagonal(np.full(n_tot + 1, 4.0 * n_tot),
-                                       np.sqrt((n_tot - nb) * (nb + 1.0)))
+    off, c = np.sqrt((n_tot - nb) * (nb + 1.0)), 4.0 * n_tot  # RESONANT's block n_tot
+    got = _unit_block(off, None, clock, phases, out)
+    assert got.dtype == float and got.shape == (n_tot + 1, len(times))
+    assert sizes == ([] if n_tot == 0 else [n_tot + 1] if n_tot % 2 else
+                     [n_tot // 2 + 1, n_tot // 2])  # the even half, then the odd
+    turned = np.exp(-1j * c * times) * np.where(np.arange(n_tot + 1) % 2, -1j, 1.0)[:, None] * got
+    energies, modes = eigh_tridiagonal(np.full(n_tot + 1, c), off)
     want = modes @ (modes[0][:, None] * np.exp(-1j * np.outer(energies, times)))
-    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.max(np.abs(turned - want)) < 1e-12
 
 
 def solved_blocks(params, n_tots, entry="eigh_tridiagonal", chiral=True):
-    """Copies of the arguments of each call of oracle.<entry> that _unit_block makes for
-    the blocks n_tots; with chiral=False no half goes to eigh_chiral, as without dbdsdc."""
+    """Copies of the arguments of each call of oracle.<entry> that evolve_many makes for
+    a light that fills the blocks n_tots; with chiral=False numpy has no dbdsdc."""
     blocks, solve = [], getattr(oracle_module, entry)
 
     def recorded(*args):
         blocks.append(tuple(np.copy(arg) for arg in args))
         return solve(*args)
 
+    n_max = max(n_tots)
+    amplitudes = np.zeros(n_max + 1)
+    amplitudes[list(n_tots)] = 1.0 / math.sqrt(len(n_tots))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle_module, entry, recorded)
         if not chiral:
             patch.setattr(oracle_module, "_numpy_dbdsdc", lambda: None)
-        for n_tot in n_tots:
-            _unit_block(params, n_tot, _clock(np.zeros(1)),
-                        np.empty((n_tot + 1, 1), dtype=complex), np.empty((n_tot + 1, 2)))
+        evolve_many(params, [ModeVector(amplitudes, Truncation(n_max))], np.zeros(1))
     return blocks
 
 
@@ -196,13 +203,13 @@ def solved_blocks(params, n_tots, entry="eigh_tridiagonal", chiral=True):
 def test_numpy_dstevd_matches_scipy_bitwise():
     from scipy.linalg.lapack import dstevd
 
-    # resonant halves up to 257 rows (n_tot 512), as numpy's dstevd solves them where
-    # numpy has no dbdsdc, and detuned whole blocks up to 300
+    # resonant blocks up to 513 rows (n_tot 512), solved whole by numpy's dstevd where
+    # numpy has no dbdsdc, and detuned blocks up to 300
     blocks = solved_blocks(RESONANT, [*range(1, 25), 63, 64, 127, 128, 255, 256, 383, 384,
                                       447, 448, 511, 512], chiral=False)
     blocks += solved_blocks(ModelParams(5.0, 3.0, 1.4, 0.0), [*range(1, 17), 64, 127, 128, 199,
                                                               255, 299])
-    assert max(len(diag) for diag, _ in blocks) == 300
+    assert max(len(diag) for diag, _ in blocks) == 513
     for diag, off in blocks:
         if len(diag) == 1:  # solved without LAPACK
             continue
@@ -215,28 +222,36 @@ def test_numpy_dstevd_matches_scipy_bitwise():
 @pytest.mark.skipif(oracle_module._numpy_dbdsdc() is None,
                     reason="numpy's LAPACK exports no scipy_LAPACKE_dbdsdc64_")
 def test_chiral_solve_is_an_accurate_eigendecomposition():
-    # every constant-diagonal half _unit_block solves up to 512 levels: both halves of
-    # each even block (the split test checks that no odd block's half is one)
-    halves = solved_blocks(RESONANT, range(2, 513, 2), entry="eigh_chiral")
-    assert len(halves) == 512 and max(len(off) + 1 for _, off in halves) == 257
-    for c, off in halves:
+    # every zero-diagonal tridiagonal the resonant blocks up to 512 levels solve: each odd
+    # block whole, both reversal halves of each even one; B = U S V^T with U and V
+    # orthogonal, and S sorted down to the 0 of an odd size
+    halves = solved_blocks(RESONANT, range(1, 513), entry="eigh_chiral")
+    assert len(halves) == 256 + 2 * 256 and max(len(off) + 1 for off, in halves) == 512
+    for off, in halves:
         k = len(off) + 1
-        energies, modes = eigh_chiral(c, off)
-        half = np.diag(np.full(k, float(c))) + np.diag(off, 1) + np.diag(off, -1)
-        assert energies.shape == (k,) and modes.shape == (k, k)
-        residual = np.linalg.norm(half @ modes - modes * energies)
-        assert residual <= 1e-13 * np.linalg.norm(half), k
-        assert np.linalg.norm(modes.T @ modes - np.eye(k)) <= 1e-13, k
+        p, q = (k + 1) // 2, k // 2
+        sigma, u, v = eigh_chiral(off)
+        assert sigma.shape == (p,) and u.shape == (p, p) and v.shape == (q, q)
+        assert np.all(np.diff(sigma) <= 0) and np.all(sigma[q:] == 0.0)
+        bidiagonal = np.diag(np.append(off[0::2], np.zeros(k % 2))) + np.diag(off[1::2], -1)
+        v_full = np.eye(p)
+        v_full[:q, :q] = v  # the odd size's appended site is its own zero mode
+        residual = np.linalg.norm(u * sigma @ v_full.T - bidiagonal)
+        assert residual <= 1e-13 * np.linalg.norm(bidiagonal), k
+        assert np.linalg.norm(u.T @ u - np.eye(p)) <= 1e-13, k
+        assert np.linalg.norm(v.T @ v - np.eye(q)) <= 1e-13, k
 
 
 @pytest.mark.skipif(oracle_module._numpy_dbdsdc() is None,
                     reason="numpy's LAPACK exports no scipy_LAPACKE_dbdsdc64_")
 def test_every_resonant_even_block_half_takes_the_chiral_solve():
-    # at omega = 3.3, omega j + omega (n - j) does not round to one constant, yet each
-    # half of an even n_tot is a constant diagonal plus a zero-diagonal tridiagonal
-    params, even = ModelParams(3.3, 3.3, 1.0, 0.0), range(2, 161, 2)
-    assert solved_blocks(params, even) == []
-    assert len(solved_blocks(params, even, entry="eigh_chiral")) == 160
+    # no resonant block reaches dstevd: at omega = 3.3, omega j + omega (n - j) does not
+    # round to one constant, yet every block is a constant diagonal plus a zero-diagonal
+    # tridiagonal; the 80 odd blocks up to 160 take one chiral solve, the 80 even ones
+    # two, and block 0 none
+    params, blocks = ModelParams(3.3, 3.3, 1.0, 0.0), range(161)
+    assert solved_blocks(params, blocks) == []
+    assert len(solved_blocks(params, blocks, entry="eigh_chiral")) == 80 + 2 * 80
 
 
 @pytest.mark.parametrize(
