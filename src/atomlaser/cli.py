@@ -19,9 +19,10 @@ before the output file is opened, so a failed run leaves no file.
 
 Each CSV field is exactly ``'%.17g' % x``, computed in numpy.  Where
 ``1e-4 <= |x| < 1e16`` (fixed notation) the digits are the exact product
-``|x| * 10**(16 - e)``, a two-product, rounded half to even as dtoa rounds it.
-Zero, NaN (``NA``), the infinities and every other ``|x|`` are formatted by
-``%`` itself, once per distinct value in a chunk of rows.
+``|x| * 10**(16 - e)``, a two-product, rounded half to even as dtoa rounds it, in
+4-digit groups by floor division.  Zero, NaN (``NA``), the infinities and every other
+``|x|`` are formatted by ``%`` itself, once per distinct value in a chunk of rows; a
+column NaN in all the chunk is NA unformatted, and the grid time once per row.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ _FIELD = 24
 # _POW10[k + 5] is 10**k: exact for k >= 0, and just above it for k = -4..-1,
 # so that |x| >= _POW10[k + 5] holds exactly when |x| >= 10**k
 _POW10 = np.array([float(f"1e{k}") for k in range(-5, 22)])  # float() rounds to nearest
+_POW10_HI = 134217729.0 * _POW10 - (134217729.0 * _POW10 - _POW10)  # Veltkamp high halves
 
 SWEEP_AXES = ("r", "phi", "m_re", "m_im", "theta", "omega0", "omega_a", "omega_r")
 
@@ -257,11 +259,15 @@ def _fmt(value: float) -> str:
 
 def _times_pow10(a: np.ndarray, s: np.ndarray):
     """hi + lo == a * 10**s exactly: Dekker's two-product over Veltkamp's splits."""
-    b = _POW10[s + 5]
-    ca, cb = 134217729.0 * a, 134217729.0 * b  # 2**27 + 1
-    ah, bh = ca - (ca - a), cb - (cb - b)
+    b, bh = _POW10[s + 5], _POW10_HI[s + 5]
+    ah = a * 134217729.0  # 2**27 + 1
+    ah -= ah - a
     al, bl, hi = a - ah, b - bh, a * b
-    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    lo = ah * bh - hi
+    lo += np.multiply(ah, bl, out=ah)
+    lo += np.multiply(al, bh, out=bh)
+    lo += np.multiply(al, bl, out=al)
+    return hi, lo
 
 
 @functools.cache
@@ -276,7 +282,8 @@ def _digit_tables():
 
 def _format_fields(x: np.ndarray) -> np.ndarray:
     """``'%.17g' % v`` for each v of the flat array x, NaN as NA and -0.0 as 0,
-    as rows of _FIELD bytes padded with zero bytes."""
+    as rows of _FIELD bytes padded with zero bytes.  Fixed digits are split into
+    groups of 4 by floor division, each written by one lookup in a digit table."""
     digits4, zeros4, keep = _digit_tables()  # built on the first write, not on import
     ax = np.abs(x)
     fast = (ax >= 1e-4) & (ax < 1e16)
@@ -291,17 +298,19 @@ def _format_fields(x: np.ndarray) -> np.ndarray:
     # where the digits go depends on e alone: lay them out by runs of equal e
     order = np.argsort(e.astype(np.int8), kind="stable")
     e, rest = e[order], rest[order]
-    groups = np.empty((5, len(x)), np.int64)  # the leading digit, then 4 digits each
-    for i in range(4, -1, -1):
-        rest, groups[i] = np.divmod(rest, 10**4)
-    digits = np.take(digits4, groups.T).view(np.uint8)[:, 3:]
-    zeros = zeros4[groups[4]]
+    groups = np.empty((len(x), 5), np.int64)  # the leading digit, then 4 digits each
+    for i in range(4, 0, -1):
+        quotient = rest // 10**4
+        groups[:, i], rest = rest - quotient * 10**4, quotient
+    groups[:, 0] = rest
+    digits = np.take(digits4, groups).view(np.uint8)[:, 3:]
+    zeros = zeros4[groups[:, 4]]
     for i in (3, 2, 1):  # the groups after group i are all zeros
         more = np.flatnonzero(zeros == 16 - 4 * i)
-        zeros[more] += zeros4[groups[i, more]]
+        zeros[more] += zeros4[groups[more, i]]
     # byte 0 holds the sign, and the text ends after the last nonzero digit
     fields = np.zeros((len(x), _FIELD), np.uint8)
-    bounds = [0, *(np.flatnonzero(np.diff(e)) + 1), len(x)]
+    bounds = [*np.flatnonzero(np.diff(e, prepend=e[:1] - 1)), len(x)]  # no runs for an empty x
     for a, b in zip(bounds, bounds[1:]):
         k, f, d = int(e[a]), fields[a:b], digits[a:b]
         if k < 0:  # 0.000ddd
@@ -323,24 +332,28 @@ def _format_fields(x: np.ndarray) -> np.ndarray:
     return fields
 
 
-def _write_rows(handle, template: str, table: np.ndarray) -> None:
-    """Write ``template % row`` for each row of ``table``, NaN as NA, -0.0 as 0.
+def _write_rows(handle, template: str, table: np.ndarray, columns) -> None:
+    """Write ``template % row[columns]`` for each row of ``table``, NaN as NA, -0.0 as 0.
 
-    Each ``%.17g`` of the template is one field of ``_format_fields``.  A chunk
-    of rows is laid out as one byte matrix, the template's fixed text and the
-    zero-padded fields in their columns, and written with the zero bytes dropped.
+    Field j, the j-th ``%.17g``, shows column ``columns[j]``: each column is formatted
+    once by ``_format_fields``, or is NA if it is NaN in all the chunk.  A chunk of rows
+    is one byte matrix of the template's text and the zero-padded fields, written with
+    the zero bytes dropped.
     """
     pieces = [np.frombuffer(p.encode(), np.uint8) for p in template.split("%.17g")]
     starts = np.cumsum([len(p) + _FIELD for p in pieces]) - _FIELD  # of each field
     lines = np.empty((min(_CHUNK_ROWS, len(table)), starts[-1]), np.uint8)
     for piece, start in zip(pieces, starts):
         lines[:, start - len(piece) : start] = piece
+    na = np.frombuffer(b"NA".ljust(_FIELD, b"\0"), np.uint8)
     for first in range(0, len(table), _CHUNK_ROWS):
         chunk = table[first : first + _CHUNK_ROWS]
-        fields = _format_fields(chunk.ravel()).reshape(len(chunk), -1, _FIELD)
+        shown = np.flatnonzero(~np.isnan(chunk).all(axis=0))
+        fields = _format_fields(chunk[:, shown].ravel()).reshape(len(chunk), len(shown), _FIELD)
+        slots = {column: fields[:, k] for k, column in enumerate(shown.tolist())}
         block = lines[: len(chunk)]
-        for j, start in enumerate(starts[:-1]):
-            block[:, start : start + _FIELD] = fields[:, j]
+        for column, start in zip(columns, starts):
+            block[:, start : start + _FIELD] = slots.get(column, na)
         handle.write(block.tobytes().translate(None, b"\0").decode("ascii"))
 
 
@@ -351,14 +364,15 @@ def _open_output(path: str):
         raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def simulate_rows(run: RunConfig, light, oracle, prefix: str = "") -> tuple[str, np.ndarray]:
-    """One scenario's CSV rows as a %-template and a float table.
+def simulate_rows(run: RunConfig, light, oracle, prefix: str = ""):
+    """One scenario's CSV rows as ``_write_rows`` takes them: a %-template, a float
+    table and the table column of each template field.
 
     ``light`` is the scenario's truncated input and ``oracle`` its (light, atom)
     moments from ``evolve_checked`` (None without the oracle source).  Each
     selected source's (T, 11) physics table is computed over the time grid and
-    checked.  Row i of the returned table holds every source's line at grid
-    time i, so the output is ordered by (time, source).
+    checked.  Row i of the table is grid time i and every source's physics at it,
+    one line per source, so the output is ordered by (time, source).
     """
     scenario = run.scenario
     grid = run.time_grid()
@@ -377,7 +391,9 @@ def simulate_rows(run: RunConfig, light, oracle, prefix: str = "") -> tuple[str,
     n_max = scenario.truncation.n_max
     tail = _fmt(light.tail_mass)
     template = "".join(f"{prefix}%.17g,{source}{physics},{n_max},{tail}\n" for source in tables)
-    return template, np.hstack([np.column_stack((grid, t)) for t in tables.values()])
+    own = np.arange(len(tables) * len(PHYSICS_COLUMNS)).reshape(len(tables), -1) + 1
+    columns = np.insert(own, 0, 0, axis=1).ravel()  # each source's line starts with the grid
+    return template, np.column_stack((grid, *tables.values())), columns
 
 
 def _write_scenarios(runs: list[RunConfig], prefixes: list[str], header, out: str) -> None:
@@ -396,9 +412,9 @@ def _write_scenarios(runs: list[RunConfig], prefixes: list[str], header, out: st
     blocks = [simulate_rows(*scenario) for scenario in zip(runs, lights, oracle, prefixes)]
     with _open_output(out) as handle:
         handle.write(",".join(header) + "\n")
-        for template, table in blocks:
-            _write_rows(handle, template, table)
-    total = sum(len(table) * len(run.sources) for (_, table), run in zip(blocks, runs))
+        for block in blocks:
+            _write_rows(handle, *block)
+    total = sum(len(table) * len(run.sources) for (_, table, _), run in zip(blocks, runs))
     print(f"wrote {total} rows to {out}")
 
 
@@ -504,7 +520,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
                 handle.write(row("value", n_max, flag))
             else:
                 template = row("value", n_max, flag, "%.17g", ["%.17g"] * len(PHYSICS_COLUMNS))
-                _write_rows(handle, template, np.column_stack((grid, physics[n_max])))
+                table = np.column_stack((grid, physics[n_max]))
+                _write_rows(handle, template, table, range(table.shape[1]))
         for (prev, curr), delta in zip(pairs, deltas):
             handle.write(row("delta", f"{prev}->{curr}", "", last=_fmt(delta)))
         result = "converged" if converged else "not-converged"

@@ -549,14 +549,17 @@ def check_table(table: np.ndarray, times, source: str, gaps=(), tol: float = 1e-
 
 def check_dynamics(params: ModelParams, light: ModeVector, moments, times):
     """Check the oracle's (light, atom) ``moments`` against the moment map of
-    ``mode_moments(light)`` and return the map.  Blocks n_tot <= n_max are complete,
-    so each field agrees to phase roundoff, (1e-11 + eps t_max n_max (max |omega|
-    + omega_r)) (1 + |input moment|); InvariantViolationError otherwise, NaN too."""
+    ``mode_moments(light)`` and return the map.  Blocks n_tot <= n_max are complete, so
+    each field agrees to phase roundoff, (1e-11 + eps t_max n_max (max |omega| + omega_r))
+    (1 + |input moment|), a slack at most 1e-6; InvariantViolationError otherwise, NaN too."""
     times = np.asarray(times, dtype=float)
-    truncated = mode_moments(light)
-    mapped = heisenberg_moment_map(propagator_at(params, times), truncated)
     phase = max(abs(params.omega0), abs(params.omega_a)) + params.omega_r
     slack = 1e-11 + np.finfo(float).eps * np.max(times) * light.truncation.n_max * phase
+    if not slack <= 1e-6:
+        raise InvariantViolationError(f"t = {np.max(times):.6g} is past the oracle's precision "
+                                      f"domain: its phase roundoff slack {slack:.3e} exceeds 1e-6")
+    truncated = mode_moments(light)
+    mapped = heisenberg_moment_map(propagator_at(params, times), truncated)
     for mode, got, want in zip(("light", "atom"), moments, mapped):
         for field in fields(MomentSet):
             dev = np.abs(getattr(got, field.name) - getattr(want, field.name))

@@ -88,23 +88,23 @@ def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray):
     for a full solve.  numpy's wheels link it in their scipy-openblas64, so it is
     called there, column-major into one buffer of the F-ordered modes, the energies
     and a copy of off: no run loads scipy and its second OpenBLAS.  Where numpy has
-    none (MKL, a system LAPACK), scipy.linalg.lapack.dstevd is imported on the first
-    solve.  Dimension 1 needs no solve.  A nonzero info is an InvariantViolationError.
+    none (MKL, a system LAPACK), numpy's eigh solves the dense block.  Dimension 1
+    needs no solve.  A failed solve is an InvariantViolationError.
     """
     n = len(diag)
     if n == 1:
         return diag, np.ones((1, 1))
     solve = _numpy_dstevd()
-    if solve is None:
-        from scipy.linalg.lapack import dstevd
-
-        energies, modes, info = dstevd(diag, off)
-    else:
-        work = np.empty(n * (n + 2) - 1)
-        modes, energies = work[: n * n].reshape(n, n, order="F"), work[n * n : n * (n + 1)]
-        energies[:], work[n * (n + 1) :] = diag, off
-        col_major, at = 102, work.ctypes.data
-        info = solve(col_major, b"V", n, at + 8 * n * n, at + 8 * n * (n + 1), at, n)
+    if solve is None:  # eigh reads the lower triangle
+        try:
+            return np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+        except np.linalg.LinAlgError as exc:
+            raise InvariantViolationError(f"eigh failed on a block of size {n}: {exc}") from exc
+    work = np.empty(n * (n + 2) - 1)
+    modes, energies = work[: n * n].reshape(n, n, order="F"), work[n * n : n * (n + 1)]
+    energies[:], work[n * (n + 1) :] = diag, off
+    col_major, at = 102, work.ctypes.data
+    info = solve(col_major, b"V", n, at + 8 * n * n, at + 8 * n * (n + 1), at, n)
     if info != 0:
         raise InvariantViolationError(f"LAPACK dstevd failed on a block of dimension "
                                       f"{n} (info = {info})")

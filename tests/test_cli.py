@@ -552,6 +552,19 @@ def test_oracle_matches_the_moment_map_far_off_resonance(tmp_path, argv):
     assert run("simulate", *argv, "--steps", "20", "--out", str(tmp_path / "far.csv")) == 0
 
 
+@pytest.mark.parametrize("t_max, code", [("1e7", 0), ("1e8", 3)])
+def test_the_oracle_refuses_times_past_its_precision_domain(tmp_path, capsys, t_max, code):
+    # the default run's phase roundoff slack, eps t n_max (omega + omega_r), is
+    # 4.7e-7 at t = 6.7e6 and 4.7e-6 at t = 6.7e7; above 1e-6 it would gate nothing
+    out = tmp_path / "out.csv"
+    assert run("simulate", "--t-max", t_max, "--steps", "3", "--out", str(out)) == code
+    err = capsys.readouterr().err.splitlines()
+    if code:
+        assert len(err) == 1 and err[0].startswith("invariant violation:")
+        assert "precision domain" in err[0] and "4.737e-06 exceeds 1e-6" in err[0]
+    assert out.exists() == (code == 0)
+
+
 @pytest.mark.parametrize(
     "argv, where",
     [
@@ -702,26 +715,30 @@ def test_every_command_checks_the_oracle_it_reaches(tmp_path, capsys, monkeypatc
         (("--omega0", "5"), "dstevd", False),
         # every resonant block goes to dbdsdc
         ((), "dbdsdc", False),
-        ((), "dstevd", True),
+        ((), "eigh", True),
     ],
     ids=["resonant", "detuned", "chiral", "fallback"],
 )
 def test_a_failed_block_solve_is_an_invariant_violation(
     tmp_path, capsys, monkeypatch, argv, routine, fallback
 ):
-    if fallback:  # numpy exports no LAPACKE, so scipy's dstevd solves every half
-        from scipy.linalg import lapack
+    if fallback:  # numpy exports no LAPACKE, so numpy's eigh solves every block
+        detail = "Eigenvalues did not converge"
+
+        def failing_eigh(block):
+            raise np.linalg.LinAlgError(detail)
 
         monkeypatch.setattr(oracle_module, "_numpy_dstevd", lambda: None)
         monkeypatch.setattr(oracle_module, "_numpy_dbdsdc", lambda: None)
-        monkeypatch.setattr(lapack, "dstevd", lambda diag, off: (diag, np.eye(len(diag)), 1))
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     else:  # the LAPACKE entry point in numpy's OpenBLAS returns info = 1
+        detail = "info = 1"
         monkeypatch.setattr(oracle_module, f"_numpy_{routine}", lambda: lambda *args: 1)
     out = tmp_path / "out.csv"
     assert run("simulate", *argv, "--steps", "4", "--out", str(out)) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("invariant violation:")
-    assert routine in err[0] and "info = 1" in err[0]
+    assert routine in err[0] and detail in err[0]
     assert not out.exists()
 
 

@@ -1,10 +1,12 @@
 """The CSV writer: every field is exactly ``'%.17g' % x``, NaN as NA and -0.0 as 0.
 
 ``cli._write_rows`` formats the fields in numpy.  It is checked against the
-%-template writer it replaced, kept here as the reference: on drawn doubles,
-on targeted sets (exact ties, powers of ten and their neighbours, the edges of
-the exact-digit range, values that round up a decade), on each caller's
-template, and on the full-size tables of the benchmark's simulate commands.
+%-template writer it replaced, kept here as the reference, on the table with
+each template field's column laid out in place: on drawn doubles, on targeted
+sets (exact ties, powers of ten and their neighbours, the edges of the
+exact-digit range, values that round up a decade), on columns that are NaN in
+all or part of a chunk, on each caller's template, and on the full-size tables
+of the benchmark's simulate commands.
 """
 
 import io
@@ -31,10 +33,15 @@ def written(writer, template, table) -> str:
     return handle.getvalue()
 
 
-def assert_written_alike(template, table):
+def assert_written_alike(template, table, columns=None):
+    """cli._write_rows of (table, columns) writes what the reference writes of the table
+    with column columns[j] at field j; columns defaults to the identity map."""
+    columns = range(table.shape[1]) if columns is None else columns
+    got = io.StringIO()
+    cli._write_rows(got, template, table, columns)
     # lists of lines, so that a failure names the first line that differs
-    got = written(cli._write_rows, template, table).splitlines(keepends=True)
-    assert got == written(reference_write_rows, template, table).splitlines(keepends=True)
+    want = written(reference_write_rows, template, table[:, list(columns)])
+    assert got.getvalue().splitlines(keepends=True) == want.splitlines(keepends=True)
 
 
 def assert_fields_exact(values):
@@ -100,14 +107,42 @@ def test_values_that_round_up_a_decade():
     assert_fields_exact(carries)
 
 
+def test_columns_nan_in_all_or_part_of_a_chunk():
+    # chunks of 1000 rows: column 1 is NaN in all of the first and none of the
+    # second, column 2 in all of the second, column 3 in every other row, and
+    # column 4 everywhere; fields 0 and 5 both show column 0
+    rng = np.random.default_rng(2)
+    table = rng.standard_normal((2500, 5)) * 10.0 ** rng.integers(-6, 18, (2500, 5))
+    table[:1000, 1] = table[1000:2000, 2] = table[::2, 3] = table[:, 4] = np.nan
+    template = "%.17g,x,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+    assert_written_alike(template, table, [0, 1, 2, 3, 4, 0])
+    assert_written_alike(template, table[:, [0, 1, 2, 3, 4, 0]])
+
+
+def test_a_detuned_simulate_formats_the_grid_once_and_no_na_column(monkeypatch, tmp_path):
+    # the literal-paper source has no closed form off resonance: its 11 columns are
+    # NaN throughout; the grid starts all three sources' lines
+    counts = []
+    format_fields = cli._format_fields
+
+    def spy(x):
+        counts.append(len(x))
+        return format_fields(x)
+
+    monkeypatch.setattr(cli, "_format_fields", spy)
+    argv = ["simulate", "--steps", "16", "--omega0", "5", "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 0
+    assert counts == [16 * (1 + 2 * 11)]
+
+
 def _captured_tables(monkeypatch, tmp_path, commands):
-    """(template, table) of every _write_rows call the commands make."""
+    """(template, table, columns) of every _write_rows call the commands make."""
     calls = []
     write = cli._write_rows
 
-    def capture(handle, template, table):
-        calls.append((template, table))
-        write(handle, template, table)
+    def capture(handle, template, table, columns):
+        calls.append((template, table, columns))
+        write(handle, template, table, columns)
 
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_write_rows", capture)
@@ -123,15 +158,15 @@ def test_each_callers_template_with_hard_values(monkeypatch, tmp_path):
         ("sweep", "--axis", "r", "--values", "0.5,1e-07", *steps),
         ("converge", "--values", "32,48,64", "--r", "1", *steps),
     ])
-    prefixes = {template.split(",", 2)[0] for template, _ in calls}
+    prefixes = {template.split(",", 2)[0] for template, _, _ in calls}
     assert {"%.17g", "r", "value"} <= prefixes  # simulate, sweep and converge lines
     rng = np.random.default_rng(1)
-    for template, table in calls:
+    for template, table, columns in calls:
         hard = rng.standard_normal(table.shape) * 10.0 ** rng.integers(-6, 18, table.shape)
         hard[rng.random(table.shape) < 0.1] = np.nan
         hard[rng.random(table.shape) < 0.05] = -0.0
-        assert_written_alike(template, table)
-        assert_written_alike(template, hard)
+        assert_written_alike(template, table, columns)
+        assert_written_alike(template, hard, columns)
 
 
 def test_full_size_tables_match_the_reference(monkeypatch, tmp_path):
@@ -143,6 +178,6 @@ def test_full_size_tables_match_the_reference(monkeypatch, tmp_path):
         ("simulate", "--steps", "2000"),
         ("simulate", "--steps", "2000", "--omega0", "5"),
     ])
-    assert [len(table) for _, table in calls] == [10000, 10000, 2000, 2000]
-    for template, table in calls:
-        assert_written_alike(template, table)
+    assert [len(table) for _, table, _ in calls] == [10000, 10000, 2000, 2000]
+    for template, table, columns in calls:
+        assert_written_alike(template, table, columns)
