@@ -2,7 +2,6 @@
 
 from .fock import (
     MomentSet,
-    ModeVector,
     SqueezedInput,
     Truncation,
     TruncationError,
@@ -10,9 +9,9 @@ from .fock import (
     squeezed_coherent_state,
 )
 from .observables import (
-    AlphaPair,
     InvariantViolationError,
     ScenarioConfig,
+    alpha_pair,
     input_moments,
     literal_table,
     mandel_q,

@@ -43,6 +43,7 @@ from .fock import (
     TruncationError,
     squeezed_amplitudes,
     squeezed_coherent_state,
+    top_decile_mass,
     truncation_tails,
 )
 from .observables import (
@@ -368,8 +369,9 @@ def simulate_rows(run: RunConfig, light, oracle, prefix: str = ""):
     """One scenario's CSV rows as ``_write_rows`` takes them: a %-template, a float
     table and the table column of each template field.
 
-    ``light`` is the scenario's truncated input and ``oracle`` its (light, atom)
-    moments from ``evolve_checked`` (None without the oracle source).  Each
+    ``light`` is the scenario's truncated input amplitudes, whose top-decile mass
+    is each row's tail_mass, and ``oracle`` its (light, atom) moments from
+    ``evolve_checked`` (None without the oracle source).  Each
     selected source's (T, 11) physics table is computed over the time grid and
     checked.  Row i of the table is grid time i and every source's physics at it,
     one line per source, so the output is ordered by (time, source).
@@ -389,7 +391,7 @@ def simulate_rows(run: RunConfig, light, oracle, prefix: str = ""):
 
     physics = ",%.17g" * len(PHYSICS_COLUMNS)
     n_max = scenario.truncation.n_max
-    tail = _fmt(light.tail_mass)
+    tail = _fmt(top_decile_mass(light))
     template = "".join(f"{prefix}%.17g,{source}{physics},{n_max},{tail}\n" for source in tables)
     own = np.arange(len(tables) * len(PHYSICS_COLUMNS)).reshape(len(tables), -1) + 1
     columns = np.insert(own, 0, 0, axis=1).ravel()  # each source's line starts with the grid
@@ -501,7 +503,9 @@ def cmd_converge(args: argparse.Namespace) -> int:
     physics = {n_max: physics_table(*moments) for n_max, (moments, _) in zip(lights, checked)}
     for table in physics.values():
         check_table(table, grid, SOURCE_ORACLE)
-    ok = {n for n, light in lights.items() if light.norm_deficit <= DEFAULT_DEFICIT_THRESHOLD}
+    # tails[n] is the deficit each cutoff's own check summed: the same prefix, bit for bit
+    tails = truncation_tails(squeezed_amplitudes(run.scenario.input, Truncation(n_max_list[-1])))
+    ok = {n for n in lights if tails[n] <= DEFAULT_DEFICIT_THRESHOLD}
     pairs = list(zip(n_max_list, n_max_list[1:]))
     deltas = [_max_delta(physics.get(prev), physics.get(curr)) for prev, curr in pairs]
     converged = n_max_list[-1] in ok and all(delta <= CONVERGED_DELTA for delta in deltas[-2:])
@@ -535,6 +539,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="atomlaser",
@@ -593,6 +598,3 @@ def main(argv=None) -> int:
 def console_main() -> None:
     sys.exit(main())
 
-
-if __name__ == "__main__":
-    console_main()

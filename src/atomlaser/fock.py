@@ -1,9 +1,9 @@
 """Truncated Fock-space machinery for one bosonic mode.
 
-States are plain complex amplitude vectors over number states.  Every
-constructor returns a unit-norm state and carries truncation diagnostics:
-the exact norm deficit, which the constructor gates, and the top-decile tail
-mass, which is reported and gates nothing.
+A state is its complex amplitude array c_0 .. c_{n_max} over number states;
+its cutoff is its length less one.  The constructor gates the exact norm
+deficit (``truncation_tails``) and returns the renormalised array; the
+top-decile tail mass (``top_decile_mass``) is reported and gates nothing.
 """
 
 from __future__ import annotations
@@ -58,16 +58,6 @@ class SqueezedInput:
             raise ValueError(f"squeeze magnitude r must be >= 0, got {self.r}")
         # fmod is exact and keeps |phi| < 2 pi; 2 phi would overflow for a huge phi
         object.__setattr__(self, "phi", math.fmod(self.phi, 2.0 * math.pi))
-
-
-@dataclass(frozen=True)
-class ModeVector:
-    """Unit-norm single-mode state plus truncation diagnostics."""
-
-    amplitudes: np.ndarray
-    truncation: Truncation
-    tail_mass: float = 0.0      # probability in the top 10% of retained indices
-    norm_deficit: float = 0.0   # exact probability above n_max, before renormalising
 
 
 @dataclass(frozen=True)
@@ -126,11 +116,12 @@ def squeezed_coherent_state(
     inp: SqueezedInput,
     truncation: Truncation,
     deficit_threshold: float = DEFAULT_DEFICIT_THRESHOLD,
-) -> ModeVector:
-    """The squeezed-coherent input truncated at ``truncation`` and renormalised.
+) -> np.ndarray:
+    """Amplitudes c_0 .. c_{n_max} of the squeezed-coherent input, renormalised.
 
-    The norm deficit is the exact probability above n_max; a deficit above
-    ``deficit_threshold`` (or a NaN one) raises TruncationError.
+    The norm deficit is the exact probability above n_max, truncation_tails(...)[-1]
+    of the unrenormalised amplitudes; a deficit above ``deficit_threshold`` (or a
+    NaN one) raises TruncationError.
     """
     amps = squeezed_amplitudes(inp, truncation)
     deficit = float(truncation_tails(amps)[-1])
@@ -141,14 +132,11 @@ def squeezed_coherent_state(
             f"{deficit_threshold:.1e}"
         )
     amps /= math.sqrt(1.0 - deficit)
-    return ModeVector(
-        amps, truncation, tail_mass=top_decile_mass(amps), norm_deficit=max(0.0, deficit)
-    )
+    return amps
 
 
-def mode_moments(vec: ModeVector) -> MomentSet:
-    """Moments of a single-mode state by direct summation over its amplitudes."""
-    psi = vec.amplitudes
+def mode_moments(psi: np.ndarray) -> MomentSet:
+    """Moments of a single-mode state by direct summation over its amplitudes psi."""
     n = np.arange(len(psi))
     prob = np.abs(psi) ** 2
     mean_amp = complex(np.sum(np.conj(psi[:-1]) * np.sqrt(n[1:]) * psi[1:]))

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import ModeVector, MomentSet, SqueezedInput, Truncation, mode_moments
+from .fock import MomentSet, SqueezedInput, Truncation, mode_moments
 from .propagator import ModelParams, heisenberg_moment_map, propagator_at
 
 SOURCE_LITERAL = "literal-paper"
@@ -83,17 +83,10 @@ class ScenarioConfig:
     truncation: Truncation
 
 
-@dataclass(frozen=True)
-class AlphaPair:
-    """alpha1 = sinh^2 r + cosh^2 r (= cosh 2r) and alpha2 = sinh r cosh r."""
-
-    alpha1: float
-    alpha2: float
-
-    @classmethod
-    def from_r(cls, r: float) -> "AlphaPair":
-        s, c = math.sinh(r), math.cosh(r)
-        return cls(s * s + c * c, s * c)
+def alpha_pair(r: float) -> tuple[float, float]:
+    """(alpha1, alpha2) = (sinh^2 r + cosh^2 r (= cosh 2r), sinh r cosh r)."""
+    s, c = math.sinh(r), math.cosh(r)
+    return s * s + c * c, s * c
 
 
 def mandel_q(moments: MomentSet, mean_floor: float = Q_MEAN_FLOOR):
@@ -139,10 +132,10 @@ def _interference(inp: SqueezedInput) -> float:
 
 def literal_input_number_mean(scn: ScenarioConfig) -> float:
     """Initial light-mode occupation |m|^2 a1 + 2 a2 Re(m^2 e^{2i phi}) + sinh^2 r."""
-    al = AlphaPair.from_r(scn.input.r)
+    alpha1, alpha2 = alpha_pair(scn.input.r)
     return (
-        abs(scn.input.m) ** 2 * al.alpha1
-        + _interference(scn.input) * al.alpha2
+        abs(scn.input.m) ** 2 * alpha1
+        + _interference(scn.input) * alpha2
         + math.sinh(scn.input.r) ** 2
     )
 
@@ -159,15 +152,15 @@ def literal_nb_mean(scn: ScenarioConfig, t: float) -> float:
 
 def literal_number_variances(scn: ScenarioConfig, t: float) -> tuple[float, float]:
     """Occupation variances (light, atoms) for general phi and complex m."""
-    al = AlphaPair.from_r(scn.input.r)
+    alpha1, alpha2 = alpha_pair(scn.input.r)
     bar = _interference(scn.input)
     mag2 = abs(scn.input.m) ** 2
     quartic = (
-        mag2 * al.alpha1**2
-        + 2.0 * al.alpha2**2 * (2.0 * mag2 + 1.0)
-        + 2.0 * al.alpha1 * al.alpha2 * bar
+        mag2 * alpha1**2
+        + 2.0 * alpha2**2 * (2.0 * mag2 + 1.0)
+        + 2.0 * alpha1 * alpha2 * bar
     )
-    cross = al.alpha1 * mag2 + math.sinh(scn.input.r) ** 2 + bar * al.alpha2
+    cross = alpha1 * mag2 + math.sinh(scn.input.r) ** 2 + bar * alpha2
     cos2 = np.cos(scn.params.omega_r * t) ** 2
     sin2 = np.sin(scn.params.omega_r * t) ** 2
     mixed = cross * sin2 * cos2
@@ -178,8 +171,8 @@ def _q_pair(scn: ScenarioConfig, t, numerator: float):
     # the stated ratio for phi = 0 and real m, times (cos^2, sin^2)(omega_r t):
     # (m^2 s^2 + numerator) / (m^2 s + sinh^2 r) - 1 with s = a1 + 2 a2
     m = complex(scn.input.m).real
-    al = AlphaPair.from_r(scn.input.r)
-    shifted = al.alpha1 + 2.0 * al.alpha2
+    alpha1, alpha2 = alpha_pair(scn.input.r)
+    shifted = alpha1 + 2.0 * alpha2
     factor = (m * m * shifted**2 + numerator) / (m * m * shifted + math.sinh(scn.input.r) ** 2) - 1.0
     return _scaled_cos2_sin2(scn, t, factor)
 
@@ -197,47 +190,40 @@ def literal_q_pair(scn: ScenarioConfig, t: float) -> tuple[float, float]:
     is reported as 0 by that convention.  For m != 0 the transcribed ratio is
     evaluated as written, including its suspected "2 a2" numerator misprint.
     """
-    al = AlphaPair.from_r(scn.input.r)
+    alpha1, alpha2 = alpha_pair(scn.input.r)
     if scn.input.m == 0:
-        return _scaled_cos2_sin2(scn, t, al.alpha1)
-    return _q_pair(scn, t, 2.0 * al.alpha2)
+        return _scaled_cos2_sin2(scn, t, alpha1)
+    return _q_pair(scn, t, 2.0 * alpha2)
 
 
 def corrected_q_pair(scn: ScenarioConfig, t: float) -> tuple[float, float]:
     """The q pair with the numerator term 2 a2 replaced by 2 a2^2, the form
     consistent with both the m = 0 limit pair and the moment map."""
-    return _q_pair(scn, t, 2.0 * AlphaPair.from_r(scn.input.r).alpha2 ** 2)
+    return _q_pair(scn, t, 2.0 * alpha_pair(scn.input.r)[1] ** 2)
+
+
+def _squeeze_pair(scn: ScenarioConfig, rotation, weight):
+    s, c = math.sinh(scn.input.r), math.cosh(scn.input.r)
+    return 2.0 * s * (s - c * rotation) * weight, 2.0 * s * (s + c * rotation) * weight
 
 
 def literal_atom_squeeze_pair(scn: ScenarioConfig, t: float) -> tuple[float, float]:
     """Atom-mode squeeze coefficients (S1b, S2b) for squeezed-vacuum input."""
-    s = math.sinh(scn.input.r)
-    c = math.cosh(scn.input.r)
     rotation = np.cos(2.0 * (scn.params.omega0 * t + scn.params.theta))
-    sin2 = np.sin(scn.params.omega_r * t) ** 2
-    return (
-        2.0 * s * (s - c * rotation) * sin2,
-        2.0 * s * (s + c * rotation) * sin2,
-    )
+    return _squeeze_pair(scn, rotation, np.sin(scn.params.omega_r * t) ** 2)
 
 
 def literal_light_squeeze_pair(scn: ScenarioConfig, t: float) -> tuple[float, float]:
     """Light-mode squeeze coefficients (S1a, S2a), built the same way as the atom
-    pair; the condensate phase theta never multiplies the surviving a(0)
-    coefficient, so the light quadratures rotate at 2 w t only."""
-    s = math.sinh(scn.input.r)
-    c = math.cosh(scn.input.r)
+    pair with the signs swapped; the condensate phase theta never multiplies the
+    surviving a(0) coefficient, so the light quadratures rotate at 2 w t only."""
     rotation = np.cos(2.0 * scn.params.omega0 * t)
-    cos2 = np.cos(scn.params.omega_r * t) ** 2
-    return (
-        2.0 * s * (s + c * rotation) * cos2,
-        2.0 * s * (s - c * rotation) * cos2,
-    )
+    return _squeeze_pair(scn, rotation, np.cos(scn.params.omega_r * t) ** 2)[::-1]
 
 
 def _atom_variance_at_conversion(scn: ScenarioConfig, t) -> float:
-    al = AlphaPair.from_r(scn.input.r)
-    return complex(scn.input.m).real ** 2 * (al.alpha1 + 2 * al.alpha2) ** 2 + 2 * al.alpha2**2
+    alpha1, alpha2 = alpha_pair(scn.input.r)
+    return complex(scn.input.m).real ** 2 * (alpha1 + 2 * alpha2) ** 2 + 2 * alpha2**2
 
 
 def _vacuum_form(expression):
@@ -451,7 +437,7 @@ FORMULAS: list[FormulaSpec] = [
         lambda scn: "as stated the q prefactor numerator carries 2 a2; corrected 2 a2^2"
         + (" (evaluated in the m = 0 limit)" if scn.input.m == 0 else ""),
         occupied_real_input,
-        lambda scn, t: _q_pair(scn, t, 2.0 * AlphaPair.from_r(scn.input.r).alpha2),
+        lambda scn, t: _q_pair(scn, t, 2.0 * alpha_pair(scn.input.r)[1]),
         corrected=corrected_q_pair, observable=_adjudicated_q, columns=("q_a", "q_b"),
         against_map=False,
     ),
@@ -547,14 +533,15 @@ def check_table(table: np.ndarray, times, source: str, gaps=(), tol: float = 1e-
         )
 
 
-def check_dynamics(params: ModelParams, light: ModeVector, moments, times):
+def check_dynamics(params: ModelParams, light: np.ndarray, moments, times):
     """Check the oracle's (light, atom) ``moments`` against the moment map of
-    ``mode_moments(light)`` and return the map.  Blocks n_tot <= n_max are complete, so
+    ``mode_moments(light)`` and return the map.  ``light`` holds the amplitudes
+    c_0 .. c_{n_max}, so n_max is len(light) - 1.  Blocks n_tot <= n_max are complete, so
     each field agrees to phase roundoff, (1e-11 + eps t_max n_max (max |omega| + omega_r))
     (1 + |input moment|), a slack at most 1e-6; InvariantViolationError otherwise, NaN too."""
     times = np.asarray(times, dtype=float)
     phase = max(abs(params.omega0), abs(params.omega_a)) + params.omega_r
-    slack = 1e-11 + np.finfo(float).eps * np.max(times) * light.truncation.n_max * phase
+    slack = 1e-11 + np.finfo(float).eps * np.max(times) * (len(light) - 1) * phase
     if not slack <= 1e-6:
         raise InvariantViolationError(f"t = {np.max(times):.6g} is past the oracle's precision "
                                       f"domain: its phase roundoff slack {slack:.3e} exceeds 1e-6")

@@ -17,7 +17,7 @@ each half of the reversal n_b <-> n_tot - n_b, a symmetry of the matrix
 once per pass.  Detuned blocks, and resonant ones where numpy has no dbdsdc,
 are solved whole in complex arithmetic.
 
-The preparation is always the atom vacuum times a light state with
+The preparation is always the atom vacuum times a light, the array of its
 amplitudes c_0 .. c_{n_max}.  It populates only the complete blocks
 n_tot <= n_max, and block n_tot starts on the single basis vector
 (n_b = 0, n_a = n_tot) with amplitude c_{n_tot}, the light's only way in.  So
@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fock import ModeVector, MomentSet, mode_moments
+from .fock import MomentSet, mode_moments
 # unused here, but perfbench's tracer test checks that this binding is wrapped;
 # drop it with that check when the benchmark next changes (ROADMAP item 2)
 from .fock import squeezed_coherent_state  # noqa: F401
@@ -246,6 +246,7 @@ def _unit_block(off: np.ndarray, diag, clock: _Clock, phases, out) -> np.ndarray
 def evolve_many(params: ModelParams, lights, times, thetas=None) -> list[EvolutionResult]:
     """Evolve exp(-iHt)(|0>_b x light) for each light; return each one's moments.
 
+    Each light is an amplitude array c_0 .. c_{n_max}, its cutoff len(light) - 1.
     A light only scales block n_tot by c_{n_tot}, so each block up to the
     largest cutoff is solved once, if some light populates it, and folded
     once: <c†c> and <(c†c)^2> sum over the block, <c> pairs it with block
@@ -267,13 +268,13 @@ def evolve_many(params: ModelParams, lights, times, thetas=None) -> list[Evoluti
         raise ValueError("times must be finite and nonnegative")
     if not lights:
         return []
-    n_top = max(light.truncation.n_max for light in lights)
+    n_top = max(len(light) for light in lights) - 1
     real = params.resonant and _numpy_dbdsdc() is not None
 
     # gauge a -> e^{i theta} a: makes every block real symmetric tridiagonal
     coeffs = np.zeros((len(lights), n_top + 1), dtype=complex)
     for row, light in zip(coeffs, lights):
-        row[: light.truncation.dim] = light.amplitudes
+        row[: len(light)] = light
     thetas = np.full(len(lights), params.theta) if thetas is None else np.asarray(thetas)
     coeffs *= np.exp(-1j * thetas[:, None] * np.arange(n_top + 1))
     numbers = np.zeros((len(lights), 5, len(times)))  # norm^2, <n_a>, <n_a^2>, <n_b>, <n_b^2>
@@ -365,6 +366,6 @@ def evolve_checked(runs, times):
 
 # no caller in the package: perfbench's PeakAlloc probe binds it; it goes when
 # that probe moves to evolve_many (ROADMAP item 2)
-def evolve(params: ModelParams, light: ModeVector, times) -> EvolutionResult:
+def evolve(params: ModelParams, light: np.ndarray, times) -> EvolutionResult:
     """Evolve exp(-iHt)(|0>_b x light) and return both modes' moments at each time."""
     return evolve_many(params, [light], times)[0]

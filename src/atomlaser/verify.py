@@ -36,6 +36,7 @@ from .observables import (
     CROSSED,
     FORMULAS,
     GRID,
+    NA,
     ScenarioConfig,
     UsageError,
     input_moments,
@@ -51,8 +52,6 @@ from .propagator import (
 CONFIRMED = "CONFIRMED"
 TYPO_SUSPECT = "TYPO-SUSPECT"
 UNRESOLVED = "UNRESOLVED"
-
-NAN = float("nan")
 
 # anchor times with sin^2(omega_r t) below this carry no squeezing signal
 _MIN_SIGNAL_SIN2 = 0.2
@@ -252,13 +251,13 @@ def discrepancy_report(
         literal = spec.literal(scn, times)
         observed = np.asarray(spec.observable(*oracle))[..., at]
         dev_lo = _max_dev(literal, observed, spec.polar)
-        dev_co = NAN
+        dev_co = NA
         if spec.corrected is not None:
             dev_co = _max_dev(spec.corrected(scn, times), observed, spec.polar)
         exact = np.asarray(spec.observable(*mapped))[..., at]
         kept = np.asarray(spec.observable(*truncated))[..., at]
         tol = tol_oracle + _max_dev(exact, kept, spec.polar)
-        dev_lm = _max_dev(literal, exact, spec.polar) if spec.against_map else NAN
+        dev_lm = _max_dev(literal, exact, spec.polar) if spec.against_map else NA
         verdict = _verdict(dev_lo, dev_co, dev_lm, tol, tol_algebraic)
         checks.append(FormulaCheck(
             spec.name, spec.claim_for(scn), verdict, len(times), dev_lo, dev_co, dev_lm, tol

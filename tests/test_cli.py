@@ -875,3 +875,22 @@ def test_no_argv_raises(tmp_path_factory, argv):
             assert main(argv) in {0, 1, 2, 3, 4}
     finally:
         os.chdir(home)
+
+
+def test_commands_share_one_parser_and_each_gets_its_own_func(tmp_path, monkeypatch):
+    parser, parsed = cli._build_parser(), []
+    parse = parser.parse_args
+
+    def spy(argv):
+        args = parse(argv)
+        parsed.append(args)
+        return args
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    small = ["--r", "0.3", "--n-max", "32", "--steps", "8"]
+    assert main(["simulate", *small, "--out", str(tmp_path / "s.csv")]) == 0
+    assert main(["verify", *small, "--out", str(tmp_path / "v.txt")]) == 0
+    assert cli._build_parser() is parser
+    assert [args.func for args in parsed] == [cli.cmd_simulate, cli.cmd_verify]
+    assert [args.command for args in parsed] == ["simulate", "verify"]
+    assert not hasattr(parsed[0], "tol_oracle") and parsed[1].tol_oracle is None

@@ -21,9 +21,9 @@ from atomlaser.observables import (
     FORMULAS,
     GRID,
     PHYSICS_COLUMNS,
-    AlphaPair,
     InvariantViolationError,
     ScenarioConfig,
+    alpha_pair,
     check_table,
     corrected_q_pair,
     input_moments,
@@ -62,13 +62,13 @@ def columns(table):
 
 def test_alpha_pair_identities():
     for r in (0.0, 0.2, 1.0, 2.5):
-        al = AlphaPair.from_r(r)
-        assert abs(al.alpha1 - math.cosh(2 * r)) < 1e-12
-        assert abs(al.alpha2 - 0.5 * math.sinh(2 * r)) < 1e-12
-        assert al.alpha1 >= 1.0
+        alpha1, alpha2 = alpha_pair(r)
+        assert abs(alpha1 - math.cosh(2 * r)) < 1e-12
+        assert abs(alpha2 - 0.5 * math.sinh(2 * r)) < 1e-12
+        assert alpha1 >= 1.0
         # quadratic identity checked relative to the squared scale (the
-        # subtraction cancels ~al.alpha1**2 worth of magnitude)
-        assert abs(al.alpha1**2 - 4 * al.alpha2**2 - 1.0) < 1e-12 * max(1.0, al.alpha1**2)
+        # subtraction cancels ~alpha1**2 worth of magnitude)
+        assert abs(alpha1**2 - 4 * alpha2**2 - 1.0) < 1e-12 * max(1.0, alpha1**2)
 
 
 def test_literal_na_mean_coherent_at_zero():
@@ -106,9 +106,9 @@ def test_literal_atom_variance_at_conversion():
 def real_input_variances(r, m, t):
     """The phi = 0, real-m specialization of the variance pair, written out
     independently of the general expression."""
-    al = AlphaPair.from_r(r)
-    quartic = m * m * (al.alpha1 + 2.0 * al.alpha2) ** 2 + 2.0 * al.alpha2**2
-    cross = math.sinh(r) ** 2 + (al.alpha1 + 2.0 * al.alpha2) * m * m
+    alpha1, alpha2 = alpha_pair(r)
+    quartic = m * m * (alpha1 + 2.0 * alpha2) ** 2 + 2.0 * alpha2**2
+    cross = math.sinh(r) ** 2 + (alpha1 + 2.0 * alpha2) * m * m
     cos2, sin2 = np.cos(t) ** 2, np.sin(t) ** 2
     mixed = cross * sin2 * cos2
     return quartic * cos2 * cos2 + mixed, quartic * sin2 * sin2 + mixed
@@ -161,9 +161,9 @@ def test_literal_q_pair_numerator_disagrees_with_vacuum_limit():
     # contradicts the stated m = 0 pair, which needs 2 a2^2 (the verify
     # report adjudicates this; corrected_q_pair carries the fixed form)
     scn = scenario()
-    al = AlphaPair.from_r(1.0)
-    stated_limit = 2 * al.alpha2 / math.sinh(1.0) ** 2 - 1.0
-    fixed_limit = 2 * al.alpha2**2 / math.sinh(1.0) ** 2 - 1.0
+    _, alpha2 = alpha_pair(1.0)
+    stated_limit = 2 * alpha2 / math.sinh(1.0) ** 2 - 1.0
+    fixed_limit = 2 * alpha2**2 / math.sinh(1.0) ** 2 - 1.0
     assert abs(fixed_limit - literal_q_pair(scn, 0.0)[0]) < 1e-12
     assert abs(stated_limit - literal_q_pair(scn, 0.0)[0]) > 2.0
     corrected = corrected_q_pair(scenario(m=0.5 + 0j), 0.0)
