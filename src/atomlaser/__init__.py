@@ -3,7 +3,6 @@
 from .fock import (
     MomentSet,
     SqueezedInput,
-    Truncation,
     TruncationError,
     mode_moments,
     squeezed_coherent_state,
@@ -22,7 +21,6 @@ from .observables import (
 from .oracle import EvolutionResult, evolve, evolve_many
 from .propagator import (
     ModelParams,
-    PropagatorMatrix,
     conversion_times,
     heisenberg_moment_map,
     propagator_at,

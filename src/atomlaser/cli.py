@@ -1,8 +1,9 @@
 """Command-line front end: simulate, verify, sweep, converge.
 
-Exit codes: 0 success, 1 unusable configuration, 2 truncation-insufficient
-(or a convergence run that did not converge), 3 invariant violation during a
-run, 4 unresolved formula verdicts from verify.
+Exit codes: 0 success, 1 unusable configuration (or an array too large to
+allocate), 2 truncation-insufficient (or a convergence run that did not
+converge), 3 invariant violation during a run, 4 unresolved formula verdicts
+from verify.
 
 Each setting's type, default and help text are in ``_SETTINGS``.  A config
 file may set any key for any command, but each command has flags only for the
@@ -39,7 +40,6 @@ import numpy as np
 from .fock import (
     DEFAULT_DEFICIT_THRESHOLD,
     SqueezedInput,
-    Truncation,
     TruncationError,
     squeezed_amplitudes,
     squeezed_coherent_state,
@@ -64,7 +64,7 @@ from .observables import (
 )
 from .oracle import evolve_checked
 from .propagator import ModelParams
-from .verify import discrepancy_report
+from .verify import TOL_ALGEBRAIC, TOL_ORACLE, discrepancy_report
 
 # bounds of the auto cutoff; the ceiling also caps an explicit cutoff, and so
 # bounds the oracle's eigensolve time, which grows as about n_max^2.6
@@ -111,8 +111,10 @@ _SETTINGS = {
     ),
     "sources": (str, ",".join(SOURCES), "comma list from: " + ", ".join(SOURCES)),
     "out": (str, None, "output file path"),
-    "tol_algebraic": (float, 1e-8, "largest |closed form - moment map| a CONFIRMED verdict allows"),
-    "tol_oracle": (float, 1e-6, "oracle slack beyond each form's truncation term"),
+    "tol_algebraic": (
+        float, TOL_ALGEBRAIC, "largest |closed form - moment map| a CONFIRMED verdict allows"
+    ),
+    "tol_oracle": (float, TOL_ORACLE, "oracle slack beyond each form's truncation term"),
 }
 _DEFAULTS = {key: default for key, (_, default, _) in _SETTINGS.items()}
 
@@ -184,7 +186,7 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
 def auto_n_max(inp: SqueezedInput) -> int:
     """Smallest cutoff >= DEFAULT_N_MAX_FLOOR whose exact tail passes the deficit
     check; it sums the same amplitudes the same way, so the check accepts it."""
-    tails = truncation_tails(squeezed_amplitudes(inp, Truncation(DEFAULT_N_MAX_CEILING)))
+    tails = truncation_tails(squeezed_amplitudes(inp, DEFAULT_N_MAX_CEILING))
     fits = np.flatnonzero(tails[DEFAULT_N_MAX_FLOOR:] <= DEFAULT_DEFICIT_THRESHOLD)
     if len(fits) == 0:
         raise TruncationError(
@@ -219,15 +221,13 @@ def build_run_config(settings: dict) -> RunConfig:
     n_max = settings["n_max"]
     if n_max is None:
         n_max = auto_n_max(inp)
+    elif n_max < 1:
+        raise UsageError(f"n_max must be an integer >= 1, got {n_max!r}")
     elif n_max > DEFAULT_N_MAX_CEILING:
         raise UsageError(
             f"n_max must be at most {DEFAULT_N_MAX_CEILING}, the auto cutoff's ceiling; "
             f"got {n_max}"
         )
-    try:
-        truncation = Truncation(int(n_max))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     steps = int(settings["steps"])
     if steps < 2:
         raise UsageError(f"steps must be >= 2, got {steps}")
@@ -243,7 +243,7 @@ def build_run_config(settings: dict) -> RunConfig:
     # canonical source order regardless of how the list was written
     sources = tuple(s for s in SOURCES if s in sources)
     return RunConfig(
-        scenario=ScenarioConfig(params, inp, truncation),
+        scenario=ScenarioConfig(params, inp, n_max),
         t_max=t_max,
         steps=steps,
         sources=sources,
@@ -390,7 +390,7 @@ def simulate_rows(run: RunConfig, light, oracle, prefix: str = ""):
         check_table(table, grid, source, gaps)
 
     physics = ",%.17g" * len(PHYSICS_COLUMNS)
-    n_max = scenario.truncation.n_max
+    n_max = scenario.n_max
     tail = _fmt(top_decile_mass(light))
     template = "".join(f"{prefix}%.17g,{source}{physics},{n_max},{tail}\n" for source in tables)
     own = np.arange(len(tables) * len(PHYSICS_COLUMNS)).reshape(len(tables), -1) + 1
@@ -406,7 +406,7 @@ def _write_scenarios(runs: list[RunConfig], prefixes: list[str], header, out: st
     ):
         raise UsageError("literal-paper fills no column here; select moment-map or oracle too")
     # the input also supplies the per-row tail diagnostic, which gates nothing
-    lights = [squeezed_coherent_state(run.scenario.input, run.scenario.truncation) for run in runs]
+    lights = [squeezed_coherent_state(run.scenario.input, run.scenario.n_max) for run in runs]
     oracle = [None] * len(runs)
     if SOURCE_ORACLE in runs[0].sources:
         pairs = [(run.scenario.params, light) for run, light in zip(runs, lights)]
@@ -428,12 +428,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     run = build_run_config(_resolve_settings(args))
-    report = discrepancy_report(
-        run.scenario,
-        run.time_grid(),
-        tol_algebraic=run.tol_algebraic,
-        tol_oracle=run.tol_oracle,
-    )
+    report = discrepancy_report(run.scenario, run.time_grid(), run.tol_algebraic, run.tol_oracle)
     out = run.out or "verify.txt"
     with _open_output(out) as handle:
         handle.write(report.render())
@@ -497,14 +492,14 @@ def cmd_converge(args: argparse.Namespace) -> int:
     for n_max in n_max_list:
         with contextlib.suppress(TruncationError):
             lights[n_max] = squeezed_coherent_state(
-                run.scenario.input, Truncation(n_max), deficit_threshold=REPORTED_DEFICIT
+                run.scenario.input, n_max, deficit_threshold=REPORTED_DEFICIT
             )
     checked = evolve_checked([(params, light) for light in lights.values()], grid)
     physics = {n_max: physics_table(*moments) for n_max, (moments, _) in zip(lights, checked)}
     for table in physics.values():
         check_table(table, grid, SOURCE_ORACLE)
     # tails[n] is the deficit each cutoff's own check summed: the same prefix, bit for bit
-    tails = truncation_tails(squeezed_amplitudes(run.scenario.input, Truncation(n_max_list[-1])))
+    tails = truncation_tails(squeezed_amplitudes(run.scenario.input, n_max_list[-1]))
     ok = {n for n in lights if tails[n] <= DEFAULT_DEFICIT_THRESHOLD}
     pairs = list(zip(n_max_list, n_max_list[1:]))
     deltas = [_max_delta(physics.get(prev), physics.get(curr)) for prev, curr in pairs]
@@ -586,6 +581,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an array too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except TruncationError as exc:
         print(f"truncation-insufficient: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Truncated Fock-space machinery for one bosonic mode.
 
-A state is its complex amplitude array c_0 .. c_{n_max} over number states;
-its cutoff is its length less one.  The constructor gates the exact norm
-deficit (``truncation_tails``) and returns the renormalised array; the
-top-decile tail mass (``top_decile_mass``) is reported and gates nothing.
+A cutoff is the int n_max, the highest occupation kept.  A state is its
+complex amplitude array c_0 .. c_{n_max} over number states, so its cutoff is
+its length less one.  The constructor gates the exact norm deficit
+(``truncation_tails``) and returns the renormalised array; the top-decile tail
+mass (``top_decile_mass``) is reported and gates nothing.
 """
 
 from __future__ import annotations
@@ -19,21 +20,6 @@ DEFAULT_DEFICIT_THRESHOLD = 1e-8
 
 class TruncationError(RuntimeError):
     """The requested state does not fit the truncated basis to the required accuracy."""
-
-
-@dataclass(frozen=True)
-class Truncation:
-    """Highest Fock occupation retained per mode."""
-
-    n_max: int
-
-    def __post_init__(self) -> None:
-        if int(self.n_max) != self.n_max or self.n_max < 1:
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
 
 
 @dataclass(frozen=True)
@@ -83,7 +69,7 @@ def top_decile_mass(amplitudes: np.ndarray) -> float:
     return float(np.sum(np.abs(amplitudes[-k:]) ** 2))
 
 
-def squeezed_amplitudes(inp: SqueezedInput, truncation: Truncation) -> np.ndarray:
+def squeezed_amplitudes(inp: SqueezedInput, n_max: int) -> np.ndarray:
     """Exact Fock amplitudes c_0 .. c_{n_max} of S D(m)|0>, not renormalised.
 
     The state is the eigenvector of S a S† = a cosh r - adag e^{-2i phi} sinh r
@@ -96,12 +82,12 @@ def squeezed_amplitudes(inp: SqueezedInput, truncation: Truncation) -> np.ndarra
     m = complex(inp.m)
     sech_r = 2.0 * math.exp(-inp.r) / (1.0 + math.exp(-2.0 * inp.r))
     pair = cmath.exp(-2j * inp.phi) * math.tanh(inp.r)
-    amps = np.zeros(truncation.dim, dtype=complex)
+    amps = np.zeros(n_max + 1, dtype=complex)
     amps[0] = math.sqrt(sech_r) * math.exp(
         -0.5 * abs(m) * abs(m) - 0.5 * (pair.conjugate() * m * m).real
     )
     prev, curr = 0j, complex(amps[0])
-    for n in range(1, truncation.dim):
+    for n in range(1, n_max + 1):
         prev, curr = curr, (m * sech_r * curr + pair * math.sqrt(n - 1) * prev) / math.sqrt(n)
         amps[n] = curr
     return amps
@@ -113,9 +99,7 @@ def truncation_tails(amplitudes: np.ndarray) -> np.ndarray:
 
 
 def squeezed_coherent_state(
-    inp: SqueezedInput,
-    truncation: Truncation,
-    deficit_threshold: float = DEFAULT_DEFICIT_THRESHOLD,
+    inp: SqueezedInput, n_max: int, deficit_threshold: float = DEFAULT_DEFICIT_THRESHOLD
 ) -> np.ndarray:
     """Amplitudes c_0 .. c_{n_max} of the squeezed-coherent input, renormalised.
 
@@ -123,12 +107,12 @@ def squeezed_coherent_state(
     of the unrenormalised amplitudes; a deficit above ``deficit_threshold`` (or a
     NaN one) raises TruncationError.
     """
-    amps = squeezed_amplitudes(inp, truncation)
+    amps = squeezed_amplitudes(inp, n_max)
     deficit = float(truncation_tails(amps)[-1])
     if not deficit <= deficit_threshold:
         raise TruncationError(
             f"squeezed state (r={inp.r:.4g}, |m|={abs(inp.m):.4g}) does not fit "
-            f"n_max={truncation.n_max}: norm deficit {deficit:.3e} exceeds "
+            f"n_max={n_max}: norm deficit {deficit:.3e} exceeds "
             f"{deficit_threshold:.1e}"
         )
     amps /= math.sqrt(1.0 - deficit)

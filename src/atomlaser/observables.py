@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import MomentSet, SqueezedInput, Truncation, mode_moments
+from .fock import MomentSet, SqueezedInput, mode_moments
 from .propagator import ModelParams, heisenberg_moment_map, propagator_at
 
 SOURCE_LITERAL = "literal-paper"
@@ -76,11 +76,11 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation setup: model parameters, light-mode input, basis cutoff."""
+    """One simulation setup: model parameters, light-mode input, Fock cutoff n_max."""
 
     params: ModelParams
     input: SqueezedInput
-    truncation: Truncation
+    n_max: int
 
 
 def alpha_pair(r: float) -> tuple[float, float]:
@@ -261,8 +261,11 @@ def real_input(scn: ScenarioConfig) -> bool:
 
 
 def occupied_real_input(scn: ScenarioConfig) -> bool:
-    """A real input that is not the vacuum: the q ratio divides by its occupation."""
-    return real_input(scn) and (scn.input.m != 0 or scn.input.r > 0.0)
+    """A real input whose occupation m^2 (a1 + 2 a2) + sinh^2 r, the q ratio's
+    divisor, is not 0 in floats: it is 0 where m^2 and r^2 (= sinh^2 r there)
+    both underflow.  Tested without sinh, which overflows for r > 710."""
+    m = complex(scn.input.m).real
+    return real_input(scn) and (m * m > 0.0 or scn.input.r**2 > 0.0)
 
 
 def squeezed_vacuum(scn: ScenarioConfig) -> bool:
@@ -483,7 +486,7 @@ def physics_table(a: MomentSet, b: MomentSet) -> np.ndarray:
 
 def moment_map_table(scn: ScenarioConfig, times) -> np.ndarray:
     """The moment-map source: the closed input moments mapped to each time (any detuning)."""
-    u = propagator_at(scn.params, np.asarray(times, dtype=float))
+    u = propagator_at(scn.params, times)
     return physics_table(*heisenberg_moment_map(u, input_moments(scn.input)))
 
 
@@ -508,12 +511,13 @@ def literal_table(scn: ScenarioConfig, times) -> np.ndarray:
     return table
 
 
-def check_table(table: np.ndarray, times, source: str, gaps=(), tol: float = 1e-9) -> None:
+def check_table(table: np.ndarray, times, source: str, gaps=()) -> None:
     """Raise InvariantViolationError on a physically impossible table entry.
 
-    That is a negative number variance, a squeeze coefficient below -1, or a
-    value that is not finite outside a domain gap.  The gaps are the ``gaps``
-    columns and a Mandel Q whose mode mean is at or below Q_MEAN_FLOOR.
+    That is a number variance below 0 or a squeeze coefficient below -1, each
+    by more than 1e-9 of roundoff, or a value that is not finite outside a
+    domain gap.  The gaps are the ``gaps`` columns and a Mandel Q whose mode
+    mean is at or below Q_MEAN_FLOOR.
     """
     col = PHYSICS_COLUMNS.index
     allowed = np.zeros(table.shape, dtype=bool)
@@ -523,7 +527,7 @@ def check_table(table: np.ndarray, times, source: str, gaps=(), tol: float = 1e-
     bound = np.full(len(PHYSICS_COLUMNS), -np.inf)
     bound[[col("na_var"), col("nb_var")]] = 0.0
     bound[[col(name) for name in ("s1a", "s2a", "s1b", "s2b")]] = -1.0
-    bad = ~(np.isfinite(table) | allowed) | (table < bound - tol)
+    bad = ~(np.isfinite(table) | allowed) | (table < bound - 1e-9)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         value = table[i, j]

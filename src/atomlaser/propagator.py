@@ -43,37 +43,16 @@ class ModelParams:
         """Exact on purpose: any detuning is a domain gap for the literal forms."""
         return self.omega0 == self.omega_a
 
-    @property
-    def omega_mean(self) -> float:
-        return 0.5 * (self.omega0 + self.omega_a)
 
+def propagator_at(params: ModelParams, t) -> np.ndarray:
+    """Transfer matrices at time(s) t, shaped ``t.shape + (2, 2)``: rows give
+    b(t), a(t) in terms of b(0), a(0).
 
-@dataclass(frozen=True)
-class PropagatorMatrix:
-    """Unitary 2x2 transfer matrices for (b, a) plus the overall free phase.
-
-    ``entries`` has shape ``t.shape + (2, 2)`` and ``global_phase`` shape
-    ``t.shape``, so a scalar time gives one 2x2 matrix.
-    """
-
-    entries: np.ndarray
-    global_phase: np.ndarray
-    t: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The full coefficient matrices including the global phase."""
-        return self.global_phase[..., None, None] * self.entries
-
-
-def propagator_at(params: ModelParams, t) -> PropagatorMatrix:
-    """Transfer matrix at time(s) t: rows give b(t), a(t) in terms of b(0), a(0).
-
-    entries = [[lam_minus, -i eta e^{-i theta}],
-               [-i eta e^{+i theta}, lam_plus]]
-    with lam_pm = cos(I t) +/- i sin(varphi) sin(I t), eta = cos(varphi) sin(I t),
-    all times the global phase e^{-i (omega0 + omega_a) t / 2}.  At resonance
-    this reduces to the plain Rabi rotation cos/sin(omega_r t).
+    The matrix is e^{-i (omega0 + omega_a) t / 2} times
+        [[lam_minus, -i eta e^{-i theta}],
+         [-i eta e^{+i theta}, lam_plus]]
+    with lam_pm = cos(I t) +/- i sin(varphi) sin(I t) and eta = cos(varphi) sin(I t).
+    At resonance the bracket reduces to the plain Rabi rotation cos/sin(omega_r t).
     """
     t = np.asarray(t, dtype=float)
     half = 0.5 * (params.omega0 - params.omega_a)
@@ -86,15 +65,15 @@ def propagator_at(params: ModelParams, t) -> PropagatorMatrix:
     lam_plus = cos_it + 1j * sin_v * sin_it
     eta = cos_v * sin_it
     phase = np.exp(-1j * params.theta)
-    entries = np.stack(
+    rotation = np.stack(
         (
             np.stack((lam_minus, -1j * eta * phase), axis=-1),
             np.stack((-1j * eta * np.conj(phase), lam_plus), axis=-1),
         ),
         axis=-2,
     )
-    global_phase = np.exp(-1j * params.omega_mean * t)
-    return PropagatorMatrix(entries, global_phase, t)
+    global_phase = np.exp(-1j * (0.5 * (params.omega0 + params.omega_a)) * t)
+    return global_phase[..., None, None] * rotation
 
 
 def conversion_times(params: ModelParams, count: int) -> np.ndarray:
@@ -104,9 +83,7 @@ def conversion_times(params: ModelParams, count: int) -> np.ndarray:
     return (np.arange(count) + 0.5) * math.pi / params.omega_r
 
 
-def heisenberg_moment_map(
-    u: PropagatorMatrix, initial_a: MomentSet
-) -> tuple[MomentSet, MomentSet]:
+def heisenberg_moment_map(u: np.ndarray, initial_a: MomentSet) -> tuple[MomentSet, MomentSet]:
     """Map the light mode's initial moments through c(t) = alpha b(0) + beta a(0).
 
     The atom mode starts in vacuum (that is the modelled preparation), so
@@ -118,10 +95,11 @@ def heisenberg_moment_map(
         <c†c>     = |beta|^2 <a†a>
         <(c†c)^2> = |beta|^4 <(a†a)^2> + |alpha|^2 |beta|^2 <a†a>
 
-    Returns the pair (a(t) moments, b(t) moments), each field shaped like
-    ``u.t``.  Exact for any unitary transfer matrix, resonant or detuned.
+    ``u`` holds the transfer matrices from ``propagator_at``, shaped
+    ``T + (2, 2)`` for times of shape T.  Returns the pair (a(t) moments, b(t)
+    moments), each field shaped T.  Exact for any unitary transfer matrix,
+    resonant or detuned.
     """
-    full = u.matrix
 
     def transform(alpha, beta) -> MomentSet:
         weight = np.abs(beta) ** 2
@@ -133,6 +111,6 @@ def heisenberg_moment_map(
             + np.abs(alpha) ** 2 * weight * initial_a.number_mean,
         )
 
-    b_t = transform(full[..., 0, 0], full[..., 0, 1])
-    a_t = transform(full[..., 1, 0], full[..., 1, 1])
+    b_t = transform(u[..., 0, 0], u[..., 0, 1])
+    a_t = transform(u[..., 1, 0], u[..., 1, 1])
     return a_t, b_t

@@ -58,10 +58,15 @@ _MIN_SIGNAL_SIN2 = 0.2
 
 # the most conversion and phase anchor times (counted before the sin^2
 # filter) one report evaluates.  The oracle evolves every anchor, and its
-# time grows linearly with their number: measured on 2 cores with one BLAS
-# thread, verify --omega0 1e4 --omega-a 1e4 counts 40,000 and takes 2-3 s,
-# and --omega0 2.4e4, just under this cap, takes about 6 s.
+# time grows linearly with their number: measured as fresh processes on 2
+# cores with one BLAS thread, verify --omega0 1e4 --omega-a 1e4 counts 40,000
+# and takes 1.4-1.6 s, and --omega0 2.4e4, just under this cap, 2.9-3.6 s.
 MAX_ANCHOR_TIMES = 100_000
+
+# default tolerances: the largest |closed form - moment map| of a CONFIRMED
+# verdict, and the oracle slack beyond each form's truncation term
+TOL_ALGEBRAIC = 1e-8
+TOL_ORACLE = 1e-6
 
 _PHASE_OFFSET = {ALIGNED: 0.0, CROSSED: 0.5 * math.pi}
 
@@ -107,7 +112,7 @@ class DiscrepancyReport:
                 _g(scn.params.omega0),
                 _g(scn.params.omega_a),
                 _g(scn.params.omega_r),
-                scn.truncation.n_max,
+                scn.n_max,
             )
         )
         lines.append(
@@ -224,8 +229,8 @@ def _verdict(
 def discrepancy_report(
     scn: ScenarioConfig,
     time_grid,
-    tol_algebraic: float = 1e-8,
-    tol_oracle: float = 1e-6,
+    tol_algebraic: float = TOL_ALGEBRAIC,
+    tol_oracle: float = TOL_ORACLE,
 ) -> DiscrepancyReport:
     """Check every in-domain registered formula and return the verdict table."""
     grid = np.unique(np.asarray(time_grid, dtype=float))
@@ -240,7 +245,7 @@ def discrepancy_report(
     all_times = np.concatenate((grid, np.setdiff1d(np.concatenate(list(anchors.values())), grid)))
     order = np.argsort(all_times)
 
-    light = squeezed_coherent_state(scn.input, scn.truncation)
+    light = squeezed_coherent_state(scn.input, scn.n_max)
     [(oracle, truncated)] = evolve_checked([(scn.params, light)], all_times)
     mapped = heisenberg_moment_map(propagator_at(scn.params, all_times), input_moments(scn.input))
 

@@ -34,7 +34,7 @@ import time
 import numpy as np
 
 from atomlaser.cli import main
-from atomlaser.fock import SqueezedInput, Truncation, squeezed_coherent_state
+from atomlaser.fock import SqueezedInput, squeezed_coherent_state
 from atomlaser.observables import (
     PHYSICS_COLUMNS,
     ScenarioConfig,
@@ -60,11 +60,11 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def default_scenario(n_max=64):
-    return ScenarioConfig(RESONANT, SqueezedInput(1.0), Truncation(n_max))
+    return ScenarioConfig(RESONANT, SqueezedInput(1.0), n_max)
 
 
 def run_oracle(cfg, times):
-    return evolve(cfg.params, squeezed_coherent_state(cfg.input, cfg.truncation), times)
+    return evolve(cfg.params, squeezed_coherent_state(cfg.input, cfg.n_max), times)
 
 
 def columns(table):
@@ -143,7 +143,6 @@ def test_criterion_4_detuned_propagator_validation():
     """20 random detuned parameter sets: oracle first moments match the
     transfer matrix within 1e-8 at 10 times each."""
     rng = np.random.default_rng(20250809)
-    truncation = Truncation(40)
     worst = 0.0
     for _ in range(20):
         while True:
@@ -156,9 +155,9 @@ def test_criterion_4_detuned_propagator_validation():
         )
         m = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
         times = np.sort(rng.uniform(0.0, 10.0, size=10))
-        light = squeezed_coherent_state(SqueezedInput(0.0, m=m), truncation)
+        light = squeezed_coherent_state(SqueezedInput(0.0, m=m), 40)
         a, b = evolve(params, light, times).moments
-        u = propagator_at(params, times).matrix
+        u = propagator_at(params, times)
         worst = max(
             worst,
             np.max(np.abs(b.mean_amp - u[:, 0, 1] * m)),
@@ -188,12 +187,12 @@ def test_criterion_5_invariant_suite():
         u = propagator_at(params, t)
         worst_unitarity = max(
             worst_unitarity,
-            float(np.max(np.abs(u.entries @ u.entries.conj().T - np.eye(2)))),
+            float(np.max(np.abs(u @ u.conj().T - np.eye(2)))),
         )
         big_i = math.hypot(params.omega_r, 0.5 * (params.omega0 - params.omega_a))
         eta = params.omega_r / big_i * math.sin(big_i * t)  # cos(varphi) sin(I t)
         worst_identity = max(
-            worst_identity, abs(abs(u.entries[0, 0]) ** 2 + eta**2 - 1.0)
+            worst_identity, abs(abs(u[0, 0]) ** 2 + eta**2 - 1.0)
         )
 
     scenarios = [
@@ -205,7 +204,7 @@ def test_criterion_5_invariant_suite():
     worst_ntotal = 0.0
     worst_pair = math.inf
     for params, inp in scenarios:
-        cfg = ScenarioConfig(params, inp, Truncation(72))
+        cfg = ScenarioConfig(params, inp, 72)
         result = run_oracle(cfg, np.linspace(0.0, 8.0, 9))
         worst_norm = max(worst_norm, result.norm_drift)
         worst_ntotal = max(worst_ntotal, result.ntotal_drift)

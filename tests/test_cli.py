@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from atomlaser import cli
 from atomlaser import oracle as oracle_module
 from atomlaser.cli import DEFAULT_N_MAX_FLOOR, auto_n_max, main
-from atomlaser.fock import SqueezedInput, Truncation, TruncationError, squeezed_coherent_state
+from atomlaser.fock import SqueezedInput, TruncationError, squeezed_coherent_state
 from atomlaser.observables import CSV_COLUMNS, PHYSICS_COLUMNS
 from atomlaser.oracle import evolve_many
 
@@ -110,10 +110,11 @@ def test_config_file_with_flag_override(tmp_path):
         ("# scenario\nr 0.4\n", 2, "expected 'key = value'"),
         ("r = 0.4\nphi = half\n", 2, "bad float for phi: 'half'"),
         ("steps = 3.5\n", 1, "bad integer for steps: '3.5'"),
+        ("n_max = 2.5\n", 1, "bad integer for n_max: '2.5'"),
         (None, None, "cannot read config"),
         ("r = 0.4\n\nvolume = 2  # no such key\n", 3, "unknown key 'volume'"),
     ],
-    ids=["no-equals", "bad-float", "bad-integer", "missing-file", "unknown-key"],
+    ids=["no-equals", "bad-float", "bad-integer", "bad-cutoff", "missing-file", "unknown-key"],
 )
 def test_config_file_errors_name_the_file_and_line(tmp_path, capsys, text, line, message):
     cfg = tmp_path / "run.cfg"
@@ -425,10 +426,10 @@ def test_auto_n_max_is_the_smallest_cutoff_the_deficit_check_accepts(r, m, expec
     inp = SqueezedInput(r, m=m)
     n_max = auto_n_max(inp)
     assert n_max == expected
-    squeezed_coherent_state(inp, Truncation(n_max))
+    squeezed_coherent_state(inp, n_max)
     if n_max > DEFAULT_N_MAX_FLOOR:
         with pytest.raises(TruncationError):
-            squeezed_coherent_state(inp, Truncation(n_max - 1))
+            squeezed_coherent_state(inp, n_max - 1)
 
 
 @pytest.mark.parametrize("r, n_max", [("1.25", "100"), ("1.5", "164")])
@@ -787,6 +788,22 @@ def test_an_explicit_cutoff_above_the_ceiling_is_a_config_error(
         raise AssertionError("the oracle ran past the cutoff ceiling")
 
     monkeypatch.setattr(oracle_module, "evolve_many", must_not_run)
+    assert_cutoff_refused(tmp_path, capsys, argv, config, "at most 512")
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [(("simulate", "--n-max", "0"), None), (("simulate", "--n-max", "-3"), None),
+     (("verify",), "n_max = 0\n")],
+    ids=["flag-0", "flag--3", "config-0"],
+)
+def test_a_cutoff_below_one_is_a_config_error(tmp_path, capsys, argv, config):
+    assert_cutoff_refused(tmp_path, capsys, argv, config, "n_max must be an integer >= 1")
+
+
+def assert_cutoff_refused(tmp_path, capsys, argv, config, message):
+    """argv, with ``config`` as its config file if given, exits 1 with one
+    ``error:`` line holding ``message`` and writes no file."""
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
         argv += ("--config", str(tmp_path / "run.cfg"))
@@ -794,13 +811,57 @@ def test_an_explicit_cutoff_above_the_ceiling_is_a_config_error(
     assert run(*argv, "--out", str(out)) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
-    assert "at most 512" in err[0]
+    assert message in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("simulate", "--r", "1e-170"), ("simulate", "--r", "0", "--m-re", "1e-200"),
+     ("verify", "--r", "1e-170")],
+    ids=["simulate-r", "simulate-m", "verify-r"],
+)
+def test_an_input_whose_occupation_underflows_runs(tmp_path, capsys, argv):
+    # sinh^2 r and m^2 underflow to 0 here, so the q ratio's occupation is 0
+    # and the real-input q forms are out of domain
+    out = tmp_path / "out.txt"
+    assert run(*argv, "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify",), ("simulate", "--sources", "literal-paper")],
+    ids=["verify", "simulate"],
+)
+def test_an_input_whose_sinh_overflows_is_truncation_insufficient(tmp_path, capsys, argv):
+    # sinh 800 overflows a float; the domain predicates must not evaluate it
+    out = tmp_path / "out.txt"
+    assert run(*argv, "--r", "800", "--n-max", "64", "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("truncation-insufficient:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("simulate",), ("verify",), ("converge", "--values", "8,16")],
+    ids=["simulate", "verify", "converge"],
+)
+def test_a_grid_too_large_to_allocate_is_a_config_error(tmp_path, capsys, argv):
+    # 10**18 grid times need 8e18 bytes, more than any address space holds,
+    # so the allocation fails at once under every overcommit policy
+    out = tmp_path / "out.txt"
+    assert run(*argv, "--steps", str(10**18), "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory:")
     assert not out.exists()
 
 
 def test_the_ceiling_itself_is_an_allowed_cutoff():
     run_config = cli.build_run_config({**cli._DEFAULTS, "n_max": cli.DEFAULT_N_MAX_CEILING})
-    assert run_config.scenario.truncation.n_max == cli.DEFAULT_N_MAX_CEILING
+    assert run_config.scenario.n_max == cli.DEFAULT_N_MAX_CEILING
 
 
 # argv fragments for the fuzz test below.  Grids stay at most 64 steps and

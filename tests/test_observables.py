@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from atomlaser.fock import (
     MomentSet,
     SqueezedInput,
-    Truncation,
     mode_moments,
     squeezed_coherent_state,
 )
@@ -48,11 +47,11 @@ RESONANT = ModelParams(4.0, 4.0, 1.0, 0.0)
 
 
 def scenario(r=1.0, phi=0.0, m=0j, params=RESONANT, n_max=64):
-    return ScenarioConfig(params, SqueezedInput(r, phi, m), Truncation(n_max))
+    return ScenarioConfig(params, SqueezedInput(r, phi, m), n_max)
 
 
 def coherent_moments(m, n_max=48):
-    return mode_moments(squeezed_coherent_state(SqueezedInput(0.0, m=m), Truncation(n_max)))
+    return mode_moments(squeezed_coherent_state(SqueezedInput(0.0, m=m), n_max))
 
 
 def columns(table):
@@ -131,7 +130,7 @@ def test_mandel_q_coherent_is_poisson():
 
 
 def test_mandel_q_squeezed_vacuum():
-    moments = mode_moments(squeezed_coherent_state(SqueezedInput(1.0), Truncation(96)))
+    moments = mode_moments(squeezed_coherent_state(SqueezedInput(1.0), 96))
     assert abs(mandel_q(moments) - math.cosh(2.0)) < 1e-8
 
 
@@ -177,7 +176,7 @@ def test_squeeze_coeffs_vacuum():
 def test_squeeze_coeffs_squeezed_vacuum_pair():
     # minimum-uncertainty pair (e^{2r} - 1, e^{-2r} - 1): X2 squeezed, X1
     # anti-squeezed under the +<a^2> sign convention
-    moments = mode_moments(squeezed_coherent_state(SqueezedInput(1.0), Truncation(96)))
+    moments = mode_moments(squeezed_coherent_state(SqueezedInput(1.0), 96))
     s1, s2 = squeeze_coeffs(moments)
     assert abs(s1 - (math.exp(2.0) - 1.0)) < 1e-7
     assert abs(s2 - (math.exp(-2.0) - 1.0)) < 1e-7

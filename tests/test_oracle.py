@@ -20,7 +20,6 @@ from atomlaser.cli import main
 from atomlaser.fock import (
     MomentSet,
     SqueezedInput,
-    Truncation,
     mode_moments,
     squeezed_coherent_state,
 )
@@ -53,9 +52,8 @@ def dense_reference(params, light, times):
     """(light, atom) moment arrays [<c>, <c^2>, <c†c>, <(c†c)^2>] per time from
     expm(-iHt) applied to |0>_b x light, with H built in full over the flat
     index n_b * (n_max + 1) + n_a."""
-    tr = Truncation(len(light) - 1)
-    lower = ladder_matrix(tr)
-    eye = np.eye(tr.dim)
+    lower = ladder_matrix(len(light) - 1)
+    eye = np.eye(len(light))
     a = np.kron(eye, lower)
     b = np.kron(lower, eye)
     hop = np.exp(-1j * params.theta) * a @ b.conj().T
@@ -64,7 +62,7 @@ def dense_reference(params, light, times):
         + params.omega_a * a.conj().T @ a
         + params.omega_r * (hop + hop.conj().T)
     )
-    atom_vacuum = np.zeros(tr.dim)
+    atom_vacuum = np.zeros(len(light))
     atom_vacuum[0] = 1.0
     psi0 = np.kron(atom_vacuum, light)
     out = []
@@ -137,7 +135,7 @@ def test_evolve_returns_the_moments_in_the_order_of_its_times(params):
     # a grid, then extras before its end; any permutation of these times permutes
     # the moments, though it leaves the blocks no grid part to step through
     times = np.concatenate((0.25 * np.arange(24), [0.1, 5.9, np.nextafter(2.0, 0.0), 3.3]))
-    light = squeezed_coherent_state(SqueezedInput(0.6, 0.2, 0.4 - 0.3j), Truncation(40))
+    light = squeezed_coherent_state(SqueezedInput(0.6, 0.2, 0.4 - 0.3j), 40)
     order = np.random.default_rng(5).permutation(len(times))
     given = evolve(params, light, times)
     permuted = evolve(params, light, times[order])
@@ -336,7 +334,7 @@ def test_grid_plus_extra_phases_match_direct_exponentials(times, grid):
 
 
 def test_evolve_at_time_zero_returns_input():
-    light = coherent_state(1.0, Truncation(24))
+    light = coherent_state(1.0, 24)
     a, b = evolve(RESONANT, light, [0.0]).moments
     for got, want in ((a, mode_moments(light)), (b, MomentSet(0j, 0j, 0.0, 0.0))):
         assert abs(got.mean_amp[0] - want.mean_amp) < 1e-14
@@ -348,8 +346,7 @@ def test_evolve_at_time_zero_returns_input():
 def test_evolve_single_photon_rabi_swap():
     # one excitation: the block is [[w, w_r], [w_r, w]] with eigenvalues
     # w -/+ w_r; at w_r t = pi/2 the photon becomes an atom exactly
-    tr = Truncation(3)
-    amps = np.zeros(tr.dim, dtype=complex)
+    amps = np.zeros(4, dtype=complex)
     amps[1] = 1.0
     a, b = evolve(RESONANT, amps, [math.pi / 2]).moments
     assert abs(b.number_mean[0] - 1.0) < 1e-12
@@ -358,8 +355,8 @@ def test_evolve_single_photon_rabi_swap():
 
 
 def test_evolve_squeezed_vacuum_complete_conversion():
-    cfg = ScenarioConfig(RESONANT, SqueezedInput(1.0), Truncation(64))
-    light = squeezed_coherent_state(cfg.input, cfg.truncation)
+    cfg = ScenarioConfig(RESONANT, SqueezedInput(1.0), 64)
+    light = squeezed_coherent_state(cfg.input, cfg.n_max)
     a, b = evolve(cfg.params, light, [math.pi / 2]).moments
     assert abs(b.number_mean[0] - math.sinh(1.0) ** 2) < 1e-6
     assert a.number_mean[0] <= 1e-8
@@ -369,9 +366,9 @@ def test_evolve_conservation_and_block_invariance():
     # per-block probability is not observable from the moments; the dense
     # expm reference above checks the block structure instead
     cfg = ScenarioConfig(
-        ModelParams(5.0, 3.5, 1.2, 0.9), SqueezedInput(0.8, 0.3, 0.4 - 0.2j), Truncation(64)
+        ModelParams(5.0, 3.5, 1.2, 0.9), SqueezedInput(0.8, 0.3, 0.4 - 0.2j), 64
     )
-    light = squeezed_coherent_state(cfg.input, cfg.truncation)
+    light = squeezed_coherent_state(cfg.input, cfg.n_max)
     result = evolve(cfg.params, light, np.linspace(0.0, 6.0, 9))
     assert result.norm_drift <= 1e-10
     assert result.ntotal_drift <= 1e-9
@@ -379,7 +376,6 @@ def test_evolve_conservation_and_block_invariance():
 
 def test_oracle_first_moments_match_transfer_matrix_detuned():
     rng = np.random.default_rng(31)
-    tr = Truncation(40)
     for _ in range(6):
         params = ModelParams(
             omega0=float(rng.uniform(0.0, 8.0)),
@@ -389,8 +385,8 @@ def test_oracle_first_moments_match_transfer_matrix_detuned():
         )
         m = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
         times = np.sort(rng.uniform(0.0, 8.0, size=5))
-        a, b = evolve(params, coherent_state(m, tr), times).moments
-        u = propagator_at(params, times).matrix
+        a, b = evolve(params, coherent_state(m, 40), times).moments
+        u = propagator_at(params, times)
         assert np.max(np.abs(b.mean_amp - u[:, 0, 1] * m)) < 1e-8
         assert np.max(np.abs(a.mean_amp - u[:, 1, 1] * m)) < 1e-8
 
@@ -404,8 +400,8 @@ def test_oracle_matches_moment_map_records(params):
     # same truncated input, two independent routes: the closed moment map and
     # the block evolution must agree at rounding level because the dynamics
     # never leaves the complete blocks
-    cfg = ScenarioConfig(params, SqueezedInput(0.9, 0.2, 0.3 + 0.4j), Truncation(72))
-    light = squeezed_coherent_state(cfg.input, cfg.truncation)
+    cfg = ScenarioConfig(params, SqueezedInput(0.9, 0.2, 0.3 + 0.4j), 72)
+    light = squeezed_coherent_state(cfg.input, cfg.n_max)
     times = np.linspace(0.0, 5.0, 7)
     oracle = physics_table(*evolve(params, light, times).moments)
     mapped = physics_table(
@@ -419,8 +415,8 @@ def test_oracle_matches_moment_map_records(params):
 def test_oracle_matches_enlarged_map_at_converged_truncation():
     # with effectively exact map inputs the two sources agree within the
     # oracle's truncation tolerance
-    cfg = ScenarioConfig(RESONANT, SqueezedInput(0.5, 0.0, 0.2), Truncation(64))
-    light = squeezed_coherent_state(cfg.input, cfg.truncation)
+    cfg = ScenarioConfig(RESONANT, SqueezedInput(0.5, 0.0, 0.2), 64)
+    light = squeezed_coherent_state(cfg.input, cfg.n_max)
     times = np.linspace(0.0, 2 * math.pi, 12)
     got = physics_table(*evolve(cfg.params, light, times).moments)
     expected = moment_map_table(cfg, times)
@@ -429,7 +425,7 @@ def test_oracle_matches_enlarged_map_at_converged_truncation():
 
 
 def test_evolve_validates_times():
-    light = coherent_state(0.5, Truncation(16))
+    light = coherent_state(0.5, 16)
     for bad in ([], [[0.0, 1.0]]):
         with pytest.raises(ValueError, match="1-d"):
             evolve(RESONANT, light, bad)
@@ -441,7 +437,7 @@ def test_evolve_validates_times():
 
 
 def test_evolve_rejects_blocks_that_are_not_finite():
-    light = coherent_state(0.5, Truncation(16))
+    light = coherent_state(0.5, 16)
     with np.errstate(over="ignore"), pytest.raises(InvariantViolationError, match="not finite"):
         evolve(ModelParams(1e308, 1e308, 1.0), light, [0.0, 1.0])
 
@@ -460,20 +456,20 @@ def test_evolve_memory_stays_linear_in_times():
     # the moments stream block by block, so 2000 times at n_max = 64 need only
     # a few (times, n_max) arrays; holding every state would take 262 MB
     times = np.linspace(0.0, 2 * math.pi, 2000)
-    vacuum = squeezed_coherent_state(SqueezedInput(1.0), Truncation(64))
+    vacuum = squeezed_coherent_state(SqueezedInput(1.0), 64)
     assert evolve_peak(vacuum, times) < 32 * 2**20
     # a pass holds one phase buffer and a ring of three amplitude blocks, each about
     # one unit, even when every block is populated and both ladder folds run
     unit = 65 * len(times) * 16
-    filled = squeezed_coherent_state(SqueezedInput(0.6, 0.0, 0.5 - 0.4j), Truncation(64))
+    filled = squeezed_coherent_state(SqueezedInput(0.6, 0.0, 0.5 - 0.4j), 64)
     assert evolve_peak(filled, times) <= 4.5 * unit
 
 
 MIXED_LIGHTS = [
     # m = 0 fills the even blocks only; the others fill every block
-    squeezed_coherent_state(SqueezedInput(0.8), Truncation(40)),
-    squeezed_coherent_state(SqueezedInput(0.6, 0.0, 0.5 - 0.4j), Truncation(48)),
-    squeezed_coherent_state(SqueezedInput(0.7, 1.1, 0.3), Truncation(56)),
+    squeezed_coherent_state(SqueezedInput(0.8), 40),
+    squeezed_coherent_state(SqueezedInput(0.6, 0.0, 0.5 - 0.4j), 48),
+    squeezed_coherent_state(SqueezedInput(0.7, 1.1, 0.3), 56),
 ]
 
 
@@ -572,7 +568,7 @@ def test_oracle_is_the_moment_map_of_its_truncated_input(
     # occupation, obeys the uncertainty relation, and equals the moment map
     params = ModelParams(omega0, omega0 + detuning, 1.0, theta)
     inp = SqueezedInput(r, phi, m)
-    light = squeezed_coherent_state(inp, Truncation(n_max), deficit_threshold=0.5)
+    light = squeezed_coherent_state(inp, n_max, deficit_threshold=0.5)
     times = np.sort(times)
     result = evolve(params, light, times)
     check_dynamics(params, light, result.moments, times)
@@ -585,7 +581,7 @@ def test_oracle_is_the_moment_map_of_its_truncated_input(
 
 @pytest.mark.parametrize("field, value", [("number_sq", 1e-6), ("mean_amp", math.nan)])
 def test_check_dynamics_names_the_mode_the_moment_and_the_time(field, value):
-    light = squeezed_coherent_state(SqueezedInput(0.5, m=0.3), Truncation(40))
+    light = squeezed_coherent_state(SqueezedInput(0.5, m=0.3), 40)
     times = np.linspace(0.0, 2.0, 5)
     params = ModelParams(4.0, 4.0, 1.0, 0.7)
     light_t, atom_t = evolve(params, light, times).moments

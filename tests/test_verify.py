@@ -9,7 +9,7 @@ import pytest
 
 from atomlaser import oracle
 from atomlaser.cli import main
-from atomlaser.fock import SqueezedInput, Truncation, mode_moments, squeezed_coherent_state
+from atomlaser.fock import SqueezedInput, mode_moments, squeezed_coherent_state
 from atomlaser.observables import (
     ALIGNED,
     CONVERSION,
@@ -58,7 +58,7 @@ EXPECTED_DEFAULT_VERDICTS = {
 @pytest.fixture(scope="module")
 def default_report():
     scn = ScenarioConfig(
-        ModelParams(4.0, 4.0, 1.0, 0.0), SqueezedInput(1.0), Truncation(64)
+        ModelParams(4.0, 4.0, 1.0, 0.0), SqueezedInput(1.0), 64
     )
     return discrepancy_report(scn, DEFAULT_GRID)
 
@@ -88,7 +88,7 @@ def test_confirmed_checks_also_match_moment_map(default_report):
 def truncation_terms(scn, grid):
     """Each in-domain entry's |observable(map of exact input) - observable(map
     of truncated input)| at its anchor times: the oracle's whole error."""
-    light = squeezed_coherent_state(scn.input, scn.truncation)
+    light = squeezed_coherent_state(scn.input, scn.n_max)
     specs = [spec for spec in FORMULAS if spec.observable is not None and spec.domain(scn)]
     anchors = anchor_times(scn.params, grid, {spec.anchors for spec in specs})
     terms = {}
@@ -107,7 +107,7 @@ def test_tolerance_is_tol_oracle_plus_the_exact_truncation_term(default_report):
         assert term == pytest.approx(terms[check.name], rel=1e-6, abs=1e-15), check.name
         assert 1e-8 < term < 2e-5, check.name  # r = 1 loses something at 64 levels
     # at r = 0.5 the 64 levels lose nothing measurable
-    scn = ScenarioConfig(ModelParams(4.0, 4.0, 1.0, 0.3), SqueezedInput(0.5), Truncation(64))
+    scn = ScenarioConfig(ModelParams(4.0, 4.0, 1.0, 0.3), SqueezedInput(0.5), 64)
     report = discrepancy_report(scn, DEFAULT_GRID)
     assert report.unresolved == 0
     for check in report.checks:
@@ -148,7 +148,7 @@ def test_real_input_scenario_flags_q_numerator():
     scn = ScenarioConfig(
         ModelParams(4.0, 4.0, 1.0, 0.0),
         SqueezedInput(0.6, 0.0, 0.5),
-        Truncation(96),
+        96,
     )
     report = discrepancy_report(scn, np.linspace(0.0, math.pi, 60))
     verdicts = {check.name: check.verdict for check in report.checks}
@@ -162,7 +162,7 @@ def test_real_input_scenario_flags_q_numerator():
 def test_report_requires_resonance():
     # off resonance no registered formula is in its domain
     scn = ScenarioConfig(
-        ModelParams(5.0, 4.0, 1.0, 0.0), SqueezedInput(1.0), Truncation(64)
+        ModelParams(5.0, 4.0, 1.0, 0.0), SqueezedInput(1.0), 64
     )
     with pytest.raises(UsageError, match="no registered formula applies"):
         discrepancy_report(scn, DEFAULT_GRID)
@@ -176,7 +176,7 @@ def test_one_registry_entry_is_one_report_row():
         lambda scn, t: literal_input_number_mean(scn),
         observable=lambda light, atom: light.number_mean + atom.number_mean,
     )
-    scn = ScenarioConfig(ModelParams(4.0, 4.0, 1.0, 0.0), SqueezedInput(0.3), Truncation(32))
+    scn = ScenarioConfig(ModelParams(4.0, 4.0, 1.0, 0.0), SqueezedInput(0.3), 32)
     grid = np.linspace(0.0, math.pi, 20)
     FORMULAS.append(toy)
     try:
