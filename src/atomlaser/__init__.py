@@ -19,12 +19,7 @@ from .observables import (
     squeeze_coeffs,
 )
 from .oracle import EvolutionResult, evolve, evolve_many
-from .propagator import (
-    ModelParams,
-    conversion_times,
-    heisenberg_moment_map,
-    propagator_at,
-)
+from .propagator import ModelParams, heisenberg_moment_map, propagator_at
 from .verify import DiscrepancyReport, discrepancy_report
 
 __version__ = "0.1.0"

@@ -29,9 +29,9 @@ column NaN in all the chunk is NA unformatted, and the grid time once per row.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -487,19 +487,18 @@ def cmd_converge(args: argparse.Namespace) -> int:
     settings["n_max"] = n_max_list[-1]
     run = build_run_config(settings)
     params, grid = run.scenario.params, run.time_grid()
+    # tails[n] is the deficit each cutoff's own check sums: the same prefix, bit for bit
+    tails = truncation_tails(squeezed_amplitudes(run.scenario.input, n_max_list[-1]))
     # the input is rebuilt at each cutoff, and all of them share one oracle pass
-    lights = {}
-    for n_max in n_max_list:
-        with contextlib.suppress(TruncationError):
-            lights[n_max] = squeezed_coherent_state(
-                run.scenario.input, n_max, deficit_threshold=REPORTED_DEFICIT
-            )
+    lights = {
+        n_max: squeezed_coherent_state(run.scenario.input, n_max, REPORTED_DEFICIT)
+        for n_max in n_max_list
+        if tails[n_max] <= REPORTED_DEFICIT
+    }
     checked = evolve_checked([(params, light) for light in lights.values()], grid)
     physics = {n_max: physics_table(*moments) for n_max, (moments, _) in zip(lights, checked)}
     for table in physics.values():
         check_table(table, grid, SOURCE_ORACLE)
-    # tails[n] is the deficit each cutoff's own check summed: the same prefix, bit for bit
-    tails = truncation_tails(squeezed_amplitudes(run.scenario.input, n_max_list[-1]))
     ok = {n for n in lights if tails[n] <= DEFAULT_DEFICIT_THRESHOLD}
     pairs = list(zip(n_max_list, n_max_list[1:]))
     deltas = [_max_delta(physics.get(prev), physics.get(curr)) for prev, curr in pairs]
@@ -530,6 +529,12 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes '-1e3' and '-0.5,0.5' for flags; no flag
+        # here starts with '-' and a digit or '.', so such a token is a value
+        self._negative_number_matcher = re.compile(r"-[\d.]")
+
     def error(self, message):  # exit 1 with one line; subparsers inherit this
         raise UsageError(message)
 

@@ -76,13 +76,6 @@ def propagator_at(params: ModelParams, t) -> np.ndarray:
     return global_phase[..., None, None] * rotation
 
 
-def conversion_times(params: ModelParams, count: int) -> np.ndarray:
-    """Times t_n = (n + 1/2) pi / omega_r of complete statistics transfer at resonance."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return (np.arange(count) + 0.5) * math.pi / params.omega_r
-
-
 def heisenberg_moment_map(u: np.ndarray, initial_a: MomentSet) -> tuple[MomentSet, MomentSet]:
     """Map the light mode's initial moments through c(t) = alpha b(0) + beta a(0).
 

@@ -42,12 +42,7 @@ from .observables import (
     input_moments,
 )
 from .oracle import evolve_checked
-from .propagator import (
-    ModelParams,
-    conversion_times,
-    heisenberg_moment_map,
-    propagator_at,
-)
+from .propagator import ModelParams, heisenberg_moment_map, propagator_at
 
 CONFIRMED = "CONFIRMED"
 TYPO_SUSPECT = "TYPO-SUSPECT"
@@ -67,9 +62,6 @@ MAX_ANCHOR_TIMES = 100_000
 # verdict, and the oracle slack beyond each form's truncation term
 TOL_ALGEBRAIC = 1e-8
 TOL_ORACLE = 1e-6
-
-_PHASE_OFFSET = {ALIGNED: 0.0, CROSSED: 0.5 * math.pi}
-
 
 @dataclass(frozen=True)
 class FormulaCheck:
@@ -120,20 +112,14 @@ class DiscrepancyReport:
             % (_g(self.tol_algebraic), _g(self.tol_oracle))
         )
         lines.append("")
-        header = (
-            f"{'formula':<36} {'verdict':<13} {'|lit-oracle|':>12} "
-            f"{'|corr-oracle|':>13} {'|lit-map|':>12} {'pts':>4} {'tol':>9}"
-        )
+        row = "{:<36} {:<13} {:>12} {:>13} {:>12} {:>4} {:>9}".format
+        header = row(*"formula verdict |lit-oracle| |corr-oracle| |lit-map| pts tol".split())
         lines.append(header)
         lines.append("-" * len(header))
         for check in self.checks:
-            lines.append(
-                f"{check.name:<36} {check.verdict:<13} "
-                f"{_e(check.dev_literal_oracle):>12} "
-                f"{_e(check.dev_corrected_oracle):>13} "
-                f"{_e(check.dev_literal_map):>12} {check.n_points:>4} "
-                f"{_e(check.tolerance):>9}"
-            )
+            lines.append(row(check.name, check.verdict, _e(check.dev_literal_oracle),
+                             _e(check.dev_corrected_oracle), _e(check.dev_literal_map),
+                             check.n_points, _e(check.tolerance)))
         lines.append("-" * len(header))
         lines.append(f"unresolved: {self.unresolved}")
         lines.append("")
@@ -159,25 +145,30 @@ def _e(x: float) -> str:
 def anchor_times(params: ModelParams, grid: np.ndarray, families) -> dict[str, np.ndarray]:
     """The times of each anchor family in ``families`` up to the end of ``grid``.
 
-    Raises UsageError when the conversion and phase families together would
-    hold more than MAX_ANCHOR_TIMES times; the count comes from each family's
-    index bounds, computed in floats before any int or array is built.
+    Each family but the grid is the progression omega t + shift = offset + k pi,
+    k >= 0, kept where sin^2(omega_r t) >= 0.2 (every conversion time is).
+    Raises UsageError when those families together would hold more than
+    MAX_ANCHOR_TIMES times; the count comes from each family's index bounds,
+    computed in floats before any int or array is built.
     """
     t_max = float(grid[-1])
     # omega0 t + theta = offset + k pi  <=>  |omega0| t + s theta = s (offset + k pi), s the
     # sign of omega0, and s (offset + k pi) runs over the same family (-pi/2 = pi/2 mod pi):
     # the phase passes every anchor whenever omega0 != 0, in either direction
     omega0, theta = abs(params.omega0), math.copysign(1.0, params.omega0) * params.theta
-    bounds = {}
+    progression = {
+        CONVERSION: (params.omega_r, 0.0, 0.5 * math.pi),
+        ALIGNED: (omega0, theta, 0.0),
+        CROSSED: (omega0, theta, 0.5 * math.pi),
+    }
+    anchors, bounds = {GRID: grid}, {}
     for family in set(families) - {GRID}:
-        if family == CONVERSION:  # t_k = (k + 1/2) pi / omega_r
-            bounds[family] = (0.0, t_max * params.omega_r / math.pi)
-        elif omega0 == 0.0:  # the rotation phase never advances
-            bounds[family] = (0.0, -1.0)
-        else:  # t_k = (offset + k pi - theta) / omega0 in [-1e-12, t_max + 1e-12]
-            offset = _PHASE_OFFSET[family]
-            lo = (theta - offset - 1e-12 * omega0) / math.pi
-            hi = ((t_max + 1e-12) * omega0 + theta - offset) / math.pi
+        omega, shift, offset = progression[family]
+        if omega == 0.0:  # the phase never advances
+            anchors[family] = np.empty(0)
+        else:  # t_k = (offset + k pi - shift) / omega in [-1e-12, t_max + 1e-12]
+            lo = (shift - offset - 1e-12 * omega) / math.pi
+            hi = ((t_max + 1e-12) * omega + shift - offset) / math.pi
             bounds[family] = (max(lo, 0.0), hi)
     count = sum(max(hi - lo + 1.0, 0.0) for lo, hi in bounds.values())
     if not count <= MAX_ANCHOR_TIMES:
@@ -185,16 +176,12 @@ def anchor_times(params: ModelParams, grid: np.ndarray, families) -> dict[str, n
             f"verify would evaluate {count:.3g} anchor times up to t = {t_max:g}, more "
             f"than {MAX_ANCHOR_TIMES}; lower --t-max, --omega0 or --omega-r"
         )
-    anchors = {GRID: grid}
     for family, (lo, hi) in bounds.items():
-        if family == CONVERSION:
-            conv = conversion_times(params, 1 + int(hi))
-            anchors[family] = conv[conv <= t_max + 1e-12]
-            continue
+        omega, shift, offset = progression[family]
         # one index of margin on each side; the exact bounds are applied to t
         start = max(math.floor(lo) - 1, 0)
         k = start + np.arange(max(math.floor(hi) + 2 - start, 0), dtype=float)
-        t = (_PHASE_OFFSET[family] + k * math.pi - theta) / omega0
+        t = (offset + k * math.pi - shift) / omega
         t = t[(t >= -1e-12) & (t <= t_max + 1e-12)]
         anchors[family] = np.maximum(t[np.sin(params.omega_r * t) ** 2 >= _MIN_SIGNAL_SIN2], 0.0)
     return anchors

@@ -1,18 +1,22 @@
 """Compare this tree's command outputs with those of another checkout, byte for byte.
 
     python tests/compare_outputs.py PARENT_DIR
+    python tests/compare_outputs.py REVISION      # e.g. HEAD or HEAD~1
 
-Runs every pinned golden command (test_golden.CASES) and every command of the
-benchmark workloads (perfbench/workloads.py) at seeds 0 and 1, each as a fresh
-``python -m atomlaser`` process, once on PARENT_DIR/src and once on this tree's
-src.  Each command prints ``identical``, or its exit codes if they differ and
+A REVISION that is not a directory is exported with ``git archive`` into a
+temporary directory, which is removed afterwards.  Runs every pinned golden
+command (test_golden.CASES) and every command of the benchmark workloads
+(perfbench/workloads.py) at seeds 0 and 1, each as a fresh ``python -m
+atomlaser`` process, once on PARENT_DIR/src and once on this tree's src.  Each command prints ``identical``, or its exit codes if they differ and
 test_golden.describe_mismatch's first difference and worst move relative to
 1 + |x|.  The exit code is 1 if any command differs.
 """
 
+import io
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -69,7 +73,22 @@ def main(parent: Path) -> int:
     return 1 if differ else 0
 
 
+def export(revision: str, into: Path) -> Path:
+    """Extract the tree of a git revision of this repository into a directory."""
+    done = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", revision],
+                          capture_output=True)
+    if done.returncode:
+        sys.exit(f"{revision} is neither a directory nor a git revision: "
+                 f"{done.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(done.stdout)) as archive:
+        archive.extractall(into, filter="data")
+    return into
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit(__doc__)
-    sys.exit(main(Path(sys.argv[1]).resolve()))
+    if Path(sys.argv[1]).is_dir():
+        sys.exit(main(Path(sys.argv[1]).resolve()))
+    with tempfile.TemporaryDirectory() as checkout:
+        sys.exit(main(export(sys.argv[1], Path(checkout))))

@@ -463,7 +463,7 @@ def test_auto_n_max_stops_at_the_ceiling(tmp_path, capsys):
         ("converge", "--values", "16,24", "--omega-r", "nan"),
         # usage errors from argparse
         ("simulate", "--bogus"),
-        ("simulate", "--m-re", "-1e-3"),  # argparse reads -1e-3 as a flag
+        ("simulate", "--bogus", "-1"),  # -1 is a value, but --bogus is no flag
         ("verify", "--steps", "many"),
         ("sweep", "--axis", "r"),
         ("transmogrify",),
@@ -480,6 +480,25 @@ def test_non_finite_settings_are_config_errors(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--omega0", "-1e3", "--omega-a", "-1e3"),
+        ("verify", "--theta", "-2e-1"),
+        ("simulate", "--m-re", "-1e-3"),
+        ("sweep", "--axis", "theta", "--values", "-0.5,0.5"),
+    ],
+    ids=["verify-omega0", "verify-theta", "simulate-m-re", "sweep-values"],
+)
+def test_a_negative_value_may_follow_its_flag(tmp_path, argv):
+    # argparse alone reads a token such as -1e3 as an unknown flag
+    spaced, joined = tmp_path / "spaced.txt", tmp_path / "joined.txt"
+    assert run(*argv, "--out", str(spaced)) == 0
+    equals = [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+    assert run(argv[0], *equals, "--out", str(joined)) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
 
 
 def test_help_still_exits_0(capsys):

@@ -7,12 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from atomlaser.fock import SqueezedInput, mode_moments, squeezed_coherent_state
-from atomlaser.propagator import (
-    ModelParams,
-    conversion_times,
-    heisenberg_moment_map,
-    propagator_at,
-)
+from atomlaser.propagator import ModelParams, heisenberg_moment_map, propagator_at
 
 
 def coefficient_matrix(params):
@@ -152,24 +147,6 @@ def test_far_detuned_propagator_matches_direct_exponential(omega0, omega_a, omeg
     direct = expm(-1j * coefficient_matrix(params))
     atol = 100 * np.finfo(float).eps * max(abs(omega0), abs(omega_a))
     np.testing.assert_allclose(u, direct, rtol=0, atol=atol)
-
-
-def test_conversion_times_basic():
-    np.testing.assert_allclose(
-        conversion_times(ModelParams(4.0, 4.0, 1.0), 1), [math.pi / 2]
-    )
-
-
-def test_conversion_times_scaling():
-    np.testing.assert_allclose(
-        conversion_times(ModelParams(4.0, 4.0, 2.0), 2),
-        [math.pi / 4, 3 * math.pi / 4],
-    )
-
-
-def test_conversion_times_require_resonance():
-    with pytest.raises(ValueError):
-        conversion_times(ModelParams(4.0, 4.0, 1.0), 0)
 
 
 def squeezed_vacuum_moments(r=1.0):

@@ -22,12 +22,7 @@ from atomlaser.observables import (
     literal_input_number_mean,
     resonant,
 )
-from atomlaser.propagator import (
-    ModelParams,
-    conversion_times,
-    heisenberg_moment_map,
-    propagator_at,
-)
+from atomlaser.propagator import ModelParams, heisenberg_moment_map, propagator_at
 from atomlaser.verify import (
     CONFIRMED,
     TYPO_SUSPECT,
@@ -189,18 +184,19 @@ def test_one_registry_entry_is_one_report_row():
     assert toy.name not in discrepancy_report(scn, grid).render()
 
 
-def walk_phase_anchors(params, t_max, offset):
-    """The phase anchors found by stepping k = 0, 1, ... until t passes t_max."""
+def walk_anchors(omega, shift, offset, omega_r, t_max):
+    """The anchors omega t + shift = offset + k pi found by stepping k = 0, 1, ...
+    until t passes t_max."""
     anchors = []
     k = 0
     while True:
-        t = (offset + k * math.pi - params.theta) / params.omega0
+        t = (offset + k * math.pi - shift) / omega
         k += 1
         if t < -1e-12:
             continue
         if t > t_max + 1e-12:
             break
-        if math.sin(params.omega_r * t) ** 2 >= 0.2:
+        if math.sin(omega_r * t) ** 2 >= 0.2:
             anchors.append(max(t, 0.0))
     return anchors
 
@@ -212,15 +208,25 @@ def walk_phase_anchors(params, t_max, offset):
         (ModelParams(4.0, 4.0, 1.0, 0.3), math.pi),
         (ModelParams(7.3, 7.3, 0.7, -2.1), 20.0),
         (ModelParams(1e3, 1e3, 1.3, 11.0), 2 * math.pi),
+        # the rotation phase never advances: only conversion anchors
+        (ModelParams(0.0, 0.0, 1.0, 0.3), 20.0),
+        # conversion anchors up to k = 40, past k = 13
+        (ModelParams(4.0, 4.0, 3.7, 0.0), 35.0),
     ],
 )
 def test_anchor_times_match_the_walk_over_k(params, t_max):
     grid = np.linspace(0.0, t_max, 7)
     anchors = anchor_times(params, grid, {CONVERSION, ALIGNED, CROSSED})
-    assert np.array_equal(anchors[ALIGNED], walk_phase_anchors(params, t_max, 0.0))
-    assert np.array_equal(anchors[CROSSED], walk_phase_anchors(params, t_max, 0.5 * math.pi))
-    conv = conversion_times(params, 1 + int(t_max * params.omega_r / math.pi))
-    assert np.array_equal(anchors[CONVERSION], conv[conv <= t_max + 1e-12])
+    omega_r, theta = params.omega_r, params.theta
+    conversion = walk_anchors(omega_r, 0.0, 0.5 * math.pi, omega_r, t_max)
+    assert len(conversion) == 1 + int(t_max * omega_r / math.pi - 0.5)
+    assert np.array_equal(anchors[CONVERSION], conversion)
+    if params.omega0 == 0.0:
+        assert len(anchors[ALIGNED]) == len(anchors[CROSSED]) == 0
+        return
+    for family, offset in ((ALIGNED, 0.0), (CROSSED, 0.5 * math.pi)):
+        walked = walk_anchors(params.omega0, theta, offset, omega_r, t_max)
+        assert np.array_equal(anchors[family], walked)
 
 
 @pytest.mark.parametrize(
