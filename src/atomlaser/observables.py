@@ -12,12 +12,13 @@ returns one (T, 11) float table whose columns are PHYSICS_COLUMNS:
 
 ``FORMULAS`` lists every transcribed closed form once.  An entry holds its
 domain predicate, the anchor times at which verify checks it, its literal
-form as stated and, where a misprint is suspected, a corrected form (both
-array functions of t), the observable it predicts as a function of the
-(light, atom) moments, and the literal-paper columns it fills.
-``literal_table`` and ``literal_gaps`` read the list, and so does
-``verify.discrepancy_report``, one row per entry with an observable.  Adding
-a formula means adding one entry.
+form as stated and, where a misprint is suspected, a corrected form, the
+observable it predicts as a function of the (light, atom) moments, and the
+literal-paper columns it fills.  Each form is an expression over the
+``Terms`` of a scenario and times (sinh r, cos^2(omega_r t) and the like),
+which every form on those times shares.  ``literal_table`` and
+``literal_gaps`` read the list, and so does ``verify.discrepancy_report``,
+one row per entry with an observable.  Adding a formula means adding one entry.
 
 A NaN entry marks a domain gap: a closed form outside its scenario, or a
 Mandel Q of a (numerically) vacuum mode.  ``check_table`` rejects any other
@@ -30,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -120,128 +122,93 @@ def squeeze_coeffs(moments: MomentSet) -> tuple[float, float]:
 
 
 # ----------------------------------------------------------------------------
-# Transcribed closed forms.  Each takes one time or an array of times and
-# assumes the domain of the registry entries that use it.
+# The terms the closed forms are written in, and the shared forms
 # ----------------------------------------------------------------------------
 
 
-def _interference(inp: SqueezedInput) -> float:
-    # 2 Re(m^2 e^{2 i phi}), the displacement-squeeze interference term
-    return float(2.0 * ((inp.m * inp.m) * np.exp(2j * inp.phi)).real)
+class Terms:
+    """The quantities the closed forms are written in, for one scenario over an
+    array of times ``t``; the only reader of the scenario for a form.  Each but
+    ``t`` and the complex displacement ``m`` is computed on first use, so an
+    evaluation computes only what its forms read."""
+
+    def __init__(self, scn: ScenarioConfig, times):
+        self.t, self.m = np.asarray(times, dtype=float), complex(scn.input.m)
+        self._input, self._params = scn.input, scn.params
+
+    @cached_property
+    def sinh(self) -> float:
+        return math.sinh(self._input.r)
+
+    @cached_property
+    def cosh(self) -> float:
+        return math.cosh(self._input.r)
+
+    @cached_property
+    def alpha1(self) -> float:
+        return alpha_pair(self._input.r)[0]
+
+    @cached_property
+    def alpha2(self) -> float:
+        return alpha_pair(self._input.r)[1]
+
+    @cached_property
+    def m_abs2(self) -> float:
+        return abs(self.m) ** 2
+
+    @cached_property
+    def interference(self) -> float:
+        """2 Re(m^2 e^{2 i phi}), the displacement-squeeze interference term."""
+        return float(2.0 * ((self.m * self.m) * np.exp(2j * self._input.phi)).real)
+
+    @cached_property
+    def n_in(self) -> float:
+        """The initial light occupation |m|^2 a1 + 2 a2 Re(m^2 e^{2i phi}) + sinh^2 r."""
+        return self.m_abs2 * self.alpha1 + self.interference * self.alpha2 + self.sinh**2
+
+    @cached_property
+    def cos2(self) -> np.ndarray:
+        return np.cos(self._params.omega_r * self.t) ** 2
+
+    @cached_property
+    def sin2(self) -> np.ndarray:
+        return np.sin(self._params.omega_r * self.t) ** 2
+
+    @cached_property
+    def atom_phase(self) -> np.ndarray:
+        """The atom rotation phase w t + theta."""
+        return self._params.omega0 * self.t + self._params.theta
+
+    @cached_property
+    def light_phase(self) -> np.ndarray:
+        """The light rotation phase 2 w t; theta never multiplies a(0)'s coefficient."""
+        return 2.0 * self._params.omega0 * self.t
 
 
-def literal_input_number_mean(scn: ScenarioConfig) -> float:
-    """Initial light-mode occupation |m|^2 a1 + 2 a2 Re(m^2 e^{2i phi}) + sinh^2 r."""
-    alpha1, alpha2 = alpha_pair(scn.input.r)
-    return (
-        abs(scn.input.m) ** 2 * alpha1
-        + _interference(scn.input) * alpha2
-        + math.sinh(scn.input.r) ** 2
-    )
-
-
-def literal_na_mean(scn: ScenarioConfig, t: float) -> float:
-    """Light-mode occupation: the initial occupation times cos^2(omega_r t)."""
-    return literal_input_number_mean(scn) * np.cos(scn.params.omega_r * t) ** 2
-
-
-def literal_nb_mean(scn: ScenarioConfig, t: float) -> float:
-    """Atom-mode occupation as the conserved complement of the light mode."""
-    return literal_input_number_mean(scn) * np.sin(scn.params.omega_r * t) ** 2
-
-
-def literal_number_variances(scn: ScenarioConfig, t: float) -> tuple[float, float]:
-    """Occupation variances (light, atoms) for general phi and complex m."""
-    alpha1, alpha2 = alpha_pair(scn.input.r)
-    bar = _interference(scn.input)
-    mag2 = abs(scn.input.m) ** 2
+def _variances(x: Terms):
+    # occupation variances (light, atoms) for general phi and complex m
     quartic = (
-        mag2 * alpha1**2
-        + 2.0 * alpha2**2 * (2.0 * mag2 + 1.0)
-        + 2.0 * alpha1 * alpha2 * bar
+        x.m_abs2 * x.alpha1**2
+        + 2.0 * x.alpha2**2 * (2.0 * x.m_abs2 + 1.0)
+        + 2.0 * x.alpha1 * x.alpha2 * x.interference
     )
-    cross = alpha1 * mag2 + math.sinh(scn.input.r) ** 2 + bar * alpha2
-    cos2 = np.cos(scn.params.omega_r * t) ** 2
-    sin2 = np.sin(scn.params.omega_r * t) ** 2
-    mixed = cross * sin2 * cos2
-    return quartic * cos2 * cos2 + mixed, quartic * sin2 * sin2 + mixed
+    cross = x.alpha1 * x.m_abs2 + x.sinh**2 + x.interference * x.alpha2
+    mixed = cross * x.sin2 * x.cos2
+    return quartic * x.cos2 * x.cos2 + mixed, quartic * x.sin2 * x.sin2 + mixed
 
 
-def _q_pair(scn: ScenarioConfig, t, numerator: float):
+def _q_pair(x: Terms, numerator: float):
     # the stated ratio for phi = 0 and real m, times (cos^2, sin^2)(omega_r t):
     # (m^2 s^2 + numerator) / (m^2 s + sinh^2 r) - 1 with s = a1 + 2 a2
-    m = complex(scn.input.m).real
-    alpha1, alpha2 = alpha_pair(scn.input.r)
-    shifted = alpha1 + 2.0 * alpha2
-    factor = (m * m * shifted**2 + numerator) / (m * m * shifted + math.sinh(scn.input.r) ** 2) - 1.0
-    return _scaled_cos2_sin2(scn, t, factor)
+    m, shifted = x.m.real, x.alpha1 + 2.0 * x.alpha2
+    factor = (m * m * shifted**2 + numerator) / (m * m * shifted + x.sinh**2) - 1.0
+    return factor * x.cos2, factor * x.sin2
 
 
-def _scaled_cos2_sin2(scn: ScenarioConfig, t, factor: float):
-    wt = scn.params.omega_r * t
-    return factor * np.cos(wt) ** 2, factor * np.sin(wt) ** 2
-
-
-def literal_q_pair(scn: ScenarioConfig, t: float) -> tuple[float, float]:
-    """Mandel-Q pair (light, atoms) as transcribed, for phi = 0 and real m.
-
-    For m = 0 this returns the stated limit pair (a1 cos^2, a1 sin^2); the
-    atom-mode value at t = 0 is the limit of an undefined 0/0 expression and
-    is reported as 0 by that convention.  For m != 0 the transcribed ratio is
-    evaluated as written, including its suspected "2 a2" numerator misprint.
-    """
-    alpha1, alpha2 = alpha_pair(scn.input.r)
-    if scn.input.m == 0:
-        return _scaled_cos2_sin2(scn, t, alpha1)
-    return _q_pair(scn, t, 2.0 * alpha2)
-
-
-def corrected_q_pair(scn: ScenarioConfig, t: float) -> tuple[float, float]:
-    """The q pair with the numerator term 2 a2 replaced by 2 a2^2, the form
-    consistent with both the m = 0 limit pair and the moment map."""
-    return _q_pair(scn, t, 2.0 * alpha_pair(scn.input.r)[1] ** 2)
-
-
-def _squeeze_pair(scn: ScenarioConfig, rotation, weight):
-    s, c = math.sinh(scn.input.r), math.cosh(scn.input.r)
+def _squeeze_pair(x: Terms, rotation, weight):
+    # 2 sinh r [sinh r -/+ cosh r rotation] weight; the light pair swaps the signs
+    s, c = x.sinh, x.cosh
     return 2.0 * s * (s - c * rotation) * weight, 2.0 * s * (s + c * rotation) * weight
-
-
-def literal_atom_squeeze_pair(scn: ScenarioConfig, t: float) -> tuple[float, float]:
-    """Atom-mode squeeze coefficients (S1b, S2b) for squeezed-vacuum input."""
-    rotation = np.cos(2.0 * (scn.params.omega0 * t + scn.params.theta))
-    return _squeeze_pair(scn, rotation, np.sin(scn.params.omega_r * t) ** 2)
-
-
-def literal_light_squeeze_pair(scn: ScenarioConfig, t: float) -> tuple[float, float]:
-    """Light-mode squeeze coefficients (S1a, S2a), built the same way as the atom
-    pair with the signs swapped; the condensate phase theta never multiplies the
-    surviving a(0) coefficient, so the light quadratures rotate at 2 w t only."""
-    rotation = np.cos(2.0 * scn.params.omega0 * t)
-    return _squeeze_pair(scn, rotation, np.cos(scn.params.omega_r * t) ** 2)[::-1]
-
-
-def _atom_variance_at_conversion(scn: ScenarioConfig, t) -> float:
-    alpha1, alpha2 = alpha_pair(scn.input.r)
-    return complex(scn.input.m).real ** 2 * (alpha1 + 2 * alpha2) ** 2 + 2 * alpha2**2
-
-
-def _vacuum_form(expression):
-    """An array form of t from an expression in sinh r, cosh r, cos^2(omega_r t),
-    sin^2(omega_r t) and the atom rotation phase w t + theta."""
-
-    def form(scn: ScenarioConfig, t):
-        t = np.asarray(t, dtype=float)
-        r, wt = scn.input.r, scn.params.omega_r * t
-        phase = scn.params.omega0 * t + scn.params.theta
-        return expression(math.sinh(r), math.cosh(r), np.cos(wt) ** 2, np.sin(wt) ** 2, phase)
-
-    return form
-
-
-# -2 sinh r e^{-r} sin^2(omega_r t), the squeezed atom quadrature at an
-# aligned or crossed rotation phase (e^{-r} = cosh r - sinh r)
-_SQUEEZED_DIP = _vacuum_form(lambda s, c, cos2, sin2, phase: -2.0 * s * (c - s) * sin2)
 
 
 # ----------------------------------------------------------------------------
@@ -292,8 +259,9 @@ CROSSED = "crossed"        # omega0 t + theta = (n + 1/2) pi, likewise
 class FormulaSpec:
     """One transcribed closed form.
 
-    ``literal`` and ``corrected`` map (scenario, array of times) to the
-    predicted values, a tuple for a pair.  ``observable`` maps the (light,
+    ``literal`` and ``corrected`` map the ``Terms`` of a scenario over an
+    array of times to the predicted values, a tuple for a pair; a form that
+    does not depend on t returns one value for all the times.  ``observable`` maps the (light,
     atom) moments over the times to the same quantity, for the oracle and
     the moment map alike; an entry without one only fills its literal-paper
     ``columns``.  ``polar`` compares a complex value's magnitude, and its
@@ -303,8 +271,8 @@ class FormulaSpec:
     name: str
     claim: str | Callable[[ScenarioConfig], str]
     domain: Callable[[ScenarioConfig], bool]
-    literal: Callable
-    corrected: Callable | None = None
+    literal: Callable[[Terms], object]
+    corrected: Callable[[Terms], object] | None = None
     observable: Callable[[MomentSet, MomentSet], object] | None = None
     columns: tuple[str, ...] = ()
     anchors: str = GRID
@@ -331,118 +299,120 @@ def _squeezed_component(which: int):
     return extract
 
 
+# -2 sinh r e^{-r} sin^2(omega_r t), the squeezed atom quadrature at an
+# aligned or crossed rotation phase (e^{-r} = cosh r - sinh r)
+_squeezed_dip = lambda x: -2.0 * x.sinh * (x.cosh - x.sinh) * x.sin2  # noqa: E731
+
+
 # The four vacuum-input misprints are corrected by the general number-moment
-# transcriptions above evaluated at m = 0: the squeezed-vacuum restatements
+# transcriptions evaluated at m = 0: the squeezed-vacuum restatements
 # disagree with them, and they agree with the moment map.
 FORMULAS: list[FormulaSpec] = [
     FormulaSpec(
         "conversion-number-transfer",
         "at cos(omega_r t) = 0 the atom occupation equals the initial light occupation",
-        resonant, lambda scn, t: literal_input_number_mean(scn),
-        observable=lambda a, b: b.number_mean, anchors=CONVERSION,
+        resonant, lambda x: x.n_in, observable=lambda a, b: b.number_mean, anchors=CONVERSION,
     ),
     FormulaSpec(
         "light-number-mean", "light occupation = initial occupation times cos^2(omega_r t)",
-        resonant, literal_na_mean, observable=lambda a, b: a.number_mean, columns=("na_mean",),
+        resonant, lambda x: x.n_in * x.cos2, observable=lambda a, b: a.number_mean,
+        columns=("na_mean",),
     ),
     FormulaSpec(
+        # the atom occupation as the conserved complement of the light's
         "atom-number-mean", "atom occupation = initial occupation times sin^2(omega_r t)",
-        resonant, literal_nb_mean, columns=("nb_mean",),
+        resonant, lambda x: x.n_in * x.sin2, columns=("nb_mean",),
     ),
     FormulaSpec(
         "number-variances", "light and atom number variances for general phi and complex m",
-        resonant, literal_number_variances, columns=("na_var", "nb_var"),
+        resonant, _variances, columns=("na_var", "nb_var"),
     ),
     FormulaSpec(
         "total-occupation", "light plus atom occupation stays the initial occupation",
-        resonant, lambda scn, t: literal_na_mean(scn, t) + literal_nb_mean(scn, t),
-        columns=("ntotal",),
+        resonant, lambda x: x.n_in * x.cos2 + x.n_in * x.sin2, columns=("ntotal",),
     ),
     FormulaSpec(
         "atom-number-variance-at-conversion",
         "atom number variance at conversion = m^2 (a1 + 2 a2)^2 + 2 a2^2",
-        real_input, _atom_variance_at_conversion,
+        real_input, lambda x: x.m.real ** 2 * (x.alpha1 + 2 * x.alpha2) ** 2 + 2 * x.alpha2**2,
         observable=lambda a, b: b.number_var, anchors=CONVERSION,
     ),
     FormulaSpec(
+        # the stated m = 0 limit pair; the atom value at t = 0 is the limit of
+        # an undefined 0/0 expression and is reported as 0 by that convention
         "q-pair-vacuum", "Mandel Q pair = (sinh^2 r + cosh^2 r) (cos^2, sin^2)(omega_r t)",
-        squeezed_vacuum, literal_q_pair, observable=_adjudicated_q, columns=("q_a", "q_b"),
+        squeezed_vacuum, lambda x: (x.alpha1 * x.cos2, x.alpha1 * x.sin2),
+        observable=_adjudicated_q, columns=("q_a", "q_b"),
     ),
     FormulaSpec(
         "light-squeeze-pair",
         "S1a/S2a = 2 sinh r [sinh r +/- cosh r cos(2 w t)] cos^2(omega_r t)",
-        squeezed_vacuum, literal_light_squeeze_pair, columns=("s1a", "s2a"),
+        squeezed_vacuum, lambda x: _squeeze_pair(x, np.cos(x.light_phase), x.cos2)[::-1],
+        columns=("s1a", "s2a"),
     ),
     FormulaSpec(
         "atom-squeeze-pair",
         "S1b/S2b = 2 sinh r [sinh r -/+ cosh r cos(2(w t + theta))] sin^2(omega_r t)",
-        squeezed_vacuum, literal_atom_squeeze_pair,
+        squeezed_vacuum, lambda x: _squeeze_pair(x, np.cos(2.0 * x.atom_phase), x.sin2),
         observable=lambda a, b: squeeze_coeffs(b), columns=("s1b", "s2b"),
     ),
     FormulaSpec(
         "atom-squeeze-aligned-phase",
         "at w t + theta = n pi quadrature X1b is squeezed: "
         "S1b = -2 sinh r e^{-r} sin^2(omega_r t) with S2b > 0",
-        squeezed_vacuum, _SQUEEZED_DIP, observable=_squeezed_component(0), anchors=ALIGNED,
+        squeezed_vacuum, _squeezed_dip, observable=_squeezed_component(0), anchors=ALIGNED,
     ),
     FormulaSpec(
         "atom-squeeze-crossed-phase",
         "at w t + theta = (n + 1/2) pi the squeezing moves to X2b: "
         "S2b = -2 sinh r e^{-r} sin^2(omega_r t) with S1b > 0",
-        squeezed_vacuum, _SQUEEZED_DIP, observable=_squeezed_component(1), anchors=CROSSED,
+        squeezed_vacuum, _squeezed_dip, observable=_squeezed_component(1), anchors=CROSSED,
     ),
     FormulaSpec(
         "light-number-square-vacuum",
         "as stated <Na^2> = (2 a2 + sinh^4 r) cos^4(omega_r t); corrected "
         "(2 a2^2 + sinh^4 r) cos^4 + sinh^2 r sin^2 cos^2",
-        squeezed_vacuum,
-        _vacuum_form(lambda s, c, cos2, sin2, _: (2 * s * c + s**4) * cos2**2),
-        corrected=lambda scn, t: literal_number_variances(scn, t)[0] + literal_na_mean(scn, t) ** 2,
+        squeezed_vacuum, lambda x: (2 * x.sinh * x.cosh + x.sinh**4) * x.cos2**2,
+        corrected=lambda x: _variances(x)[0] + (x.n_in * x.cos2) ** 2,
         observable=lambda a, b: a.number_sq,
     ),
     FormulaSpec(
         "light-number-variance-vacuum",
         "as stated <dNa^2> = sqrt(2) sinh r cos^4(omega_r t); corrected "
         "2 sinh^2 r cosh^2 r cos^4 + sinh^2 r sin^2 cos^2",
-        squeezed_vacuum,
-        _vacuum_form(lambda s, c, cos2, sin2, _: math.sqrt(2.0) * s * cos2**2),
-        corrected=lambda scn, t: literal_number_variances(scn, t)[0],
-        observable=lambda a, b: a.number_var,
+        squeezed_vacuum, lambda x: math.sqrt(2.0) * x.sinh * x.cos2**2,
+        corrected=lambda x: _variances(x)[0], observable=lambda a, b: a.number_var,
     ),
     FormulaSpec(
         "atom-number-variance-vacuum",
         "as stated <dNb^2> = sqrt(2) sinh r cosh r sin^4(omega_r t); corrected "
         "2 sinh^2 r cosh^2 r sin^4 + sinh^2 r sin^2 cos^2",
-        squeezed_vacuum,
-        _vacuum_form(lambda s, c, cos2, sin2, _: math.sqrt(2.0) * s * c * sin2**2),
-        corrected=lambda scn, t: literal_number_variances(scn, t)[1],
-        observable=lambda a, b: b.number_var,
+        squeezed_vacuum, lambda x: math.sqrt(2.0) * x.sinh * x.cosh * x.sin2**2,
+        corrected=lambda x: _variances(x)[1], observable=lambda a, b: b.number_var,
     ),
     FormulaSpec(
         "atom-number-mean-vacuum",
         "as stated <b†b> = sinh^2 r cosh^2 r sin^2(omega_r t); corrected "
         "sinh^2 r sin^2(omega_r t)",
-        squeezed_vacuum,
-        _vacuum_form(lambda s, c, cos2, sin2, _: s**2 * c**2 * sin2),
-        corrected=literal_nb_mean,
-        observable=lambda a, b: b.number_mean,
+        squeezed_vacuum, lambda x: x.sinh**2 * x.cosh**2 * x.sin2,
+        corrected=lambda x: x.n_in * x.sin2, observable=lambda a, b: b.number_mean,
     ),
     FormulaSpec(
         "atom-squared-amplitude-vacuum",
         "<b^2(t)> = -sinh r cosh r e^{-2i(w t + theta)} sin^2(omega_r t); "
         "magnitude and phase compared separately",
-        squeezed_vacuum,
-        _vacuum_form(lambda s, c, cos2, sin2, phase: -s * c * np.exp(-2j * phase) * sin2),
+        squeezed_vacuum, lambda x: -x.sinh * x.cosh * np.exp(-2j * x.atom_phase) * x.sin2,
         observable=lambda a, b: b.sq_amp, polar=True,
     ),
     FormulaSpec(
+        # evaluated as written, with its suspected "2 a2" numerator misprint;
+        # 2 a2^2 is consistent with both the m = 0 limit pair and the moment map
         "q-pair-real-input",
         lambda scn: "as stated the q prefactor numerator carries 2 a2; corrected 2 a2^2"
         + (" (evaluated in the m = 0 limit)" if scn.input.m == 0 else ""),
-        occupied_real_input,
-        lambda scn, t: _q_pair(scn, t, 2.0 * alpha_pair(scn.input.r)[1]),
-        corrected=corrected_q_pair, observable=_adjudicated_q, columns=("q_a", "q_b"),
-        against_map=False,
+        occupied_real_input, lambda x: _q_pair(x, 2.0 * x.alpha2),
+        corrected=lambda x: _q_pair(x, 2.0 * x.alpha2**2), observable=_adjudicated_q,
+        columns=("q_a", "q_b"), against_map=False,
     ),
 ]
 
@@ -502,11 +472,11 @@ def literal_table(scn: ScenarioConfig, times) -> np.ndarray:
     A column listed by several in-domain entries takes the first entry's
     values, so the entries are written in reverse order.
     """
-    times = np.asarray(times, dtype=float)
-    table = np.full((len(times), len(PHYSICS_COLUMNS)), NA)
+    terms = Terms(scn, times)
+    table = np.full((len(terms.t), len(PHYSICS_COLUMNS)), NA)
     for spec in reversed(FORMULAS):
         if spec.columns and spec.domain(scn):
-            values = np.reshape(spec.literal(scn, times), (len(spec.columns), len(times)))
+            values = np.reshape(spec.literal(terms), (len(spec.columns), len(terms.t)))
             table[:, [PHYSICS_COLUMNS.index(name) for name in spec.columns]] = values.T
     return table
 
@@ -541,11 +511,11 @@ def check_dynamics(params: ModelParams, light: np.ndarray, moments, times):
     """Check the oracle's (light, atom) ``moments`` against the moment map of
     ``mode_moments(light)`` and return the map.  ``light`` holds the amplitudes
     c_0 .. c_{n_max}, so n_max is len(light) - 1.  Blocks n_tot <= n_max are complete, so
-    each field agrees to phase roundoff, (1e-11 + eps t_max n_max (max |omega| + omega_r))
+    each field agrees to phase roundoff, (1e-13 + eps t_max n_max (max |omega| + omega_r))
     (1 + |input moment|), a slack at most 1e-6; InvariantViolationError otherwise, NaN too."""
     times = np.asarray(times, dtype=float)
     phase = max(abs(params.omega0), abs(params.omega_a)) + params.omega_r
-    slack = 1e-11 + np.finfo(float).eps * np.max(times) * (len(light) - 1) * phase
+    slack = 1e-13 + np.finfo(float).eps * np.max(times) * (len(light) - 1) * phase
     if not slack <= 1e-6:
         raise InvariantViolationError(f"t = {np.max(times):.6g} is past the oracle's precision "
                                       f"domain: its phase roundoff slack {slack:.3e} exceeds 1e-6")

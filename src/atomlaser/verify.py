@@ -38,6 +38,7 @@ from .observables import (
     GRID,
     NA,
     ScenarioConfig,
+    Terms,
     UsageError,
     input_moments,
 )
@@ -236,16 +237,17 @@ def discrepancy_report(
     [(oracle, truncated)] = evolve_checked([(scn.params, light)], all_times)
     mapped = heisenberg_moment_map(propagator_at(scn.params, all_times), input_moments(scn.input))
 
+    terms = {family: Terms(scn, times) for family, times in anchors.items()}
     checks = []
     for spec in specs:
         times = anchors[spec.anchors]
         at = order[np.searchsorted(all_times[order], times)]
-        literal = spec.literal(scn, times)
+        literal = spec.literal(terms[spec.anchors])
         observed = np.asarray(spec.observable(*oracle))[..., at]
         dev_lo = _max_dev(literal, observed, spec.polar)
         dev_co = NA
         if spec.corrected is not None:
-            dev_co = _max_dev(spec.corrected(scn, times), observed, spec.polar)
+            dev_co = _max_dev(spec.corrected(terms[spec.anchors]), observed, spec.polar)
         exact = np.asarray(spec.observable(*mapped))[..., at]
         kept = np.asarray(spec.observable(*truncated))[..., at]
         tol = tol_oracle + _max_dev(exact, kept, spec.polar)

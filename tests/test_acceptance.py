@@ -36,9 +36,10 @@ import numpy as np
 from atomlaser.cli import main
 from atomlaser.fock import SqueezedInput, squeezed_coherent_state
 from atomlaser.observables import (
+    FORMULAS,
     PHYSICS_COLUMNS,
     ScenarioConfig,
-    literal_q_pair,
+    Terms,
     moment_map_table,
     physics_table,
     squeeze_coeffs,
@@ -104,7 +105,8 @@ def test_criterion_2_q_oscillation():
     dev_oracle = q_pair_deviation(columns(physics_table(*run_oracle(cfg, grid).moments)), grid)
 
     rec = columns(moment_map_table(cfg, grid))
-    lit_a, lit_b = literal_q_pair(cfg, grid)
+    [q_pair] = [spec for spec in FORMULAS if spec.name == "q-pair-vacuum"]
+    lit_a, lit_b = q_pair.literal(Terms(cfg, grid))
     dev_map = max(
         np.max(np.where(np.isnan(rec["q_a"]), np.abs(lit_a - COSH2 * np.cos(grid) ** 2),
                         np.abs(rec["q_a"] - lit_a))),

@@ -691,8 +691,18 @@ def turn_b_squared(result):
     return dataclasses.replace(result, moments=(light_t, atom_t))
 
 
+def nudge_a_number(result):
+    """The light <a†a> moved by 1e-12 (1 + total occupation), the total being the
+    input moment within the drift check; check_dynamics' 1e-13 floor catches it."""
+    light_t, atom_t = result.moments
+    total = light_t.number_mean + atom_t.number_mean
+    light_t = dataclasses.replace(light_t, number_mean=light_t.number_mean + 1e-12 * (1.0 + total))
+    return dataclasses.replace(result, moments=(light_t, atom_t))
+
+
 # oracle faults, each with the words its one-line message must hold
 ORACLE_FAULTS = {
+    "a-number-nudged": (nudge_a_number, "light number_mean"),
     "b-squared-turned": (turn_b_squared, "atom sq_amp"),
     "norm-drift": (
         lambda result: dataclasses.replace(result, norm_drift=1e-6), "norm drift 1.000e-06"

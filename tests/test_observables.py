@@ -22,18 +22,11 @@ from atomlaser.observables import (
     PHYSICS_COLUMNS,
     InvariantViolationError,
     ScenarioConfig,
+    Terms,
     alpha_pair,
     check_table,
-    corrected_q_pair,
     input_moments,
-    literal_atom_squeeze_pair,
-    literal_input_number_mean,
-    literal_light_squeeze_pair,
-    literal_na_mean,
-    literal_nb_mean,
     literal_gaps,
-    literal_number_variances,
-    literal_q_pair,
     literal_table,
     mandel_q,
     moment_map_table,
@@ -59,6 +52,14 @@ def columns(table):
     return dict(zip(PHYSICS_COLUMNS, table.T))
 
 
+def form(name, corrected=False):
+    """The literal (or corrected) form of registry entry ``name`` as a function
+    of (scenario, t), for one time or an array of times."""
+    spec = next(spec for spec in FORMULAS if spec.name == name)
+    evaluate = spec.corrected if corrected else spec.literal
+    return lambda scn, t: evaluate(Terms(scn, t))
+
+
 def test_alpha_pair_identities():
     for r in (0.0, 0.2, 1.0, 2.5):
         alpha1, alpha2 = alpha_pair(r)
@@ -71,15 +72,15 @@ def test_alpha_pair_identities():
 
 
 def test_literal_na_mean_coherent_at_zero():
-    assert abs(literal_na_mean(scenario(r=0.0, m=1.0), 0.0) - 1.0) < 1e-14
+    assert abs(form("light-number-mean")(scenario(r=0.0, m=1.0), 0.0) - 1.0) < 1e-14
 
 
 def test_literal_na_mean_squeezed_vacuum_at_zero():
-    assert abs(literal_na_mean(scenario(), 0.0) - math.sinh(1.0) ** 2) < 1e-14
+    assert abs(form("light-number-mean")(scenario(), 0.0) - math.sinh(1.0) ** 2) < 1e-14
 
 
 def test_literal_na_mean_vanishes_at_conversion():
-    assert abs(literal_na_mean(scenario(), math.pi / 2)) < 1e-25
+    assert abs(form("light-number-mean")(scenario(), math.pi / 2)) < 1e-25
 
 
 def test_literal_na_mean_requires_resonance():
@@ -91,13 +92,13 @@ def test_literal_na_mean_requires_resonance():
 
 
 def test_literal_variances_coherent_poisson():
-    na_var, _ = literal_number_variances(scenario(r=0.0, m=1.0), 0.0)
+    na_var, _ = form("number-variances")(scenario(r=0.0, m=1.0), 0.0)
     assert abs(na_var - 1.0) < 1e-14
 
 
 def test_literal_atom_variance_at_conversion():
     # m^2 (a1 + 2 a2)^2 + 2 a2^2 reduces to 2 sinh^2 r cosh^2 r at m = 0
-    _, nb_var = literal_number_variances(scenario(), math.pi / 2)
+    _, nb_var = form("number-variances")(scenario(), math.pi / 2)
     expected = 2.0 * (math.sinh(1.0) * math.cosh(1.0)) ** 2
     assert abs(nb_var - expected) < 1e-12
 
@@ -119,7 +120,7 @@ def test_literal_variance_specialization_overlap(r, m):
     # the general expression and its phi = 0 / real-m specialization are the
     # same algebra; they must agree to rounding on the overlap domain
     times = np.linspace(0.0, 2 * math.pi, 40)
-    general = literal_number_variances(scenario(r=r, m=complex(m)), times)
+    general = form("number-variances")(scenario(r=r, m=complex(m)), times)
     special = real_input_variances(r, m, times)
     assert np.max(np.abs(general[0] - special[0])) < 1e-12
     assert np.max(np.abs(general[1] - special[1])) < 1e-12
@@ -147,10 +148,10 @@ def test_mandel_q_vacuum_undefined():
 
 def test_literal_q_pair_vacuum_limits():
     scn = scenario()
-    q_a0, q_b0 = literal_q_pair(scn, 0.0)
+    q_a0, q_b0 = form("q-pair-vacuum")(scn, 0.0)
     assert abs(q_a0 - math.cosh(2.0)) < 1e-12
     assert q_b0 == 0.0
-    q_a1, q_b1 = literal_q_pair(scn, math.pi / 2)
+    q_a1, q_b1 = form("q-pair-vacuum")(scn, math.pi / 2)
     assert abs(q_a1) < 1e-25
     assert abs(q_b1 - math.cosh(2.0)) < 1e-12
 
@@ -158,14 +159,14 @@ def test_literal_q_pair_vacuum_limits():
 def test_literal_q_pair_numerator_disagrees_with_vacuum_limit():
     # the stated m != 0 ratio carries a 2 a2 numerator term; its m -> 0 limit
     # contradicts the stated m = 0 pair, which needs 2 a2^2 (the verify
-    # report adjudicates this; corrected_q_pair carries the fixed form)
+    # report adjudicates this; q-pair-real-input's corrected form carries the fix)
     scn = scenario()
     _, alpha2 = alpha_pair(1.0)
     stated_limit = 2 * alpha2 / math.sinh(1.0) ** 2 - 1.0
     fixed_limit = 2 * alpha2**2 / math.sinh(1.0) ** 2 - 1.0
-    assert abs(fixed_limit - literal_q_pair(scn, 0.0)[0]) < 1e-12
-    assert abs(stated_limit - literal_q_pair(scn, 0.0)[0]) > 2.0
-    corrected = corrected_q_pair(scenario(m=0.5 + 0j), 0.0)
+    assert abs(fixed_limit - form("q-pair-vacuum")(scn, 0.0)[0]) < 1e-12
+    assert abs(stated_limit - form("q-pair-vacuum")(scn, 0.0)[0]) > 2.0
+    corrected = form("q-pair-real-input", corrected=True)(scenario(m=0.5 + 0j), 0.0)
     assert corrected[0] > 0.0
 
 
@@ -192,26 +193,26 @@ def test_squeeze_coeffs_coherent_states(m):
 
 
 def test_literal_atom_squeeze_pair_starts_unsqueezed():
-    assert literal_atom_squeeze_pair(scenario(), 0.0) == (0.0, 0.0)
+    assert form("atom-squeeze-pair")(scenario(), 0.0) == (0.0, 0.0)
 
 
 def test_literal_atom_squeeze_pair_aligned_phase():
     # w = 4, t = pi/2: w t = 2 pi, so X1b squeezed by 2 sinh(1) e^{-1}
-    s1b, s2b = literal_atom_squeeze_pair(scenario(), math.pi / 2)
+    s1b, s2b = form("atom-squeeze-pair")(scenario(), math.pi / 2)
     assert abs(s1b + 2.0 * math.sinh(1.0) * math.exp(-1.0)) < 1e-12
     assert s2b > 0.0
 
 
 def test_literal_atom_squeeze_pair_crossed_phase():
     # w t + theta = pi/2-type phase: squeezing moves to X2b
-    s1b, s2b = literal_atom_squeeze_pair(scenario(), math.pi / 8)
+    s1b, s2b = form("atom-squeeze-pair")(scenario(), math.pi / 8)
     expected = 2.0 * math.sinh(1.0) * math.exp(-1.0) * math.sin(math.pi / 8) ** 2
     assert abs(s2b + expected) < 1e-12
     assert s1b > 0.0
 
 
 def test_literal_light_squeeze_pair_is_initially_squeezed():
-    s1a, s2a = literal_light_squeeze_pair(scenario(), 0.0)
+    s1a, s2a = form("light-squeeze-pair")(scenario(), 0.0)
     assert abs(s1a - (math.exp(2.0) - 1.0)) < 1e-12
     assert abs(s2a - (math.exp(-2.0) - 1.0)) < 1e-12
 
@@ -221,7 +222,7 @@ def test_atom_squeeze_product_identity():
     scn = scenario(r=0.8, params=ModelParams(4.0, 4.0, 1.0, 0.3))
     s, c = math.sinh(0.8), math.cosh(0.8)
     for t in np.linspace(0.0, 2 * math.pi, 60):
-        s1b, s2b = literal_atom_squeeze_pair(scn, t)
+        s1b, s2b = form("atom-squeeze-pair")(scn, t)
         rot = math.cos(2.0 * (4.0 * t + 0.3))
         expected = (
             4.0
@@ -240,11 +241,14 @@ def test_literal_matches_moment_map_on_grid(r):
     scn = scenario(r=r)
     times = np.linspace(0.0, math.pi, 100)
     rec = columns(moment_map_table(scn, times))
-    expected = {"na_mean": literal_na_mean(scn, times), "nb_mean": literal_nb_mean(scn, times)}
-    expected["na_var"], expected["nb_var"] = literal_number_variances(scn, times)
-    expected["q_a"], expected["q_b"] = literal_q_pair(scn, times)
-    expected["s1b"], expected["s2b"] = literal_atom_squeeze_pair(scn, times)
-    expected["s1a"], expected["s2a"] = literal_light_squeeze_pair(scn, times)
+    expected = {
+        "na_mean": form("light-number-mean")(scn, times),
+        "nb_mean": form("atom-number-mean")(scn, times),
+    }
+    expected["na_var"], expected["nb_var"] = form("number-variances")(scn, times)
+    expected["q_a"], expected["q_b"] = form("q-pair-vacuum")(scn, times)
+    expected["s1b"], expected["s2b"] = form("atom-squeeze-pair")(scn, times)
+    expected["s1a"], expected["s2a"] = form("light-squeeze-pair")(scn, times)
     for name, want in expected.items():
         got = rec[name]
         defined = ~np.isnan(got)  # the map's Q is undefined at a vacuum mode
@@ -262,9 +266,9 @@ def agrees(got, want, is_q: bool) -> bool:
 
 def literal_or_corrected_agrees(spec, scn, times, want) -> bool:
     is_q = "q_a" in spec.columns
-    if agrees(spec.literal(scn, times), want, is_q):
+    if agrees(spec.literal(Terms(scn, times)), want, is_q):
         return True
-    return spec.corrected is not None and agrees(spec.corrected(scn, times), want, is_q)
+    return spec.corrected is not None and agrees(spec.corrected(Terms(scn, times)), want, is_q)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -302,6 +306,28 @@ def test_registry_matches_moment_map_property(r, m, theta, omega0):
     assert gaps == (() if m == 0 else ("s1a", "s2a", "s1b", "s2b"))
     na = np.all(np.isnan(literal_table(scn, grid)), axis=0)
     assert [name for name, gap in zip(PHYSICS_COLUMNS, na) if gap] == list(gaps)
+
+
+# between them every registry entry is in its domain in at least one scenario
+FORM_SCENARIOS = (
+    scenario(r=0.8, params=ModelParams(4.0, 4.0, 1.0, 0.3)),
+    scenario(r=0.5, m=0.7 + 0j),
+    scenario(r=0.4, phi=0.3, m=0.5 + 0.2j),
+)
+
+
+@pytest.mark.parametrize("spec", FORMULAS, ids=lambda spec: spec.name)
+def test_each_form_on_an_array_equals_the_form_at_each_time_alone(spec):
+    # unit tests evaluate the forms at single times and runs on arrays; a form
+    # that does not depend on t returns one value, which must broadcast
+    times = np.linspace(0.0, 2 * math.pi, 37)
+    scenarios = [scn for scn in FORM_SCENARIOS if spec.domain(scn)]
+    assert scenarios
+    for scn in scenarios:
+        for evaluate in filter(None, (spec.literal, spec.corrected)):
+            alone = np.stack([np.asarray(evaluate(Terms(scn, float(t)))) for t in times], axis=-1)
+            whole = np.broadcast_to(np.asarray(evaluate(Terms(scn, times))), alone.shape)
+            assert np.all(np.abs(whole - alone) <= 1e-15 * (1.0 + np.abs(alone))), spec.name
 
 
 def test_q_oscillation_complementarity():
@@ -369,7 +395,7 @@ def test_literal_record_vacuum_input_full():
     table = literal_table(scenario(), [math.pi / 4])
     assert not np.any(np.isnan(table))
     ntotal = columns(table)["ntotal"][0]
-    assert abs(ntotal - literal_input_number_mean(scenario())) < 1e-12
+    assert abs(ntotal - form("conversion-number-transfer")(scenario(), 0.0)) < 1e-12
 
 
 def test_physics_table_q_nan_for_vacuum_mode():

@@ -19,7 +19,6 @@ from atomlaser.observables import (
     ScenarioConfig,
     UsageError,
     input_moments,
-    literal_input_number_mean,
     resonant,
 )
 from atomlaser.propagator import ModelParams, heisenberg_moment_map, propagator_at
@@ -168,7 +167,7 @@ def test_one_registry_entry_is_one_report_row():
         "toy-total-occupation",
         "light plus atom occupation stays the initial occupation",
         resonant,
-        lambda scn, t: literal_input_number_mean(scn),
+        lambda x: x.n_in,
         observable=lambda light, atom: light.number_mean + atom.number_mean,
     )
     scn = ScenarioConfig(ModelParams(4.0, 4.0, 1.0, 0.0), SqueezedInput(0.3), 32)
