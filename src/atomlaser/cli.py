@@ -487,14 +487,12 @@ def cmd_converge(args: argparse.Namespace) -> int:
     settings["n_max"] = n_max_list[-1]
     run = build_run_config(settings)
     params, grid = run.scenario.params, run.time_grid()
-    # tails[n] is the deficit each cutoff's own check sums: the same prefix, bit for bit
-    tails = truncation_tails(squeezed_amplitudes(run.scenario.input, n_max_list[-1]))
-    # the input is rebuilt at each cutoff, and all of them share one oracle pass
-    lights = {
-        n_max: squeezed_coherent_state(run.scenario.input, n_max, REPORTED_DEFICIT)
-        for n_max in n_max_list
-        if tails[n_max] <= REPORTED_DEFICIT
-    }
+    # a cutoff's light is the prefix renormalised by its exact deficit tails[n], the bits
+    # squeezed_coherent_state builds where it passes; all cutoffs share one oracle pass
+    amps = squeezed_amplitudes(run.scenario.input, n_max_list[-1])
+    tails = truncation_tails(amps)
+    lights = {n: amps[: n + 1] / math.sqrt(1.0 - tails[n])
+              for n in n_max_list if tails[n] <= REPORTED_DEFICIT}
     checked = evolve_checked([(params, light) for light in lights.values()], grid)
     physics = {n_max: physics_table(*moments) for n_max, (moments, _) in zip(lights, checked)}
     for table in physics.values():

@@ -98,22 +98,21 @@ def truncation_tails(amplitudes: np.ndarray) -> np.ndarray:
     return 1.0 - np.cumsum(np.abs(amplitudes) ** 2)
 
 
-def squeezed_coherent_state(
-    inp: SqueezedInput, n_max: int, deficit_threshold: float = DEFAULT_DEFICIT_THRESHOLD
-) -> np.ndarray:
+def squeezed_coherent_state(inp: SqueezedInput, n_max: int) -> np.ndarray:
     """Amplitudes c_0 .. c_{n_max} of the squeezed-coherent input, renormalised.
 
     The norm deficit is the exact probability above n_max, truncation_tails(...)[-1]
-    of the unrenormalised amplitudes; a deficit above ``deficit_threshold`` (or a
-    NaN one) raises TruncationError.
+    of the unrenormalised amplitudes; a deficit above DEFAULT_DEFICIT_THRESHOLD (or
+    a NaN one) raises TruncationError.  Any cutoff's array is the renormalised
+    prefix of a larger cutoff's amplitudes, bit for bit, as ``converge`` builds it.
     """
     amps = squeezed_amplitudes(inp, n_max)
     deficit = float(truncation_tails(amps)[-1])
-    if not deficit <= deficit_threshold:
+    if not deficit <= DEFAULT_DEFICIT_THRESHOLD:
         raise TruncationError(
             f"squeezed state (r={inp.r:.4g}, |m|={abs(inp.m):.4g}) does not fit "
             f"n_max={n_max}: norm deficit {deficit:.3e} exceeds "
-            f"{deficit_threshold:.1e}"
+            f"{DEFAULT_DEFICIT_THRESHOLD:.1e}"
         )
     amps /= math.sqrt(1.0 - deficit)
     return amps

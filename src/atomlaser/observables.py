@@ -31,7 +31,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -128,61 +127,25 @@ def squeeze_coeffs(moments: MomentSet) -> tuple[float, float]:
 
 class Terms:
     """The quantities the closed forms are written in, for one scenario over an
-    array of times ``t``; the only reader of the scenario for a form.  Each but
-    ``t`` and the complex displacement ``m`` is computed on first use, so an
-    evaluation computes only what its forms read."""
+    array of times ``t``; the only reader of the scenario for a form.  Each term is
+    computed when the ``Terms`` is built, sinh r too (it overflows for r > 710), so
+    it is built only after the input's deficit check."""
 
     def __init__(self, scn: ScenarioConfig, times):
-        self.t, self.m = np.asarray(times, dtype=float), complex(scn.input.m)
-        self._input, self._params = scn.input, scn.params
-
-    @cached_property
-    def sinh(self) -> float:
-        return math.sinh(self._input.r)
-
-    @cached_property
-    def cosh(self) -> float:
-        return math.cosh(self._input.r)
-
-    @cached_property
-    def alpha1(self) -> float:
-        return alpha_pair(self._input.r)[0]
-
-    @cached_property
-    def alpha2(self) -> float:
-        return alpha_pair(self._input.r)[1]
-
-    @cached_property
-    def m_abs2(self) -> float:
-        return abs(self.m) ** 2
-
-    @cached_property
-    def interference(self) -> float:
-        """2 Re(m^2 e^{2 i phi}), the displacement-squeeze interference term."""
-        return float(2.0 * ((self.m * self.m) * np.exp(2j * self._input.phi)).real)
-
-    @cached_property
-    def n_in(self) -> float:
-        """The initial light occupation |m|^2 a1 + 2 a2 Re(m^2 e^{2i phi}) + sinh^2 r."""
-        return self.m_abs2 * self.alpha1 + self.interference * self.alpha2 + self.sinh**2
-
-    @cached_property
-    def cos2(self) -> np.ndarray:
-        return np.cos(self._params.omega_r * self.t) ** 2
-
-    @cached_property
-    def sin2(self) -> np.ndarray:
-        return np.sin(self._params.omega_r * self.t) ** 2
-
-    @cached_property
-    def atom_phase(self) -> np.ndarray:
-        """The atom rotation phase w t + theta."""
-        return self._params.omega0 * self.t + self._params.theta
-
-    @cached_property
-    def light_phase(self) -> np.ndarray:
-        """The light rotation phase 2 w t; theta never multiplies a(0)'s coefficient."""
-        return 2.0 * self._params.omega0 * self.t
+        inp, params = scn.input, scn.params
+        self.t, self.m = np.asarray(times, dtype=float), complex(inp.m)
+        self.sinh, self.cosh = math.sinh(inp.r), math.cosh(inp.r)
+        self.alpha1, self.alpha2 = alpha_pair(inp.r)
+        self.m_abs2 = abs(self.m) ** 2
+        # 2 Re(m^2 e^{2 i phi}), the displacement-squeeze interference term
+        self.interference = float(2.0 * ((self.m * self.m) * np.exp(2j * inp.phi)).real)
+        # the initial light occupation |m|^2 a1 + 2 a2 Re(m^2 e^{2i phi}) + sinh^2 r
+        self.n_in = self.m_abs2 * self.alpha1 + self.interference * self.alpha2 + self.sinh**2
+        self.cos2 = np.cos(params.omega_r * self.t) ** 2
+        self.sin2 = np.sin(params.omega_r * self.t) ** 2
+        # the rotation phases w t + theta and 2 w t; theta never multiplies a(0)'s coefficient
+        self.atom_phase = params.omega0 * self.t + params.theta
+        self.light_phase = 2.0 * params.omega0 * self.t
 
 
 def _variances(x: Terms):

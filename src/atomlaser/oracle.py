@@ -65,20 +65,26 @@ class EvolutionResult:
     ntotal_drift: float
 
 
-def _lapacke(name: str, *argtypes):
-    """LAPACKE ``name`` (64-bit ints) in the OpenBLAS numpy loaded, or None if it has none."""
+def _numpy_export(name: str, restype, *argtypes):
+    """scipy_``name``64_ in the OpenBLAS numpy loaded, or None if it has none."""
     try:
-        routine = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), f"scipy_LAPACKE_{name}64_")
+        routine = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), f"scipy_{name}64_")
     except (AttributeError, OSError):
         return None
-    routine.argtypes, routine.restype = [ctypes.c_int, *argtypes], ctypes.c_int64
+    routine.argtypes, routine.restype = argtypes, restype
     return routine
 
 
-_INT, _PTR, _CHAR = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
-_numpy_dstevd = functools.cache(lambda: _lapacke("dstevd", _CHAR, _INT, _PTR, _PTR, _PTR, _INT))
-_numpy_dbdsdc = functools.cache(lambda: _lapacke("dbdsdc", _CHAR, _CHAR, _INT, _PTR, _PTR, _PTR,
-                                                 _INT, _PTR, _INT, _PTR, _PTR))
+# LAPACKE drivers, the layout first, and OpenBLAS's thread count (no-ops where numpy has none)
+_INT, _PTR, _CHAR, _C_INT = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char, ctypes.c_int
+_numpy_dstevd = functools.cache(lambda: _numpy_export("LAPACKE_dstevd", _INT, _C_INT, _CHAR, _INT,
+                                                      _PTR, _PTR, _PTR, _INT))
+_numpy_dbdsdc = functools.cache(lambda: _numpy_export("LAPACKE_dbdsdc", _INT, _C_INT, _CHAR, _CHAR,
+                                                      _INT, _PTR, _PTR, _PTR, _INT, _PTR, _INT,
+                                                      _PTR, _PTR))
+_numpy_threads = functools.cache(lambda: (
+    _numpy_export("openblas_get_num_threads", _C_INT) or (lambda: None),
+    _numpy_export("openblas_set_num_threads", None, _C_INT) or (lambda count: None)))
 
 
 def eigh_tridiagonal(diag: np.ndarray, off: np.ndarray):
@@ -345,16 +351,23 @@ def evolve_many(params: ModelParams, lights, times, thetas=None) -> list[Evoluti
 def evolve_checked(runs, times):
     """Each (params, light) run's (oracle moments, moment map of its truncated input).
 
-    Runs that differ at most in theta share one evolve_many pass.  A norm or
+    Runs that differ at most in theta share one evolve_many pass, on one OpenBLAS thread
+    where numpy exports the count (dstevd's bits above 384 rows depend on it).  A norm or
     occupation drift above 1e-9, or a failed check_dynamics, is an InvariantViolationError.
     """
     groups: dict[ModelParams, list[int]] = {}
     for i, (params, _) in enumerate(runs):
         groups.setdefault(replace(params, theta=0.0), []).append(i)
     checked = [None] * len(runs)
+    get_threads, set_threads = _numpy_threads()
     for shared, members in groups.items():
         thetas = [runs[i][0].theta for i in members]
-        results = evolve_many(shared, [runs[i][1] for i in members], times, thetas)
+        threads = get_threads()
+        set_threads(1)
+        try:
+            results = evolve_many(shared, [runs[i][1] for i in members], times, thetas)
+        finally:
+            set_threads(threads)
         for i, result in zip(members, results):
             drifts = ("norm", result.norm_drift), ("total-occupation", result.ntotal_drift)
             for name, drift in drifts:

@@ -861,11 +861,16 @@ def test_an_input_whose_occupation_underflows_runs(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [("verify",), ("simulate", "--sources", "literal-paper")],
-    ids=["verify", "simulate"],
+    [
+        ("verify",),
+        ("simulate", "--sources", "literal-paper"),
+        ("sweep", "--axis", "theta", "--values", "0,1", "--sources", "literal-paper"),
+    ],
+    ids=["verify", "simulate", "sweep"],
 )
 def test_an_input_whose_sinh_overflows_is_truncation_insufficient(tmp_path, capsys, argv):
-    # sinh 800 overflows a float; the domain predicates must not evaluate it
+    # sinh 800 overflows a float; the domain predicates must not evaluate it, and no
+    # Terms, which computes sinh r when it is built, may be built before the deficit check
     out = tmp_path / "out.txt"
     assert run(*argv, "--r", "800", "--n-max", "64", "--out", str(out)) == 2
     err = capsys.readouterr().err.splitlines()

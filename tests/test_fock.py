@@ -252,12 +252,15 @@ def test_recurrence_matches_expm_reference(r, phi, m, n_max):
 def test_norm_deficit_is_the_exact_tail():
     inp = SqueezedInput(1.0, 0.3, 0.2 + 0.1j)
     exact = squeezed_amplitudes(inp, 400)
+    tails = truncation_tails(exact)
     for n_max in (64, 80, 96):
-        vec = squeezed_coherent_state(inp, n_max, deficit_threshold=1e-4)
+        vec = squeezed_coherent_state(inp, n_max)
         tail = float(np.sum(np.abs(exact[n_max + 1 :]) ** 2))
         deficit = truncation_tails(squeezed_amplitudes(inp, n_max))[-1]
         assert abs(deficit - tail) < 1e-14
         np.testing.assert_allclose(vec, exact[: n_max + 1] / math.sqrt(1.0 - tail), atol=1e-15)
+        # converge builds each cutoff's light as this renormalised prefix
+        assert np.array_equal(exact[: n_max + 1] / math.sqrt(1.0 - tails[n_max]), vec)
 
 
 def test_squeezed_state_rejects_unrepresentable_inputs():

@@ -21,7 +21,9 @@ from atomlaser.fock import (
     MomentSet,
     SqueezedInput,
     mode_moments,
+    squeezed_amplitudes,
     squeezed_coherent_state,
+    truncation_tails,
 )
 from atomlaser.observables import (
     PHYSICS_COLUMNS,
@@ -258,10 +260,13 @@ def test_every_resonant_even_block_half_takes_the_chiral_solve():
         ("--r", "2"),
         # a coherent part fills the odd blocks too, whose halves take dstevd
         ("--r", "1.6", "--m-re", "1.5", "--n-max", "512"),
+        # detuned blocks from dimension 385 up are solved whole by dstevd, whose bits
+        # depend on the thread count: each pass runs on one thread
+        ("--omega0", "5", "--r", "2"),
     ],
-    ids=["vacuum-448", "coherent-512"],
+    ids=["vacuum-448", "coherent-512", "detuned-448"],
 )
-def test_resonant_output_does_not_depend_on_the_blas_thread_count(tmp_path, argv):
+def test_oracle_output_does_not_depend_on_the_blas_thread_count(tmp_path, argv):
     digests = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(SRC)}
@@ -271,6 +276,32 @@ def test_resonant_output_does_not_depend_on_the_blas_thread_count(tmp_path, argv
                        capture_output=True, timeout=300, check=True)
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     assert digests[0] == digests[1]
+
+
+def test_each_oracle_pass_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    get_threads, set_threads = oracle_module._numpy_threads()
+    if get_threads() is None:
+        pytest.skip("numpy's OpenBLAS exports no thread count")
+    seen, evolve_pass = [], oracle_module.evolve_many
+
+    def spy(*args):
+        seen.append(get_threads())
+        if len(seen) == 2:
+            raise InvariantViolationError("a failed pass")
+        return evolve_pass(*args)
+
+    monkeypatch.setattr(oracle_module, "evolve_many", spy)
+    run = (RESONANT, squeezed_coherent_state(SqueezedInput(0.5), 32))
+    before = get_threads()
+    set_threads(2)
+    try:
+        oracle_module.evolve_checked([run], [0.0, 0.5])
+        assert get_threads() == 2
+        with pytest.raises(InvariantViolationError, match="a failed pass"):
+            oracle_module.evolve_checked([run], [0.0, 0.5])
+        assert seen == [1, 1] and get_threads() == 2
+    finally:
+        set_threads(before)
 
 
 # the eigenvalues of block 64 at omega0 = omega_a = 4, omega_r = 1.4, which are
@@ -568,7 +599,8 @@ def test_oracle_is_the_moment_map_of_its_truncated_input(
     # occupation, obeys the uncertainty relation, and equals the moment map
     params = ModelParams(omega0, omega0 + detuning, 1.0, theta)
     inp = SqueezedInput(r, phi, m)
-    light = squeezed_coherent_state(inp, n_max, deficit_threshold=0.5)
+    amps = squeezed_amplitudes(inp, n_max)
+    light = amps / math.sqrt(1.0 - truncation_tails(amps)[-1])
     times = np.sort(times)
     result = evolve(params, light, times)
     check_dynamics(params, light, result.moments, times)
