@@ -126,24 +126,12 @@ _SCENARIO_KEYS = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run: scenario, time grid, sources, output, tolerances."""
+    """What ``build_run_config`` derives from the settings: the scenario, its time
+    grid and the selected sources in canonical order."""
 
     scenario: ScenarioConfig
-    t_max: float
-    steps: int
+    grid: np.ndarray
     sources: tuple[str, ...]
-    out: str | None
-    tol_algebraic: float
-    tol_oracle: float
-
-    def time_grid(self) -> np.ndarray:
-        """steps points covering [0, t_max): t_i = i * t_max / steps.
-
-        The left-closed grid puts the default scenario's conversion times and
-        aligned rotation phases (multiples of pi/4) exactly on grid points;
-        verify unions in any anchors that fall between points.
-        """
-        return np.arange(self.steps) * (self.t_max / self.steps)
 
 
 def parse_config_file(path: str) -> dict:
@@ -152,7 +140,7 @@ def parse_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -198,6 +186,8 @@ def auto_n_max(inp: SqueezedInput) -> int:
 
 
 def build_run_config(settings: dict) -> RunConfig:
+    """Check the settings and derive the run, its time grid built once here; the output
+    path and the tolerances pass through unchanged, so each command reads its own."""
     for key, (cast, _, _) in _SETTINGS.items():
         if cast is float and not math.isfinite(settings[key]):
             raise UsageError(f"{key} must be finite, got {settings[key]}")
@@ -228,13 +218,14 @@ def build_run_config(settings: dict) -> RunConfig:
             f"n_max must be at most {DEFAULT_N_MAX_CEILING}, the auto cutoff's ceiling; "
             f"got {n_max}"
         )
-    steps = int(settings["steps"])
+    steps, t_max = settings["steps"], settings["t_max"]
     if steps < 2:
         raise UsageError(f"steps must be >= 2, got {steps}")
-    t_max = float(settings["t_max"])
+    if steps > np.iinfo(np.intp).max:  # np.arange gives no grid or refuses the size
+        raise UsageError(f"steps must be at most {np.iinfo(np.intp).max}, got {steps}")
     if t_max <= 0:
         raise UsageError(f"t_max must be > 0, got {t_max}")
-    sources = tuple(s.strip() for s in str(settings["sources"]).split(",") if s.strip())
+    sources = tuple(s.strip() for s in settings["sources"].split(",") if s.strip())
     if not sources:
         raise UsageError("at least one source must be selected")
     for source in sources:
@@ -242,15 +233,12 @@ def build_run_config(settings: dict) -> RunConfig:
             raise UsageError(f"unknown source {source!r}; choose from {', '.join(SOURCES)}")
     # canonical source order regardless of how the list was written
     sources = tuple(s for s in SOURCES if s in sources)
-    return RunConfig(
-        scenario=ScenarioConfig(params, inp, n_max),
-        t_max=t_max,
-        steps=steps,
-        sources=sources,
-        out=settings["out"],
-        tol_algebraic=float(settings["tol_algebraic"]),
-        tol_oracle=float(settings["tol_oracle"]),
-    )
+    # steps points covering [0, t_max), t_i = i * t_max / steps: the left-closed grid
+    # puts the default scenario's conversion times and aligned rotation phases
+    # (multiples of pi/4) exactly on grid points; verify unions in any anchors that
+    # fall between points
+    grid = np.arange(steps) * (t_max / steps)
+    return RunConfig(ScenarioConfig(params, inp, n_max), grid, sources)
 
 
 def _fmt(value: float) -> str:
@@ -361,8 +349,8 @@ def _write_rows(handle, template: str, table: np.ndarray, columns) -> None:
 def _open_output(path: str):
     try:
         return open(path, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise UsageError(f"cannot write {path}: {getattr(exc, 'strerror', exc)}") from exc
 
 
 def simulate_rows(run: RunConfig, light, oracle, prefix: str = ""):
@@ -376,8 +364,7 @@ def simulate_rows(run: RunConfig, light, oracle, prefix: str = ""):
     checked.  Row i of the table is grid time i and every source's physics at it,
     one line per source, so the output is ordered by (time, source).
     """
-    scenario = run.scenario
-    grid = run.time_grid()
+    scenario, grid = run.scenario, run.grid
     tables: dict[str, np.ndarray] = {}
     if SOURCE_LITERAL in run.sources:
         tables[SOURCE_LITERAL] = literal_table(scenario, grid)
@@ -410,7 +397,7 @@ def _write_scenarios(runs: list[RunConfig], prefixes: list[str], header, out: st
     oracle = [None] * len(runs)
     if SOURCE_ORACLE in runs[0].sources:
         pairs = [(run.scenario.params, light) for run, light in zip(runs, lights)]
-        oracle = [moments for moments, _ in evolve_checked(pairs, runs[0].time_grid())]
+        oracle = [moments for moments, _ in evolve_checked(pairs, runs[0].grid)]
     blocks = [simulate_rows(*scenario) for scenario in zip(runs, lights, oracle, prefixes)]
     with _open_output(out) as handle:
         handle.write(",".join(header) + "\n")
@@ -421,15 +408,18 @@ def _write_scenarios(runs: list[RunConfig], prefixes: list[str], header, out: st
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    run = build_run_config(_resolve_settings(args))
-    _write_scenarios([run], [""], CSV_COLUMNS, run.out or "simulate.csv")
+    settings = _resolve_settings(args)
+    run = build_run_config(settings)
+    _write_scenarios([run], [""], CSV_COLUMNS, settings["out"] or "simulate.csv")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    run = build_run_config(_resolve_settings(args))
-    report = discrepancy_report(run.scenario, run.time_grid(), run.tol_algebraic, run.tol_oracle)
-    out = run.out or "verify.txt"
+    settings = _resolve_settings(args)
+    run = build_run_config(settings)
+    tol_algebraic, tol_oracle = settings["tol_algebraic"], settings["tol_oracle"]
+    report = discrepancy_report(run.scenario, run.grid, tol_algebraic, tol_oracle)
+    out = settings["out"] or "verify.txt"
     with _open_output(out) as handle:
         handle.write(report.render())
     print(f"wrote verdicts for {len(report.checks)} formulas to {out}")
@@ -486,7 +476,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
     settings["n_max"] = n_max_list[-1]
     run = build_run_config(settings)
-    params, grid = run.scenario.params, run.time_grid()
+    params, grid = run.scenario.params, run.grid
     # a cutoff's light is the prefix renormalised by its exact deficit tails[n], the bits
     # squeezed_coherent_state builds where it passes; all cutoffs share one oracle pass
     amps = squeezed_amplitudes(run.scenario.input, n_max_list[-1])

@@ -435,10 +435,10 @@ def literal_table(scn: ScenarioConfig, times) -> np.ndarray:
     A column listed by several in-domain entries takes the first entry's
     values, so the entries are written in reverse order.
     """
-    terms = Terms(scn, times)
-    table = np.full((len(terms.t), len(PHYSICS_COLUMNS)), NA)
+    table, terms = np.full((len(times), len(PHYSICS_COLUMNS)), NA), None
     for spec in reversed(FORMULAS):
         if spec.columns and spec.domain(scn):
+            terms = terms or Terms(scn, times)  # none where no entry is in domain
             values = np.reshape(spec.literal(terms), (len(spec.columns), len(terms.t)))
             table[:, [PHYSICS_COLUMNS.index(name) for name in spec.columns]] = values.T
     return table

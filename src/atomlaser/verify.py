@@ -216,12 +216,12 @@ def _verdict(
 
 def discrepancy_report(
     scn: ScenarioConfig,
-    time_grid,
+    grid,
     tol_algebraic: float = TOL_ALGEBRAIC,
     tol_oracle: float = TOL_ORACLE,
 ) -> DiscrepancyReport:
     """Check every in-domain registered formula and return the verdict table."""
-    grid = np.unique(np.asarray(time_grid, dtype=float))
+    grid = np.unique(np.asarray(grid, dtype=float))
     if not len(grid):
         raise ValueError("time grid is empty")
     specs = [spec for spec in FORMULAS if spec.observable is not None and spec.domain(scn)]

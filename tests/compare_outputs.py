@@ -35,8 +35,9 @@ SEEDS = (0, 1)
 # its code had to check by hand: converge's per-cutoff inputs at mixed statuses (cutoffs
 # too small to report, truncation-insufficient and ok); the vacuum (r = 0) and inputs
 # whose r^2 or m^2 underflows (1e-161), where the q forms leave their domain; verify's
-# anchors at zero rotation, far off the grid and shifted by theta; and an input whose
-# sinh overflows, which exits 2 and writes no file
+# anchors at zero rotation, far off the grid and shifted by theta; an input whose
+# sinh overflows, which exits 2 and writes no file; and verify's tolerances, each tight
+# enough to leave verdicts unresolved (exit 4)
 EDGE_CASES = (
     ("converge", "--values", "8,16,24,32,64"),
     ("converge", "--r", "1.5", "--values", "20,40,80,120,160"),
@@ -53,6 +54,8 @@ EDGE_CASES = (
     ("verify", "--r", "1e-161"),
     ("simulate", "--r", "0", "--m-re", "1e-161"),
     ("verify", "--r", "800", "--n-max", "64"),
+    ("verify", "--tol-algebraic", "1e-17"),
+    ("verify", "--m-re", "0.5", "--tol-oracle", "0"),
 )
 
 

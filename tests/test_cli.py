@@ -113,13 +113,17 @@ def test_config_file_with_flag_override(tmp_path):
         ("n_max = 2.5\n", 1, "bad integer for n_max: '2.5'"),
         (None, None, "cannot read config"),
         ("r = 0.4\n\nvolume = 2  # no such key\n", 3, "unknown key 'volume'"),
+        (b"\xff\xfer = 0.4\n", None, "cannot read config"),
     ],
-    ids=["no-equals", "bad-float", "bad-integer", "bad-cutoff", "missing-file", "unknown-key"],
+    ids=[
+        "no-equals", "bad-float", "bad-integer", "bad-cutoff", "missing-file", "unknown-key",
+        "not-utf8",
+    ],
 )
 def test_config_file_errors_name_the_file_and_line(tmp_path, capsys, text, line, message):
     cfg = tmp_path / "run.cfg"
     if text is not None:
-        cfg.write_text(text)
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "out.csv"
     assert run("simulate", "--config", str(cfg), "--out", str(out)) == 1
     err = capsys.readouterr().err.splitlines()
@@ -524,15 +528,38 @@ def test_help_still_exits_0(capsys):
     [
         ("simulate", "--out", "."),
         ("verify", "--out", "missing/verify.txt"),
+        ("simulate", "--config", "nul.cfg"),
     ],
-    ids=["a-directory", "in-a-missing-directory"],
+    ids=["a-directory", "in-a-missing-directory", "with-a-nul-byte"],
 )
 def test_an_output_that_cannot_be_written_is_a_config_error(tmp_path, capsys, monkeypatch, argv):
+    # argv cannot carry a NUL byte, so that path comes from a config file
+    (tmp_path / "nul.cfg").write_text("out = sim\0.csv\n")
     monkeypatch.chdir(tmp_path)
     assert run(*argv, "--steps", "3") == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:")
-    assert not (tmp_path / "missing").exists()
+    assert len(err) == 1 and err[0].startswith("error: cannot write")
+    assert [path.name for path in tmp_path.iterdir()] == ["nul.cfg"]
+
+
+def test_a_config_files_out_and_tolerances_reach_their_command(tmp_path):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "strict.txt"
+    cfg.write_text(f"tol_algebraic = 1e-17\nout = {out}\n")
+    # roundoff separates the closed forms from the moment map by about 1e-15
+    assert run("verify", "--config", str(cfg)) == 4
+    assert ("conversion-number-transfer", "CONFIRMED") in verdicts(out)
+    assert "UNRESOLVED" in {verdict for _, verdict in verdicts(out)}
+    cfg.write_text(f"out = {tmp_path / 'sim.csv'}\nsteps = 3\n")
+    assert run("simulate", "--config", str(cfg)) == 0
+    assert len(read_rows(tmp_path / "sim.csv")[1]) == 9  # 3 grid points x 3 sources
+
+
+def test_without_out_each_command_writes_its_default_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--steps", "3") == 0
+    assert run("verify", "--steps", "3") == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["simulate.csv", "verify.txt"]
+    assert len(read_rows(tmp_path / "simulate.csv")[1]) == 9
 
 
 def test_simulate_huge_phi_is_its_remainder_mod_2_pi(tmp_path):
@@ -890,6 +917,26 @@ def test_a_grid_too_large_to_allocate_is_a_config_error(tmp_path, capsys, argv):
     assert run(*argv, "--steps", str(10**18), "--out", str(out)) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: out of memory:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", [str(2**63), str(10**20)], ids=["2**63", "10**20"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--sources", "literal-paper,moment-map"),
+        ("sweep", "--axis", "r", "--values", "0.5,1"),
+        ("verify",),
+        ("converge", "--values", "8,16"),
+    ],
+    ids=["simulate", "sweep", "verify", "converge"],
+)
+def test_steps_beyond_numpys_index_range_are_a_config_error(tmp_path, capsys, argv, steps):
+    # at 2**63 np.arange gives an empty grid, and above it refuses the size
+    out = tmp_path / "out.txt"
+    assert run(*argv, "--steps", steps, "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: steps must be at most {2**63 - 1}, got {steps}"]
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atomlaser import observables
 from atomlaser.fock import (
     MomentSet,
     SqueezedInput,
@@ -365,6 +366,20 @@ def test_literal_record_detuned_is_all_na():
     table = literal_table(scn, [0.0, 1.0])
     assert table.shape == (2, len(PHYSICS_COLUMNS))
     assert np.all(np.isnan(table))
+
+
+@pytest.mark.parametrize("omega0, built", [(5.0, 0), (4.0, 1)], ids=["detuned", "resonant"])
+def test_literal_table_builds_terms_only_for_an_entry_in_domain(monkeypatch, omega0, built):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return Terms(*args)
+
+    monkeypatch.setattr(observables, "Terms", spy)
+    table = literal_table(scenario(params=ModelParams(omega0, 4.0, 1.0)), np.linspace(0, 1, 5))
+    assert len(calls) == built
+    assert np.isnan(table).all() == (built == 0)
 
 
 def test_literal_record_domain_gaps_are_na():
